@@ -342,7 +342,7 @@ def qoda_step(state, problem, pipeline, schedule, node_B, node_c, noise_rng):
     gamma, eta = schedule.rates(state)
     state.gamma, state.eta = gamma, eta
 
-    state.x_half = state.x - gamma * state.v_hat_prev.mean(axis=0)
+    state.x_half = state.x - gamma * (state.v_hat_prev.sum(axis=0) / K)
 
     V = node_B @ state.x_half + node_c
     if problem.noise is not None:
@@ -360,7 +360,7 @@ def qoda_step(state, problem, pipeline, schedule, node_B, node_c, noise_rng):
     state.s_norm += norm_term
     state.s_norm_last = norm_term
 
-    state.y = state.y - v_hat.mean(axis=0)
+    state.y = state.y - v_hat.sum(axis=0) / K
     eta_next = schedule.eta_next(state)
     x_next = state.x1 + eta_next * state.y
 
@@ -423,6 +423,7 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
     pipeline = _make_pipeline(quant, problem, seed)
     node_B, node_c = _stacked_ops(problem)
     noise_rng = _noise_rng(seed)
+    K = problem.K
     gamma = step / problem.L
     state.gamma = state.eta = gamma
     checkpoints = _checkpoints(T)
@@ -440,7 +441,7 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
         if at_checkpoint:
             pipeline.check_wire()
         state.bits += bits
-        state.x_half = state.x - gamma * v_hat.mean(axis=0)
+        state.x_half = state.x - gamma * (v_hat.sum(axis=0) / K)
 
         V = node_B @ state.x_half + node_c
         if problem.noise is not None:
@@ -451,7 +452,7 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
         if at_checkpoint:
             pipeline.check_wire()
         state.bits += bits
-        state.x = state.x - gamma * v_hat.mean(axis=0)
+        state.x = state.x - gamma * (v_hat.sum(axis=0) / K)
 
         state.x_half_sum += state.x_half
         state.t += 1

@@ -10,6 +10,7 @@ oracle, and a ball-shaped evaluation domain for the restricted gap
 which is zero exactly at solutions when the ball contains one.
 """
 
+import functools
 import warnings
 
 import numpy as np
@@ -30,7 +31,14 @@ _MONOTONE_TOL = 1e-9
 
 
 class AffineOperator:
-    """A(x) = Bx + c with B + B^T required positive semidefinite."""
+    """A(x) = Bx + c with B + B^T required positive semidefinite.
+
+    ``L`` is the spectral norm of B unless a larger value is declared; it is
+    computed on first read and kept, and a declared value is checked against
+    the norm here.  When B + B^T is exactly zero every eigenvalue of the
+    symmetric part is 0, so the operator is skew and monotone without an
+    eigensolve or a norm.
+    """
 
     def __init__(self, B, c=None, L=None, beta=None, x_star=None):
         B = np.asarray(B, dtype=np.float64)
@@ -40,37 +48,41 @@ class AffineOperator:
         c = np.zeros(d) if c is None else np.asarray(c, dtype=np.float64)
         if c.shape != (d,):
             raise DimensionMismatch("offset c must match B")
-        sym = 0.5 * (B + B.T)
-        scale = max(1.0, float(np.linalg.norm(B, 2)))
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs[0] < -_MONOTONE_TOL * scale:
-            raise ValueError(
-                f"B + B^T has negative eigenvalue {eigs[0]}: operator not monotone"
-            )
         self.B = B
         self.c = c
         self.d = d
-        self.sym_eig_max = float(eigs[-1])
-        self.is_skew = float(np.abs(sym).max()) <= _SKEW_TOL * scale
-        op_norm = float(np.linalg.norm(B, 2))
-        if L is None:
-            L = op_norm
-        elif L < op_norm * (1 - 1e-9):
-            raise ValueError(f"declared L={L} below the operator norm {op_norm}")
-        self.L = float(L)
+        sym = 0.5 * (B + B.T)
+        if sym.any():
+            scale = max(1.0, self._op_norm)
+            eigs = np.linalg.eigvalsh(sym)
+            if eigs[0] < -_MONOTONE_TOL * scale:
+                raise ValueError(
+                    f"B + B^T has negative eigenvalue {eigs[0]}: operator not monotone"
+                )
+            self.sym_eig_max = float(eigs[-1])
+            self.is_skew = float(np.abs(sym).max()) <= _SKEW_TOL * scale
+        else:
+            self.sym_eig_max = 0.0
+            self.is_skew = True
+        if L is not None and L < self._op_norm * (1 - 1e-9):
+            raise ValueError(f"declared L={L} below the operator norm {self._op_norm}")
+        self._L = None if L is None else float(L)
         self.beta = beta
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
+
+    @functools.cached_property
+    def _op_norm(self):
+        return float(np.linalg.norm(self.B, 2))
+
+    @property
+    def L(self):
+        return self._op_norm if self._L is None else self._L
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.d,):
             raise DimensionMismatch(f"operator dimension {self.d}, got {x.shape}")
         return self.B @ x + self.c
-
-
-def apply(op, x):
-    """Evaluate an operator at x (module-level convenience)."""
-    return op.apply(x)
 
 
 class AbsoluteNoise:

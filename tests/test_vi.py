@@ -33,6 +33,63 @@ def test_affine_operator_rejects_non_monotone():
         AffineOperator(np.eye(2), c=np.zeros(3))
     with pytest.raises(ValueError):
         AffineOperator(np.eye(2), L=0.5)  # below the true operator norm
+    # Exactly skew B skips the eigensolve, but a declared L is still checked.
+    with pytest.raises(ValueError):
+        AffineOperator(np.array([[0.0, 2.0], [-2.0, 0.0]]), L=1.0)
+    assert AffineOperator(np.array([[0.0, 2.0], [-2.0, 0.0]]), L=3.0).L == 3.0
+
+
+def _count_factorizations(monkeypatch):
+    """Count SVDs, those inside np.linalg.norm(M, 2) included, and eigensolves."""
+    counts = {"svd": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    svd = counting("svd", np.linalg.svd)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    # norm looks svd up in the globals of the module that defines it.
+    monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    return counts
+
+
+def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
+    counts = _count_factorizations(monkeypatch)
+    K = 4
+    p = make_problem("bilinear", d=8, K=K, seed=0, node_split="skew")
+    # _unit_spectral(B), the global L, and one _unit_spectral per delta.
+    assert counts == {"svd": 2 + K, "eigvalsh": 0}
+    assert all(op.is_skew and op.sym_eig_max == 0.0 for op in p.node_ops)
+
+
+def test_operator_norm_is_computed_once_on_first_read(monkeypatch):
+    p = make_problem("bilinear", d=8, K=3, seed=1, node_split="skew")
+    skew_op = p.node_ops[1]
+    B = np.array([[2.0, 1.0], [1.0, 3.0]])
+    skew_norm, sym_norm = np.linalg.norm(skew_op.B, 2), np.linalg.norm(B, 2)
+    counts = _count_factorizations(monkeypatch)
+    # A node operator of a skew split has no norm until its L is read.
+    assert (skew_op.L, skew_op.L) == (skew_norm, skew_norm)
+    assert counts == {"svd": 1, "eigvalsh": 0}
+    # A non-skew operator needs the norm for its tolerances and shares it with L.
+    assert AffineOperator(B).L == sym_norm
+    assert counts == {"svd": 2, "eigvalsh": 1}
+
+
+def test_nearly_skew_operator_takes_the_eigensolve(monkeypatch):
+    counts = _count_factorizations(monkeypatch)
+    B = np.array([[0.0, 1.0, 1e-13], [-1.0, 0.0, 0.0], [1e-13, 0.0, 0.0]])
+    op = AffineOperator(B)  # B + B^T is nonzero, with eigenvalues +-1e-13
+    assert counts == {"svd": 1, "eigvalsh": 1}
+    assert op.is_skew
+    assert op.sym_eig_max == pytest.approx(1e-13)
+    with pytest.raises(ValueError):
+        AffineOperator(-np.eye(3))
+    assert counts["eigvalsh"] == 2
 
 
 def test_absolute_noise_mean_and_power():
