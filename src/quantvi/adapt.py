@@ -8,13 +8,21 @@ contribution to the quantization variance.
 
 Level sequences are then re-placed to minimize the expected rounding
 variance  integral(sigma_Q^2(u; l) dF(u))  by an exact dynamic program over
-a uniform grid of candidate positions.
+a uniform grid of G + 1 candidate positions.  The interval cost c(i, j) of
+two consecutive levels at grid points i < j satisfies the quadrangle
+(Monge) inequality, so the leftmost optimal predecessor of a grid point is
+non-decreasing in the point.  Each DP layer is therefore found by divide and
+conquer over the grid points, with every cost computed on the fly from
+prefix moments: O(alpha G log G) time and O(G) memory for alpha interior
+levels (Wu 1991, "Optimal quantization by matrix searching").
 
 All distribution objects expose the same two-method interface consumed by
 the optimizer and by codec.estimate_level_probs:
 
 ``moments_below(x)``
-    (mass, first moment, second moment) of F restricted to [0, x).
+    (mass, first moment, second moment) of F restricted to [0, x).  ``x``
+    may be a scalar or an array; the result has shape ``x.shape + (3,)``,
+    one row per x.
 ``total_moments()``
     the same over the closed interval [0, 1].
 """
@@ -64,30 +72,29 @@ class StepCdf:
         merged /= total
         self.points = uniq
         self.weights = merged
-        self._cum = np.vstack(
-            [
-                np.cumsum(merged),
-                np.cumsum(merged * uniq),
-                np.cumsum(merged * uniq**2),
-            ]
+        cum = np.column_stack(
+            [np.cumsum(merged), np.cumsum(merged * uniq), np.cumsum(merged * uniq**2)]
         )
+        # Row k holds the moments of the k smallest support points.
+        self._below = np.vstack([np.zeros(3), cum])
 
     def moments_below(self, x):
-        i = int(np.searchsorted(self.points, x, side="left"))
-        if i == 0:
-            return np.zeros(3)
-        return self._cum[:, i - 1].copy()
+        i = np.searchsorted(self.points, x, side="left")
+        return np.take(self._below, i, axis=0)
 
     def total_moments(self):
-        return self._cum[:, -1].copy()
+        return self._below[-1].copy()
 
 
 class UniformCdf:
     """The uniform distribution on [0, 1]."""
 
     def moments_below(self, x):
-        x = min(max(float(x), 0.0), 1.0)
-        return np.array([x, x**2 / 2.0, x**3 / 3.0])
+        x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+        # Powers of Python floats (the C library's pow): numpy's vectorized
+        # power differs from it in the last bit for some x.
+        rows = [(u, u**2 / 2.0, u**3 / 3.0) for u in x.ravel().tolist()]
+        return np.array(rows, dtype=np.float64).reshape(x.shape + (3,))
 
     def total_moments(self):
         return np.array([1.0, 0.5, 1.0 / 3.0])
@@ -115,10 +122,10 @@ class TruncNormCdf:
         mu, s = self.mu, self.sigma
         m1 = mu * cdf - s * dphi
         m2 = (mu**2 + s**2) * cdf - 2 * mu * s * dphi - s**2 * (z * phi_z - self._a * phi_a)
-        return np.array([cdf, m1, m2])
+        return np.stack([cdf, m1, m2], axis=-1)
 
     def moments_below(self, x):
-        z = min(max((float(x) - self.mu) / self.sigma, self._a), self._b)
+        z = np.clip((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma, self._a, self._b)
         return self._raw(z) / self._z
 
     def total_moments(self):
@@ -249,7 +256,7 @@ def quantization_cost(cdf, seq):
     """integral of (l_tau+1 - u)(u - l_tau) dF(u): the per-unit-norm variance."""
     ell = seq.levels if isinstance(seq, LevelSequence) else np.asarray(seq, float)
     total = cdf.total_moments()
-    below = [cdf.moments_below(x) for x in ell]
+    below = cdf.moments_below(ell)
     cost = 0.0
     for j in range(len(ell) - 1):
         hi = total if j == len(ell) - 2 else below[j + 1]
@@ -262,10 +269,18 @@ def optimize_levels(cdf, alpha, grid=512):
     """Variance-optimal placement of ``alpha`` interior levels on a grid.
 
     Runs an exact dynamic program over the uniform grid {0, 1/G, ..., 1}:
-    state (level count, grid position), transition cost equal to the rounding
-    variance accumulated on the interval between consecutive levels.  The
-    returned sequence is the exact minimizer among all grid-restricted
-    sequences with the given budget.
+    state (level count, grid position), transition cost c(i, j) equal to the
+    rounding variance accumulated on the interval between consecutive levels
+    at grid points i < j.  The returned sequence is the exact minimizer among
+    all grid-restricted sequences with the given budget.
+
+    Each of the alpha + 1 layers is a row-minimum search over the
+    (G+1) x (G+1) matrix fprev[i] + c(i, j), done by divide and conquer
+    (``_layer_min``) without building the matrix: O(alpha G log G) time and
+    O(G) memory.  Among equal-cost predecessors the leftmost is kept, as a
+    dense argmin over each column would.  When the budget covers every
+    interior support point of a step CDF, many placements cost zero and
+    rounding decides which of them is returned.
     """
     alpha = int(alpha)
     grid = int(grid)
@@ -277,25 +292,15 @@ def optimize_levels(cdf, alpha, grid=512):
         raise BudgetTooLarge(f"{alpha} interior levels need a grid of > {alpha} points")
 
     xs = np.arange(grid + 1) / grid
-    below = np.stack([_moments_at(cdf, x) for x in xs])  # (G+1, 3)
+    below = np.array(cdf.moments_below(xs), dtype=np.float64)  # (G+1, 3)
     below[grid] = cdf.total_moments()  # closed top interval includes u = 1
-    b0, b1, b2 = below[:, 0], below[:, 1], below[:, 2]
-
-    # Interval cost c(i, j) for grid points i < j; the matrix does not
-    # depend on the layer, so each DP layer is one masked min-reduction.
-    m0 = b0[None, :] - b0[:, None]
-    m1 = b1[None, :] - b1[:, None]
-    m2 = b2[None, :] - b2[:, None]
-    cost = -m2 + (xs[:, None] + xs[None, :]) * m1 - (xs[:, None] * xs[None, :]) * m0
-    cost[np.tril_indices(grid + 1)] = np.inf
+    prefix = below.T.copy()  # rows b0, b1, b2
 
     fprev = np.full(grid + 1, np.inf)
     fprev[0] = 0.0
     parents = []
-    for _ in range(alpha + 1):
-        cand = fprev[:, None] + cost
-        par = np.argmin(cand, axis=0)
-        fprev = cand[par, np.arange(grid + 1)]
+    for layer in range(alpha + 1):
+        fprev, par = _layer_min(fprev, layer, xs, prefix)
         parents.append(par)
 
     positions = [grid]
@@ -305,8 +310,49 @@ def optimize_levels(cdf, alpha, grid=512):
     return LevelSequence(xs[positions])
 
 
-def _moments_at(cdf, x):
-    return np.asarray(cdf.moments_below(x), dtype=np.float64)
+def _layer_min(fprev, first, xs, prefix):
+    """One DP layer: min over i < j of fprev[i] + c(i, j), for every j.
+
+    ``fprev`` is finite exactly from index ``first`` on.  Returns the minima
+    and the leftmost minimizing i per column; columns j <= first have no
+    finite candidate and get (inf, 0).
+
+    Because c is Monge, the leftmost minimizer opt(j) is non-decreasing in
+    j.  A segment of columns [jlo, jhi] whose minimizers lie in rows
+    [ilo, ihi] is split at its middle column m: rows ilo..min(ihi, m - 1)
+    are scanned for opt(m), and the halves keep rows [ilo, opt(m)] and
+    [opt(m), ihi].  All segments of one recursion depth are scanned
+    together as one ragged candidate list of at most 2 (G + 1) entries.
+    """
+    b0, b1, b2 = prefix
+    n = fprev.size
+    fnew = np.full(n, np.inf)
+    par = np.zeros(n, dtype=np.intp)
+    jlo, jhi = np.array([first + 1]), np.array([n - 1])
+    ilo, ihi = np.array([first]), np.array([n - 2])
+    while jlo.size:
+        mid = (jlo + jhi) // 2
+        lens = np.minimum(ihi, mid - 1) - ilo + 1
+        starts = np.cumsum(lens) - lens
+        seg = np.repeat(np.arange(mid.size), lens)
+        i = np.arange(seg.size) + (ilo - starts)[seg]
+        j = mid[seg]
+        m0 = b0[j] - b0[i]
+        m1 = b1[j] - b1[i]
+        m2 = b2[j] - b2[i]
+        vals = fprev[i] + (-m2 + (xs[i] + xs[j]) * m1 - (xs[i] * xs[j]) * m0)
+        best = np.minimum.reduceat(vals, starts)
+        opt = np.minimum.reduceat(np.where(vals == best[seg], i, n), starts)
+        fnew[mid] = best
+        par[mid] = opt
+        left, right = mid > jlo, mid < jhi
+        jlo, jhi, ilo, ihi = (
+            np.concatenate([jlo[left], mid[right] + 1]),
+            np.concatenate([mid[left] - 1, jhi[right]]),
+            np.concatenate([ilo[left], opt[right]]),
+            np.concatenate([opt[left], ihi[right]]),
+        )
+    return fnew, par
 
 
 def mqv_objective(family, cdf):

@@ -94,18 +94,19 @@ class LevelHistogram:
 def estimate_level_probs(cdf, seq):
     """Probability of each level index when quantizing draws from ``cdf``.
 
-    ``cdf`` must expose ``moments_below(x)`` returning the (mass, first
-    moment) of the distribution restricted to [0, x), and ``total_moments()``
-    for the closed interval [0, 1].  Mass in a level interval [l_j, l_j+1) is
-    split between the two bracketing levels in proportion to the expected
-    rounding probabilities, which reproduces exactly the symbol distribution
-    the stochastic quantizer induces.
+    ``cdf`` must expose ``moments_below(x)`` returning, for an array of x,
+    one (mass, first moment, ...) row per x of the distribution restricted
+    to [0, x), and ``total_moments()`` for the closed interval [0, 1].
+    Mass in a level interval [l_j, l_j+1) is split between the two bracketing
+    levels in proportion to the expected rounding probabilities, which
+    reproduces exactly the symbol distribution the stochastic quantizer
+    induces.
     """
     ell = seq.levels
     total = np.asarray(cdf.total_moments(), dtype=np.float64)
     if abs(total[0] - 1.0) > 1e-9:
         raise InvalidCdf(f"total mass {total[0]} is not 1")
-    below = [np.asarray(cdf.moments_below(x), dtype=np.float64) for x in ell]
+    below = np.asarray(cdf.moments_below(ell), dtype=np.float64)
     row = np.zeros(len(ell))
     for j in range(len(ell) - 1):
         hi = total if j == len(ell) - 2 else below[j + 1]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,129 @@ def test_optimize_levels_matches_exhaustive_small_grid():
             )
             got = quantization_cost(c, optimize_levels(c, alpha, 12))
             assert got == pytest.approx(best, abs=1e-12)
+
+
+def _dense_optimize_levels(cdf, alpha, grid):
+    """Reference: the level-placement DP over the dense (G+1)^2 cost matrix."""
+    xs = np.arange(grid + 1) / grid
+    below = np.stack([np.asarray(cdf.moments_below(x), dtype=np.float64) for x in xs])
+    below[grid] = cdf.total_moments()
+    b0, b1, b2 = below[:, 0], below[:, 1], below[:, 2]
+    m0 = b0[None, :] - b0[:, None]
+    m1 = b1[None, :] - b1[:, None]
+    m2 = b2[None, :] - b2[:, None]
+    cost = -m2 + (xs[:, None] + xs[None, :]) * m1 - (xs[:, None] * xs[None, :]) * m0
+    cost[np.tril_indices(grid + 1)] = np.inf
+    fprev = np.full(grid + 1, np.inf)
+    fprev[0] = 0.0
+    parents = []
+    for _ in range(alpha + 1):
+        cand = fprev[:, None] + cost
+        par = np.argmin(cand, axis=0)
+        fprev = cand[par, np.arange(grid + 1)]
+        parents.append(par)
+    positions = [grid]
+    for par in reversed(parents):
+        positions.append(int(par[positions[-1]]))
+    return xs[positions[::-1]]
+
+
+def _random_step_cdfs(rng, grid, count):
+    """Step CDFs with continuous support, mass on grid points, and repeats."""
+    for k in range(count):
+        n = int(rng.integers(10, 80))
+        if k % 3 == 0:
+            pts = rng.random(n)
+        elif k % 3 == 1:
+            pts = rng.integers(0, grid + 1, n) / grid  # exact ties with grid points
+        else:
+            pts = np.abs(rng.normal(0.1, 0.08, n)).clip(0.0, 1.0)
+        weights = np.ones(n) if k % 2 else rng.random(n) + 0.05
+        yield StepCdf(pts, weights)
+
+
+def _interior_support(cdf):
+    return int(np.sum((cdf.points > 0.0) & (cdf.points < 1.0)))
+
+
+@pytest.mark.parametrize("grid", [2, 3, 12, 64, 256, 512])
+def test_optimize_levels_equals_dense_dp(grid):
+    rng = np.random.default_rng(400 + grid)
+    cdfs = [UniformCdf(), TruncNormCdf(0.3, 0.2), TruncNormCdf(-0.2, 0.05)]
+    cdfs += list(_random_step_cdfs(rng, grid, {256: 6, 512: 4}.get(grid, 12)))
+    for cdf in cdfs:
+        for alpha in range(min(8, grid - 1) + 1):
+            if isinstance(cdf, StepCdf) and alpha >= _interior_support(cdf):
+                continue  # zero-cost optima are not unique; see the next test
+            got = optimize_levels(cdf, alpha, grid).levels
+            assert np.array_equal(got, _dense_optimize_levels(cdf, alpha, grid))
+
+
+def test_optimize_levels_with_more_levels_than_support_costs_zero():
+    # With a level on every interior support point the cost is exactly zero
+    # in exact arithmetic, and so is that of every placement that covers the
+    # support.  Which of them the dense DP picks is decided by rounding
+    # noise, so here only the costs are compared.
+    rng = np.random.default_rng(41)
+    for grid in (12, 64, 256):
+        for _ in range(6):
+            pts = rng.integers(0, grid + 1, int(rng.integers(1, 5))) / grid
+            cdf = StepCdf(pts, rng.random(pts.size) + 0.05)
+            for alpha in range(_interior_support(cdf), min(8, grid - 1) + 1):
+                got = quantization_cost(cdf, optimize_levels(cdf, alpha, grid))
+                ref = quantization_cost(cdf, _dense_optimize_levels(cdf, alpha, grid))
+                assert abs(got) <= 1e-15 and abs(ref) <= 1e-15
+
+
+def test_interval_cost_is_monge():
+    # optimize_levels finds each DP layer by divide and conquer, which is
+    # exact only because the interval cost satisfies the quadrangle
+    # inequality c(i,j) + c(i',j') <= c(i,j') + c(i',j) for i < i' < j < j'
+    # (so the leftmost optimal predecessor is monotone in j).
+    rng = np.random.default_rng(5)
+    grid = 16
+    xs = np.arange(grid + 1) / grid
+    quads = np.array(list(itertools.combinations(range(grid + 1), 4))).T
+    slack = 8 * np.finfo(np.float64).eps  # terms are O(1): mass 1 on [0, 1]
+    for cdf in _random_step_cdfs(rng, grid, 60):
+        below = cdf.moments_below(xs)
+        below[grid] = cdf.total_moments()
+        m = below[None, :, :] - below[:, None, :]
+        cost = -m[..., 2] + (xs[:, None] + xs[None, :]) * m[..., 1] - (
+            xs[:, None] * xs[None, :]
+        ) * m[..., 0]
+        i, i2, j, j2 = quads
+        assert np.all(cost[i, j] + cost[i2, j2] <= cost[i, j2] + cost[i2, j] + slack)
+
+
+def test_optimize_levels_memory_is_linear_in_grid():
+    rng = np.random.default_rng(9)
+    cdf = StepCdf(np.abs(rng.normal(0.05, 0.04, 4000)).clip(0.0, 1.0), rng.random(4000))
+    tracemalloc.start()
+    try:
+        seq = optimize_levels(cdf, 7, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # a dense cost matrix would need 3.2 GB
+    assert seq.levels.size == 9
+    assert np.all(np.isin(seq.levels, np.arange(20001) / 20000))
+
+
+def test_moments_below_takes_an_array_of_points():
+    rng = np.random.default_rng(12)
+    step = StepCdf(rng.random(50), rng.random(50))
+    xs = np.concatenate([[-0.5, 0.0, 1.0, 1.5], step.points[::7], rng.random(40)])
+    for cdf in (step, UniformCdf(), TruncNormCdf(0.3, 0.2), TruncNormCdf(1.4, 0.6)):
+        rows = cdf.moments_below(xs)
+        assert rows.shape == (xs.size, 3)
+        assert np.array_equal(rows, np.stack([cdf.moments_below(x) for x in xs]))
+        assert cdf.moments_below(0.5).shape == (3,)
+    # The uniform moments keep the scalar formula bit for bit.
+    u = UniformCdf().moments_below(xs)
+    for x, row in zip(xs, u):
+        x = min(max(float(x), 0.0), 1.0)
+        assert row.tolist() == [x, x**2 / 2.0, x**3 / 3.0]
 
 
 def test_mqv_objective_weights_types_by_proportion():

@@ -104,7 +104,8 @@ def test_huffman_entropy_sandwich(weights):
 def test_estimate_level_probs_uniform():
     class Uniform:
         def moments_below(self, x):
-            return np.array([x, x ** 2 / 2, x ** 3 / 3])
+            x = np.asarray(x, dtype=np.float64)
+            return np.stack([x, x ** 2 / 2, x ** 3 / 3], axis=-1)
 
         def total_moments(self):
             return np.array([1.0, 0.5, 1.0 / 3.0])

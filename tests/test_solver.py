@@ -224,6 +224,17 @@ def test_level_adaptation_updates_on_schedule():
     assert eps[-1] != eps[0]
 
 
+def test_refresh_on_a_large_grid_runs_in_bounded_memory():
+    # The first refresh fires at t = 1001 and places levels on a grid of
+    # 20000 intervals, where a dense DP cost matrix would need 3.2 GB.
+    problem = make_problem("bilinear", d=20, K=2, seed=5, noise=AbsoluteNoise(0.3))
+    quant = QuantizationConfig(family=_fam(20), update_period=1000, grid=20000)
+    metrics = run_qoda(problem, GeneralRates(), 1002, quant=quant, seed=0)
+    eps = metrics.column("eps_q")
+    assert metrics.column("t")[-1] == 1002
+    assert eps[-1] != eps[0]
+
+
 def test_eta_never_exceeds_gamma_on_alt_schedule():
     recorded = []
 
