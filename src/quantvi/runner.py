@@ -1,11 +1,13 @@
 """Experiment harness: INI configs, presets, CSV/JSON output, CLI.
 
 A config is flat key-value INI with four sections (problem, noise,
-quantization, schedule) plus a [run] section.  Every key has a default, so a
-minimal file only names the problem preset.  ``run_experiment`` writes three
-files next to each other: ``<out>.csv`` (one row per checkpoint),
-``<out>.json`` (summary), and ``<out>.ini`` (the fully resolved config, which
-reloads to reproduce the run byte for byte).
+quantization, schedule) plus a [run] section.  ``_SCHEMA`` lists every key
+once; parsing, defaults, the INI dump, ``--set`` overrides and the compare
+check all derive from it.  Every key has a default, so a minimal file only
+names the problem preset.  ``run_experiment`` writes three files next to
+each other: ``<out>.csv`` (one row per checkpoint), ``<out>.json``
+(summary), and ``<out>.ini`` (the fully resolved config, which reloads to
+reproduce the run byte for byte).
 
 Example::
 
@@ -30,11 +32,11 @@ with t >= T/100.
 
 import argparse
 import configparser
-import copy
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import make_dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,207 +57,163 @@ class IncomparableConfigs(ValueError):
     """compare() got configs that differ outside the allowed axes."""
 
 
-_DEFAULTS = {
-    "problem": {"preset": "", "d": "20", "K": "4", "seed": "7"},
-    "noise": {"kind": "absolute", "sigma": "0.1", "clip": "0"},
-    "quantization": {
-        "enabled": "true",
-        "M": "2",
-        "budgets": "3",
-        "levels": "",
-        "layer_sizes": "",
-        "q": "2",
-        "protocol": codec.PROTOCOL_MAIN,
-        "scheme": codec.SCHEME_HUFFMAN,
-        "update_period": "1000",
-        "grid": "512",
-        "estimator": "empirical",
-        "samples_per_node": "16",
-    },
-    "schedule": {"kind": "general", "q_hat": "0.25", "c": "0.5"},
-    "run": {
-        "T": "10000",
-        "seed": "0",
-        "out": "run",
-        "algorithm": "qoda",
-        "step": "0.3",
-        "checkpoints": "pow2",
-    },
-}
+class _Kind(NamedTuple):
+    """How one config value is read from INI text and written back."""
 
-_PROBLEM_KINDS = ("bilinear", "strongly_monotone", "cocoercive")
+    parse: Callable[[str, str], object]  # ("[section] key", text) -> value
+    dump: Callable[[object], str]  # value -> text that parses back to it
 
 
-@dataclass
-class ExperimentConfig:
-    preset: str
-    d: int
-    K: int
-    problem_seed: int
-    noise_kind: str
-    sigma: float
-    clip: float
-    quant_enabled: bool
-    M: int
-    budgets: list
-    levels: list
-    layer_sizes: list
-    q: float
-    protocol: str
-    scheme: str
-    update_period: int
-    grid: int
-    estimator: str
-    samples_per_node: int
-    schedule_kind: str
-    q_hat: float
-    c: float
-    T: int
-    seed: int
-    out: str
-    algorithm: str
-    step: float
-    checkpoints: str
+def _number(cast, noun, least=None, above=None):
+    def parse(where, text):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise ParseError(f"{where}: expected {noun}, got {text!r}") from None
+        if least is not None and value < least:
+            raise ParseError(f"{where} must be >= {least}, got {value}")
+        if above is not None and value <= above:
+            raise ParseError(f"{where} must be > {above}, got {value}")
+        return value
+    return parse
 
 
-def _to_int(sec, key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"[{sec}] {key}: expected an integer, got {raw!r}") from None
+def _integer(least=None):
+    return _Kind(_number(int, "an integer", least), str)
 
 
-def _to_float(sec, key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"[{sec}] {key}: expected a number, got {raw!r}") from None
+def _real(least=None, above=None):
+    # repr is the shortest text that reloads to the same float.
+    return _Kind(_number(float, "a number", least, above), repr)
 
 
-def _to_bool(sec, key, raw):
-    low = str(raw).strip().lower()
+def _integers(least=None):
+    one = _number(int, "an integer", least)
+    return _Kind(lambda where, text: [one(where, tok) for tok in text.split(",") if tok.strip()],
+                 lambda values: ",".join(map(str, values)))
+
+
+def _choice(*values):
+    def parse(where, text):
+        value = text.strip().lower()
+        if value not in values:
+            raise ParseError(f"{where}: unknown value {value!r}; choices: {', '.join(values)}")
+        return value
+    return _Kind(parse, str)
+
+
+def _parse_bool(where, text):
+    low = text.strip().lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ParseError(f"[{sec}] {key}: expected a boolean, got {raw!r}")
+    raise ParseError(f"{where}: expected a boolean, got {text!r}")
 
 
-def _merge(raw):
-    """Overlay user-supplied sections onto the defaults, rejecting unknowns."""
-    merged = copy.deepcopy(_DEFAULTS)
-    for sec, entries in raw.items():
-        if sec not in merged:
-            raise ParseError(f"unknown section [{sec}]")
-        for key, value in entries.items():
-            if key not in merged[sec]:
-                raise ParseError(f"[{sec}] unknown key {key!r}")
-            merged[sec][key] = str(value)
-    return merged
+_TEXT = _Kind(lambda where, text: text.strip(), str)
+_BOOL = _Kind(_parse_bool, lambda value: str(value).lower())
+_LEVEL_LISTS = _Kind(
+    lambda where, text: [tok.strip() for tok in text.split("|")] if text.strip() else [],
+    " | ".join)
+
+
+class _Key(NamedTuple):
+    section: str
+    key: str
+    attr: str  # the ExperimentConfig attribute
+    kind: _Kind
+    default: str
+    varies: bool = False  # compare() accepts configs that differ in it
+
+    @property
+    def where(self):
+        return f"[{self.section}] {self.key}"
+
+
+# The one description of the config.  Its order is the INI dump's order.
+_SCHEMA = (
+    _Key("problem", "preset", "preset", _TEXT, ""),
+    _Key("problem", "d", "d", _integer(1), "20"),
+    _Key("problem", "K", "K", _integer(1), "4", varies=True),
+    _Key("problem", "seed", "problem_seed", _integer(), "7"),
+    _Key("noise", "kind", "noise_kind", _choice("none", "absolute", "relative"), "absolute"),
+    _Key("noise", "sigma", "sigma", _real(least=0.0), "0.1"),
+    _Key("noise", "clip", "clip", _real(least=0.0), "0"),
+    _Key("quantization", "enabled", "quant_enabled", _BOOL, "true"),
+    _Key("quantization", "M", "M", _integer(1), "2"),
+    _Key("quantization", "layer_sizes", "layer_sizes", _integers(), ""),
+    _Key("quantization", "q", "q", _integer(1), "2"),
+    _Key("quantization", "protocol", "protocol",
+         _choice(codec.PROTOCOL_MAIN, codec.PROTOCOL_ALTERNATING), codec.PROTOCOL_MAIN),
+    _Key("quantization", "scheme", "scheme",
+         _choice(codec.SCHEME_HUFFMAN, codec.SCHEME_ELIAS), codec.SCHEME_HUFFMAN),
+    _Key("quantization", "update_period", "update_period", _integer(0), "1000"),
+    _Key("quantization", "grid", "grid", _integer(2), "512"),
+    _Key("quantization", "estimator", "estimator",
+         _choice("empirical", "truncated-normal"), "empirical"),
+    _Key("quantization", "samples_per_node", "samples_per_node", _integer(1), "16"),
+    _Key("quantization", "budgets", "budgets", _integers(0), "3"),
+    _Key("quantization", "levels", "levels", _LEVEL_LISTS, ""),
+    _Key("schedule", "kind", "schedule_kind", _choice("general", "alt", "constant"), "general",
+         varies=True),
+    _Key("schedule", "q_hat", "q_hat", _real(), "0.25", varies=True),
+    _Key("schedule", "c", "c", _real(), "0.5", varies=True),
+    _Key("run", "T", "T", _integer(1), "10000"),
+    _Key("run", "seed", "seed", _integer(), "0", varies=True),
+    _Key("run", "out", "out", _TEXT, "run", varies=True),
+    _Key("run", "algorithm", "algorithm", _choice("qoda", "extragradient"), "qoda", varies=True),
+    _Key("run", "step", "step", _real(above=0.0), "0.3", varies=True),
+    _Key("run", "checkpoints", "checkpoints", _choice("pow2"), "pow2"),
+)
+_NAMES = {(k.section, k.key) for k in _SCHEMA}
+_SECTIONS = {k.section for k in _SCHEMA}
+_ALTERNATIVES = {"budgets", "levels"}  # [quantization] keys that exclude each other
+
+_PROBLEM_KINDS = ("bilinear", "strongly_monotone", "cocoercive")
+
+ExperimentConfig = make_dataclass(
+    "ExperimentConfig", [k.attr for k in _SCHEMA],
+    namespace={"__module__": __name__,
+               "__doc__": "A fully resolved config: one attribute per row of _SCHEMA."})
 
 
 def config_from_dict(raw):
     """Resolve a nested {section: {key: value}} mapping into a config."""
-    quant_raw = raw.get("quantization", {})
-    if "budgets" in quant_raw and "levels" in quant_raw and str(quant_raw["levels"]).strip():
+    for sec, entries in raw.items():
+        if sec not in _SECTIONS:
+            raise ParseError(f"unknown section [{sec}]")
+        for key in entries:
+            if (sec, key) not in _NAMES:
+                raise ParseError(f"[{sec}] unknown key {key!r}")
+    quant = raw.get("quantization", {})
+    if "budgets" in quant and str(quant.get("levels", "")).strip():
         raise ParseError("[quantization] give either budgets or explicit levels, not both")
-    m = _merge(raw)
+    v = {k.attr: k.kind.parse(k.where, str(raw.get(k.section, {}).get(k.key, k.default)))
+         for k in _SCHEMA}
 
-    preset = m["problem"]["preset"].strip()
-    if not preset:
+    if not v["preset"]:
         raise ParseError("[problem] preset is required")
-    if preset.partition(":")[0] not in _PROBLEM_KINDS:
-        raise UnknownPreset(f"unknown problem preset {preset!r}")
-    d = _to_int("problem", "d", m["problem"]["d"])
-    K = _to_int("problem", "K", m["problem"]["K"])
-    if d < 1 or K < 1:
-        raise ParseError("[problem] d and K must be positive")
-
-    noise_kind = m["noise"]["kind"].strip().lower()
-    if noise_kind not in ("none", "absolute", "relative"):
-        raise ParseError(f"[noise] kind: unknown value {noise_kind!r}")
-    sigma = _to_float("noise", "sigma", m["noise"]["sigma"])
-    clip = _to_float("noise", "clip", m["noise"]["clip"])
-    if sigma < 0 or clip < 0:
-        raise ParseError("[noise] sigma and clip must be non-negative")
-
-    qsec = m["quantization"]
-    M = _to_int("quantization", "M", qsec["M"])
-    if M < 1:
-        raise ParseError("[quantization] M must be positive")
-    levels_raw = qsec["levels"].strip()
-    levels = [tok.strip() for tok in levels_raw.split("|")] if levels_raw else []
-    if levels and len(levels) != M:
-        raise ParseError(f"[quantization] expected {M} level lists, got {len(levels)}")
-    budget_toks = [tok for tok in qsec["budgets"].split(",") if tok.strip()]
-    budgets = [_to_int("quantization", "budgets", tok) for tok in budget_toks]
-    if len(budgets) == 1:
-        budgets = budgets * M
-    if len(budgets) != M:
-        raise ParseError(f"[quantization] expected {M} budgets, got {len(budgets)}")
-    if any(b < 0 for b in budgets):
-        raise ParseError("[quantization] budgets must be non-negative")
-    sizes_raw = qsec["layer_sizes"].strip()
-    if sizes_raw:
-        layer_sizes = [_to_int("quantization", "layer_sizes", tok) for tok in sizes_raw.split(",")]
-    else:
+    if v["preset"].partition(":")[0] not in _PROBLEM_KINDS:
+        raise UnknownPreset(f"unknown problem preset {v['preset']!r}")
+    M, d = v["M"], v["d"]
+    if v["levels"] and len(v["levels"]) != M:
+        raise ParseError(f"[quantization] expected {M} level lists, got {len(v['levels'])}")
+    if len(v["budgets"]) == 1:
+        v["budgets"] = v["budgets"] * M
+    if len(v["budgets"]) != M:
+        raise ParseError(f"[quantization] expected {M} budgets, got {len(v['budgets'])}")
+    if not v["layer_sizes"]:
         base, extra = divmod(d, M)
-        layer_sizes = [base + (1 if i < extra else 0) for i in range(M)]
-    if len(layer_sizes) != M or sum(layer_sizes) != d or min(layer_sizes) < 1:
+        v["layer_sizes"] = [base + (1 if i < extra else 0) for i in range(M)]
+    sizes = v["layer_sizes"]
+    if len(sizes) != M or sum(sizes) != d or min(sizes) < 1:
         raise ParseError(f"[quantization] layer_sizes must be {M} positive ints summing to {d}")
-    q = _to_int("quantization", "q", qsec["q"])
-    if q < 1:
-        raise ParseError("[quantization] q must be a positive integer")
-    protocol = qsec["protocol"].strip().lower()
-    if protocol not in (codec.PROTOCOL_MAIN, codec.PROTOCOL_ALTERNATING):
-        raise ParseError(f"[quantization] protocol: unknown value {protocol!r}")
-    scheme = qsec["scheme"].strip().lower()
-    if scheme not in (codec.SCHEME_HUFFMAN, codec.SCHEME_ELIAS):
-        raise ParseError(f"[quantization] scheme: unknown value {scheme!r}")
-    update_period = _to_int("quantization", "update_period", qsec["update_period"])
-    grid = _to_int("quantization", "grid", qsec["grid"])
-    samples_per_node = _to_int("quantization", "samples_per_node", qsec["samples_per_node"])
-    estimator = qsec["estimator"].strip().lower()
-    if estimator not in ("empirical", "truncated-normal"):
-        raise ParseError(f"[quantization] estimator: unknown value {estimator!r}")
-    if update_period < 0 or grid < 2 or samples_per_node < 1:
-        raise ParseError("[quantization] bad update_period / grid / samples_per_node")
-
-    schedule_kind = m["schedule"]["kind"].strip().lower()
-    if schedule_kind not in ("general", "alt", "constant"):
-        raise ParseError(f"[schedule] kind: unknown value {schedule_kind!r}")
-    q_hat = _to_float("schedule", "q_hat", m["schedule"]["q_hat"])
-    if schedule_kind == "alt" and not 0.0 < q_hat <= 0.25:
-        raise ParseError(f"[schedule] q_hat must lie in (0, 1/4], got {q_hat}")
-    c = _to_float("schedule", "c", m["schedule"]["c"])
-    if schedule_kind == "constant" and c <= 0:
+    if v["schedule_kind"] == "alt" and not 0.0 < v["q_hat"] <= 0.25:
+        raise ParseError(f"[schedule] q_hat must lie in (0, 1/4], got {v['q_hat']}")
+    if v["schedule_kind"] == "constant" and v["c"] <= 0:
         raise ParseError("[schedule] c must be positive")
-
-    rsec = m["run"]
-    T = _to_int("run", "T", rsec["T"])
-    if T < 1:
-        raise ParseError("[run] T must be >= 1")
-    algorithm = rsec["algorithm"].strip().lower()
-    if algorithm not in ("qoda", "extragradient"):
-        raise ParseError(f"[run] algorithm: unknown value {algorithm!r}")
-    step = _to_float("run", "step", rsec["step"])
-    if step <= 0:
-        raise ParseError("[run] step must be positive")
-    if rsec["checkpoints"].strip() != "pow2":
-        raise ParseError("[run] checkpoints: only 'pow2' is supported")
-
-    return ExperimentConfig(
-        preset=preset, d=d, K=K,
-        problem_seed=_to_int("problem", "seed", m["problem"]["seed"]),
-        noise_kind=noise_kind, sigma=sigma, clip=clip,
-        quant_enabled=_to_bool("quantization", "enabled", qsec["enabled"]),
-        M=M, budgets=budgets, levels=levels, layer_sizes=layer_sizes, q=q,
-        protocol=protocol, scheme=scheme, update_period=update_period,
-        grid=grid, estimator=estimator, samples_per_node=samples_per_node,
-        schedule_kind=schedule_kind, q_hat=q_hat, c=c,
-        T=T, seed=_to_int("run", "seed", rsec["seed"]), out=rsec["out"],
-        algorithm=algorithm, step=step, checkpoints="pow2",
-    )
+    return ExperimentConfig(**v)
 
 
 def load_config(path):
@@ -273,52 +231,37 @@ def load_config(path):
     return config_from_dict(raw)
 
 
-def _config_to_dict(cfg):
-    """Dump a resolved config back to the {section: {key: str}} form."""
-    quant = {
-        "enabled": "true" if cfg.quant_enabled else "false",
-        "M": str(cfg.M),
-        "layer_sizes": ",".join(str(s) for s in cfg.layer_sizes),
-        "q": str(cfg.q),
-        "protocol": cfg.protocol,
-        "scheme": cfg.scheme,
-        "update_period": str(cfg.update_period),
-        "grid": str(cfg.grid),
-        "estimator": cfg.estimator,
-        "samples_per_node": str(cfg.samples_per_node),
-    }
-    if cfg.levels:
-        quant["levels"] = " | ".join(cfg.levels)
-    else:
-        quant["budgets"] = ",".join(str(b) for b in cfg.budgets)
-    return {
-        "problem": {
-            "preset": cfg.preset, "d": str(cfg.d), "K": str(cfg.K),
-            "seed": str(cfg.problem_seed),
-        },
-        "noise": {
-            "kind": cfg.noise_kind, "sigma": f"{cfg.sigma:.12g}",
-            "clip": f"{cfg.clip:.12g}",
-        },
-        "quantization": quant,
-        "schedule": {
-            "kind": cfg.schedule_kind, "q_hat": f"{cfg.q_hat:.12g}",
-            "c": f"{cfg.c:.12g}",
-        },
-        "run": {
-            "T": str(cfg.T), "seed": str(cfg.seed), "out": cfg.out,
-            "algorithm": cfg.algorithm, "step": f"{cfg.step:.12g}",
-            "checkpoints": cfg.checkpoints,
-        },
-    }
+def _sections(cfg):
+    """The config as {section: {key: text}}; of budgets / levels, only the one in use."""
+    unused = "budgets" if cfg.levels else "levels"
+    out = {}
+    for k in _SCHEMA:
+        if k.key != unused:
+            out.setdefault(k.section, {})[k.key] = k.kind.dump(getattr(cfg, k.attr))
+    return out
+
+
+def _overlay(base, extra):
+    """``base`` with ``extra``'s {section: {key: value}} laid on top, as text.
+
+    Naming either of budgets / levels drops both from ``base``: an overlay
+    that picks one of the alternatives replaces the other.
+    """
+    out = {sec: dict(entries) for sec, entries in base.items()}
+    for sec, entries in (extra or {}).items():
+        target = out.setdefault(sec, {})
+        if sec == "quantization" and _ALTERNATIVES & entries.keys():
+            for key in _ALTERNATIVES:
+                target.pop(key, None)
+        target.update((key, str(value)) for key, value in entries.items())
+    return out
 
 
 def config_to_ini(cfg):
     """Serialize a resolved config back to INI text (valid load_config input)."""
     cp = configparser.ConfigParser()
     cp.optionxform = str
-    for section, entries in _config_to_dict(cfg).items():
-        cp[section] = entries
+    cp.read_dict(_sections(cfg))
     return cp
 
 
@@ -430,15 +373,6 @@ def run_experiment(cfg):
     return summary
 
 
-def _comparable_key(cfg):
-    return (
-        cfg.preset, cfg.d, cfg.problem_seed, cfg.noise_kind, cfg.sigma, cfg.clip,
-        cfg.quant_enabled, cfg.M, tuple(cfg.budgets), tuple(cfg.levels),
-        tuple(cfg.layer_sizes), cfg.q, cfg.protocol, cfg.scheme,
-        cfg.update_period, cfg.grid, cfg.estimator, cfg.samples_per_node, cfg.T,
-    )
-
-
 def mqv_study(cfg, probes=16):
     """Layer-wise vs pooled-global quantization objective on oracle samples.
 
@@ -472,18 +406,19 @@ def mqv_study(cfg, probes=16):
 
 
 def compare(cfgs, labels=None):
-    """Run several configs differing only in K / seed / schedule / algorithm.
+    """Run several configs that differ only in keys the schema lets vary.
 
     Returns a dict with per-run summaries and deltas against the first
     config; raises IncomparableConfigs when the fixed axes differ.
     """
     if len(cfgs) < 2:
         raise IncomparableConfigs("need at least two configs to compare")
-    keys = {_comparable_key(c) for c in cfgs}
-    if len(keys) > 1:
+    differ = [k.where for k in _SCHEMA if not k.varies
+              and len({k.kind.dump(getattr(c, k.attr)) for c in cfgs}) > 1]
+    if differ:
+        allowed = [k.where for k in _SCHEMA if k.varies]
         raise IncomparableConfigs(
-            "configs differ in problem / noise / quantization / T; only "
-            "K, seed, schedule, and algorithm may vary")
+            f"configs differ in {', '.join(differ)}; only {', '.join(allowed)} may vary")
     if labels is None:
         labels = []
         for i, c in enumerate(cfgs):
@@ -548,19 +483,12 @@ EXPERIMENT_PRESETS = {
 }
 
 
-def _deep_merge(base, extra):
-    out = copy.deepcopy(base)
-    for sec, entries in (extra or {}).items():
-        out.setdefault(sec, {}).update({k: str(v) for k, v in entries.items()})
-    return out
-
-
 def preset_config(name, overrides=None):
     """Resolve a named experiment preset, with optional section overrides."""
     if name not in EXPERIMENT_PRESETS:
         raise UnknownPreset(f"unknown experiment preset {name!r}; "
                             f"choices: {sorted(EXPERIMENT_PRESETS)}")
-    return config_from_dict(_deep_merge(EXPERIMENT_PRESETS[name], overrides))
+    return config_from_dict(_overlay(EXPERIMENT_PRESETS[name], overrides))
 
 
 SUITES = ("rate-suite", "k-sweep", "halving")
@@ -579,16 +507,16 @@ def run_suite(name, seed=0, out="suite", overrides=None):
     elif name == "k-sweep":
         cfgs, labels = [], []
         for K in (1, 4, 16):
-            ov = _deep_merge({"problem": {"K": str(K)},
-                              "noise": {"sigma": "0.5"},
-                              "run": {"T": "2000"}}, overrides)
+            ov = _overlay({"problem": {"K": str(K)},
+                           "noise": {"sigma": "0.5"},
+                           "run": {"T": "2000"}}, overrides)
             cfg = preset_config("bilinear-abs", ov)
             cfgs.append(replace(cfg, seed=seed, out=os.path.join(out, f"K{K}")))
             labels.append(f"K={K}")
         result = compare(cfgs, labels)
     elif name == "halving":
-        ov = _deep_merge({"quantization": {"update_period": "0"},
-                          "run": {"T": "1000"}}, overrides)
+        ov = _overlay({"quantization": {"update_period": "0"},
+                       "run": {"T": "1000"}}, overrides)
         cfg = preset_config("bilinear-abs", ov)
         qoda = replace(cfg, seed=seed, out=os.path.join(out, "qoda"))
         eg = replace(cfg, seed=seed, algorithm="extragradient",
@@ -628,10 +556,7 @@ def _apply_overrides(cfg, pairs):
     """Re-resolve a config with ``section.key=value`` strings laid on top."""
     if not pairs:
         return cfg
-    raw = _config_to_dict(cfg)
-    for section, kv in _override_dict(pairs).items():
-        raw.setdefault(section, {}).update(kv)
-    return config_from_dict(raw)
+    return config_from_dict(_overlay(_sections(cfg), _override_dict(pairs)))
 
 
 def main(argv=None):

@@ -78,28 +78,13 @@ class SolverState:
         self.eta = 1.0
 
 
-def rates_general(state):
-    """gamma_t = eta_t = (1 + accumulated message differences)^(-1/2)."""
-    v = (1.0 + state.s_diff) ** -0.5
-    return v, v
-
-
-def rates_alt(state, q_hat):
-    """Split rates from lag-2 accumulators; guarantees eta_t <= gamma_t <= 1."""
-    if not 0.0 < q_hat <= 0.25:
-        raise BadQHat(f"q_hat must lie in (0, 1/4], got {q_hat}")
-    s_norm = state.s_norm - state.s_norm_last
-    s_move = state.s_move - state.s_move_last
-    eta = (1.0 + s_norm + s_move) ** -0.5
-    gamma = (1.0 + s_norm) ** (q_hat - 0.5)
-    return gamma, eta
-
-
 class GeneralRates:
     kind = "general"
 
     def rates(self, state):
-        return rates_general(state)
+        """gamma_t = eta_t = (1 + accumulated message differences)^(-1/2)."""
+        v = (1.0 + state.s_diff) ** -0.5
+        return v, v
 
     def eta_next(self, state):
         # s_diff already includes the term of the iteration being finished.
@@ -115,7 +100,12 @@ class AltRates:
         self.q_hat = q_hat
 
     def rates(self, state):
-        return rates_alt(state, self.q_hat)
+        """Split rates from lag-2 accumulators; guarantees eta_t <= gamma_t <= 1."""
+        s_norm = state.s_norm - state.s_norm_last
+        s_move = state.s_move - state.s_move_last
+        eta = (1.0 + s_norm + s_move) ** -0.5
+        gamma = (1.0 + s_norm) ** (self.q_hat - 0.5)
+        return gamma, eta
 
     def eta_next(self, state):
         # Norm terms through the just-finished iteration minus the newest
@@ -374,15 +364,13 @@ def qoda_step(state, problem, pipeline, schedule, node_B, node_c, noise_rng):
     state.t += 1
 
 
-def run_qoda(problem, schedule, T, quant=None, seed=0, x1=None,
-             record_iterates=False, gap_kwargs=None):
+def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
     """Run the quantized optimistic dual-averaging loop for T iterations.
 
     Returns RunMetrics with one row per checkpoint (powers of two plus T)
     and summary aggregates.  Fully deterministic given (problem, seed).
     """
-    gap_kwargs = gap_kwargs or {}
-    state = SolverState(problem.x1 if x1 is None else x1, problem.K)
+    state = SolverState(problem.x1, problem.K)
     pipeline = _make_pipeline(quant, problem, seed)
     node_B, node_c = _stacked_ops(problem)
     noise_rng = _noise_rng(seed)
@@ -398,7 +386,7 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, x1=None,
         if next_cp < len(checkpoints) and t == checkpoints[next_cp]:
             pipeline.check_wire()
             avg = state.x_half_sum / t
-            gap = problem.gap(avg, **gap_kwargs)
+            gap = problem.gap(avg)
             if not np.isfinite(gap):
                 raise RuntimeError(f"non-finite gap at iteration {t}")
             rows.append(
@@ -409,8 +397,7 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, x1=None,
     return _finish(rows, state, pipeline, T, iterates)
 
 
-def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
-                               x1=None, gap_kwargs=None):
+def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3):
     """Stochastic extragradient through the same compression pipeline.
 
     Per iteration and per node: two oracle calls and two broadcasts, i.e.
@@ -418,8 +405,7 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
     ``step / L``.  Metrics rows match run_qoda's schema (gamma = eta = the
     constant step).
     """
-    gap_kwargs = gap_kwargs or {}
-    state = SolverState(problem.x1 if x1 is None else x1, problem.K)
+    state = SolverState(problem.x1, problem.K)
     pipeline = _make_pipeline(quant, problem, seed)
     node_B, node_c = _stacked_ops(problem)
     noise_rng = _noise_rng(seed)
@@ -458,7 +444,7 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3,
         state.t += 1
         if at_checkpoint:
             avg = state.x_half_sum / t
-            gap = problem.gap(avg, **gap_kwargs)
+            gap = problem.gap(avg)
             if not np.isfinite(gap):
                 raise RuntimeError(f"non-finite gap at iteration {t}")
             rows.append(

@@ -93,14 +93,8 @@ class AbsoluteNoise:
             raise ValueError("sigma must be non-negative")
         self.sigma = float(sigma)
 
-    def sample(self, ax, rng):
-        if self.sigma == 0.0:
-            return ax.copy()
-        d = ax.size
-        return ax + rng.normal(0.0, self.sigma / np.sqrt(d), size=d)
-
     def sample_batch(self, AX, rng):
-        """Perturb each row of AX independently (rows are separate calls)."""
+        """Perturb each row of AX independently (rows are separate calls; a 1-D AX is one)."""
         if self.sigma == 0.0:
             return AX.copy()
         d = AX.shape[-1]
@@ -118,15 +112,6 @@ class RelativeNoise:
         if sigma_r < 0:
             raise ValueError("sigma_r must be non-negative")
         self.sigma_r = float(sigma_r)
-
-    def sample(self, ax, rng):
-        if self.sigma_r == 0.0:
-            return ax.copy()
-        eta = rng.standard_normal(ax.size)
-        norm_eta = np.linalg.norm(eta)
-        if norm_eta == 0.0:
-            return ax.copy()
-        return ax + np.sqrt(self.sigma_r) * np.linalg.norm(ax) * eta / norm_eta
 
     def sample_batch(self, AX, rng):
         if self.sigma_r == 0.0:
@@ -147,13 +132,6 @@ class AlmostSureClip:
         self.J = float(J)
         self.inner = inner
 
-    def sample(self, ax, rng):
-        g = self.inner.sample(ax, rng)
-        norm = np.linalg.norm(g)
-        if norm > self.J:
-            g = g * (self.J / norm)
-        return g
-
     def sample_batch(self, AX, rng):
         g = self.inner.sample_batch(AX, rng)
         norms = np.linalg.norm(g, axis=-1, keepdims=True)
@@ -166,14 +144,6 @@ def is_relative(noise):
     if isinstance(noise, AlmostSureClip):
         return is_relative(noise.inner)
     return isinstance(noise, RelativeNoise)
-
-
-def sample_oracle(op, noise, x, rng):
-    """One stochastic oracle call: A(x) plus model noise."""
-    ax = op.apply(x)
-    if noise is None:
-        return ax
-    return noise.sample(ax, rng)
 
 
 class TestDomain:

@@ -1,6 +1,8 @@
+import configparser
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,18 +135,29 @@ def test_build_noise_variants():
     assert vi.is_relative(noise)
 
 
-def test_config_ini_roundtrip_is_lossless():
-    cfg = preset_config("bilinear-alt")
-    cp = config_to_ini(cfg)
-    import io
+def test_config_ini_roundtrip_is_lossless(tmp_path):
+    cfgs = [
+        preset_config("bilinear-alt", {"noise": {"sigma": "0.1234567890123"}}),
+        preset_config("bilinear-abs", {"quantization": {"levels": "uniform:2 | 0,0.3,1"},
+                                       "run": {"step": repr(1 / 3)}}),
+    ]
+    assert cfgs[0].sigma == 0.1234567890123
+    for i, cfg in enumerate(cfgs):
+        path = str(tmp_path / f"roundtrip{i}.ini")
+        with open(path, "w") as fh:
+            config_to_ini(cfg).write(fh)
+        assert load_config(path) == cfg
 
-    buf = io.StringIO()
-    cp.write(buf)
-    path = "/tmp/quantvi-test-roundtrip.ini"
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
-    assert load_config(path) == cfg
-    os.remove(path)
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("```ini\n[problem]") + len("```ini\n"):]
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    cp.optionxform = str
+    cp.read_string(block[:block.index("```")])
+    raw = {sec: dict(cp.items(sec)) for sec in cp.sections()}
+    assert list(raw) == ["problem", "noise", "quantization", "schedule", "run"]
+    assert config_from_dict(raw) == config_from_dict(MINIMAL)
 
 
 def test_load_config_reports_parse_errors(tmp_path):
@@ -211,7 +224,8 @@ def test_rerun_same_seed_is_byte_identical(tmp_path):
 def test_compare_requires_matching_axes(tmp_path):
     cfg_a = _tiny(str(tmp_path / "a"), T=20)
     cfg_small = dataclasses.replace(cfg_a, d=8, layer_sizes=[4, 4])
-    with pytest.raises(IncomparableConfigs):
+    with pytest.raises(IncomparableConfigs, match=r"differ in \[problem\] d, "
+                                                  r"\[quantization\] layer_sizes;"):
         compare([cfg_a, cfg_small])
     with pytest.raises(IncomparableConfigs):
         compare([cfg_a])
@@ -290,3 +304,41 @@ def test_cli_compare(tmp_path, capsys):
     assert code == 0
     result = json.load(open(str(tmp_path / "cmp") + ".json"))
     assert len(result["summaries"]) == 2
+
+
+_SMALL = ["--set", "run.T=8", "--set", "problem.d=6", "--set", "problem.K=2",
+          "--set", "quantization.layer_sizes=3,3"]
+
+
+def test_cli_set_switches_between_budgets_and_levels(tmp_path, capsys):
+    lv = str(tmp_path / "lv")
+    assert main(["run", "bilinear-abs", "--out", lv, *_SMALL,
+                 "--set", "quantization.levels=uniform:2 | exponential:2"]) == 0
+    assert load_config(lv + ".ini").levels == ["uniform:2", "exponential:2"]
+    bd = str(tmp_path / "bd")
+    assert main(["run", lv + ".ini", "--out", bd, "--set", "quantization.budgets=4"]) == 0
+    cfg = load_config(bd + ".ini")
+    assert (cfg.levels, cfg.budgets) == ([], [4, 4])
+    # Naming both in one command is still a conflict.
+    assert main(["run", "bilinear-abs", *_SMALL, "--set", "quantization.budgets=4",
+                 "--set", "quantization.levels=uniform:2 | uniform:2"]) == 1
+    assert "not both" in capsys.readouterr().err
+
+
+def test_cli_compare_set_switches_between_budgets_and_levels(tmp_path, capsys):
+    def write(name, cfg):
+        path = str(tmp_path / f"{name}.ini")
+        with open(path, "w") as fh:
+            config_to_ini(cfg).write(fh)
+        return path
+
+    cfgs = [_tiny(str(tmp_path / f"r{seed}"), T=8, seed=seed) for seed in (0, 1)]
+    with_budgets = [write(f"b{i}", c) for i, c in enumerate(cfgs)]
+    with_levels = [write(f"l{i}", dataclasses.replace(c, levels=["uniform:1"] * 2))
+                   for i, c in enumerate(cfgs)]
+    out = str(tmp_path / "cmp")
+    for paths, pair in ((with_budgets, "quantization.levels=uniform:2 | exponential:2"),
+                        (with_levels, "quantization.budgets=4")):
+        assert main(["compare", *paths, "--out", out, "--set", pair]) == 0
+        assert len(json.load(open(out + ".json"))["summaries"]) == 2
+    capsys.readouterr()

@@ -13,8 +13,6 @@ from quantvi.solver import (
     METRIC_COLUMNS,
     QuantizationConfig,
     SolverState,
-    rates_alt,
-    rates_general,
     refresh_levels,
     run_extragradient_baseline,
     run_qoda,
@@ -44,27 +42,24 @@ def test_state_initialization():
 
 def test_rates_general_frozen():
     st = SolverState(np.zeros(2), K=1)
-    assert rates_general(st) == (1.0, 1.0)
+    assert GeneralRates().rates(st) == (1.0, 1.0)
     st.s_diff = 3.0
-    assert rates_general(st) == (0.5, 0.5)
+    assert GeneralRates().rates(st) == (0.5, 0.5)
 
 
 def test_rates_alt_frozen():
     st = SolverState(np.zeros(2), K=1)
-    assert rates_alt(st, 0.25) == (1.0, 1.0)
+    assert AltRates(0.25).rates(st) == (1.0, 1.0)
     st.s_norm, st.s_norm_last = 5.0, 2.0  # lagged norm sum 3
     st.s_move, st.s_move_last = 13.0, 1.0  # lagged move sum 12
-    gamma, eta = rates_alt(st, 0.25)
+    gamma, eta = AltRates(0.25).rates(st)
     assert eta == pytest.approx(0.25)  # (1 + 3 + 12)^(-1/2)
     assert gamma == pytest.approx(4.0 ** -0.25)  # (1 + 3)^(0.25 - 0.5)
     assert eta <= gamma <= 1.0
 
 
 def test_bad_q_hat_rejected():
-    st = SolverState(np.zeros(2), K=1)
     for bad in (0.0, 0.3, -0.1, 1.0):
-        with pytest.raises(BadQHat):
-            rates_alt(st, bad)
         with pytest.raises(BadQHat):
             AltRates(bad)
     AltRates(0.25)  # boundary value is allowed

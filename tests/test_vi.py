@@ -13,7 +13,6 @@ from quantvi.vi import (
     certify_monotone,
     is_relative,
     make_problem,
-    sample_oracle,
 )
 
 
@@ -96,7 +95,7 @@ def test_absolute_noise_mean_and_power():
     rng = np.random.default_rng(0)
     noise = AbsoluteNoise(0.3)
     ax = np.array([1.0, -2.0, 0.5, 0.0])
-    draws = np.stack([noise.sample(ax, rng) for _ in range(20000)])
+    draws = np.stack([noise.sample_batch(ax, rng) for _ in range(20000)])
     err = draws - ax
     assert np.abs(err.mean(axis=0)).max() < 0.01
     assert np.einsum("ij,ij->i", err, err).mean() == pytest.approx(0.09, rel=0.05)
@@ -108,13 +107,13 @@ def test_relative_noise_scales_with_operator():
     rng = np.random.default_rng(1)
     noise = RelativeNoise(0.5)
     ax = np.array([2.0, 0.0, -1.0])
-    draws = np.stack([noise.sample(ax, rng) for _ in range(20000)])
+    draws = np.stack([noise.sample_batch(ax, rng) for _ in range(20000)])
     err = draws - ax
     assert np.abs(err.mean(axis=0)).max() < 0.02
     power = np.einsum("ij,ij->i", err, err).mean()
     assert power == pytest.approx(0.5 * float(ax @ ax), rel=0.05)
     # Exactly zero at a solution, so runs can converge past the noise floor.
-    assert noise.sample(np.zeros(3), rng).tolist() == [0.0, 0.0, 0.0]
+    assert noise.sample_batch(np.zeros(3), rng).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_noise_batch_matches_distribution():
@@ -132,12 +131,12 @@ def test_clip_bounds_every_sample_norm():
     clip = AlmostSureClip(0.75, AbsoluteNoise(5.0))
     ax = np.array([0.1, 0.1])
     for _ in range(200):
-        assert np.linalg.norm(clip.sample(ax, rng)) <= 0.75 + 1e-12
+        assert np.linalg.norm(clip.sample_batch(ax, rng)) <= 0.75 + 1e-12
     batch = clip.sample_batch(np.tile(ax, (300, 1)), rng)
     assert np.all(np.linalg.norm(batch, axis=1) <= 0.75 + 1e-12)
     # Samples already inside the ball pass through untouched.
     quiet = AlmostSureClip(100.0, AbsoluteNoise(0.0))
-    assert quiet.sample(ax, rng).tolist() == ax.tolist()
+    assert quiet.sample_batch(ax, rng).tolist() == ax.tolist()
     with pytest.raises(ValueError):
         AlmostSureClip(0.0, AbsoluteNoise(1.0))
 
@@ -148,12 +147,6 @@ def test_is_relative_unwraps_clip():
     assert not is_relative(AbsoluteNoise(0.1))
     assert not is_relative(AlmostSureClip(1.0, AbsoluteNoise(0.1)))
     assert not is_relative(None)
-
-
-def test_sample_oracle_without_noise_is_exact():
-    op = AffineOperator(np.eye(2), np.array([1.0, 0.0]))
-    x = np.array([0.5, 0.5])
-    assert sample_oracle(op, None, x, np.random.default_rng(0)).tolist() == [1.5, 0.5]
 
 
 def test_domain_projection_and_diameter():
