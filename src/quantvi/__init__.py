@@ -14,7 +14,7 @@ The package is organized bottom-up:
     optimization by dynamic programming.
 ``vi``
     Synthetic monotone variational-inequality problems, noise oracles, and
-    the restricted gap function.
+    the restricted gap, computed exactly.
 ``solver``
     The quantized optimistic dual-averaging loop over simulated nodes plus
     an extragradient baseline.

@@ -226,22 +226,14 @@ class _Scope:
             self.table = (syms, lens)
 
     def read_symbol(self, value, total_bits, pos):
-        """Decode one symbol starting at bit ``pos``; returns (symbol, new pos)."""
+        """Decode one symbol bit by bit from bit ``pos``; returns (symbol, new pos).
+
+        For scopes without a lookup table (codes longer than
+        ``_TABLE_LEN_LIMIT``); ``_decode_core`` reads tabled scopes itself.
+        """
         remaining = total_bits - pos
         if remaining <= 0:
             raise TruncatedMessage("bit stream ended inside a codeword")
-        if self.table is not None:
-            take = min(self.max_len, remaining)
-            chunk = (value >> (total_bits - pos - take)) & ((1 << take) - 1)
-            chunk <<= self.max_len - take
-            syms, lens = self.table
-            length = lens[chunk]
-            if length == 0 or syms[chunk] is None:
-                raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
-            if length > remaining:
-                raise TruncatedMessage("bit stream ended inside a codeword")
-            return syms[chunk], pos + length
-        # Slow path for very long codes: extend bit by bit.
         cur = 0
         for l in range(1, min(self.max_len, remaining) + 1):
             cur = (cur << 1) | ((value >> (total_bits - pos - l)) & 1)

@@ -216,8 +216,8 @@ def config_from_dict(raw):
     return ExperimentConfig(**v)
 
 
-def load_config(path):
-    """Parse an INI file into a fully resolved ExperimentConfig."""
+def load_config(path, overrides=None):
+    """Parse an INI file into a resolved config, ``overrides`` laid on its keys."""
     cp = configparser.ConfigParser()
     cp.optionxform = str  # keep K / M / T capitalized
     try:
@@ -228,7 +228,7 @@ def load_config(path):
     except configparser.Error as exc:
         raise ParseError(str(exc)) from None
     raw = {sec: dict(cp.items(sec)) for sec in cp.sections()}
-    return config_from_dict(raw)
+    return config_from_dict(_overlay(raw, overrides))
 
 
 def _sections(cfg):
@@ -531,11 +531,11 @@ def run_suite(name, seed=0, out="suite", overrides=None):
     return result
 
 
-def _load_run_arg(arg):
+def _load_run_arg(arg, overrides):
     if os.path.exists(arg):
-        return load_config(arg)
+        return load_config(arg, overrides)
     if arg in EXPERIMENT_PRESETS:
-        return preset_config(arg)
+        return preset_config(arg, overrides)
     raise UnknownPreset(f"{arg!r} is neither a config file nor a preset; "
                         f"presets: {sorted(EXPERIMENT_PRESETS)}")
 
@@ -550,13 +550,6 @@ def _override_dict(pairs):
             raise ParseError(f"override must look like section.key=value, got {pair!r}")
         raw.setdefault(section, {})[key] = value
     return raw
-
-
-def _apply_overrides(cfg, pairs):
-    """Re-resolve a config with ``section.key=value`` strings laid on top."""
-    if not pairs:
-        return cfg
-    return config_from_dict(_overlay(_sections(cfg), _override_dict(pairs)))
 
 
 def main(argv=None):
@@ -592,7 +585,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            cfg = _apply_overrides(_load_run_arg(args.config), args.overrides)
+            cfg = _load_run_arg(args.config, _override_dict(args.overrides))
             if args.seed is not None:
                 cfg = replace(cfg, seed=args.seed)
             if args.out is not None:
@@ -600,8 +593,8 @@ def main(argv=None):
             summary = run_experiment(cfg)
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "compare":
-            cfgs = [_apply_overrides(load_config(p), args.overrides)
-                    for p in args.configs]
+            overrides = _override_dict(args.overrides)
+            cfgs = [load_config(p, overrides) for p in args.configs]
             if args.seed is not None:
                 cfgs = [replace(c, seed=args.seed) for c in cfgs]
             result = compare(cfgs)

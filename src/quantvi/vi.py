@@ -7,11 +7,12 @@ oracle, and a ball-shaped evaluation domain for the restricted gap
 
     gap(x_hat) = sup over x in the ball of <A(x), x_hat - x>,
 
-which is zero exactly at solutions when the ball contains one.
+which is zero exactly at solutions when the ball contains one.  The gap is
+exact, not an estimate: a closed form for skew operators and an
+eigendecomposition-based trust-region solve for the rest.
 """
 
 import functools
-import warnings
 
 import numpy as np
 
@@ -20,10 +21,6 @@ from .quantizer import DimensionMismatch
 
 class BadDimension(ValueError):
     """Problem factory called with an unusable dimension."""
-
-
-class NonConvergedAscent(UserWarning):
-    """Projected gradient ascent hit its iteration cap; value is a lower bound."""
 
 
 _SKEW_TOL = 1e-12
@@ -37,7 +34,8 @@ class AffineOperator:
     computed on first read and kept, and a declared value is checked against
     the norm here.  When B + B^T is exactly zero every eigenvalue of the
     symmetric part is 0, so the operator is skew and monotone without an
-    eigensolve or a norm.
+    eigensolve or a norm.  The eigendecomposition of B + B^T that the gap of
+    a non-skew operator needs is likewise computed on first use and kept.
     """
 
     def __init__(self, B, c=None, L=None, beta=None, x_star=None):
@@ -73,6 +71,11 @@ class AffineOperator:
     @functools.cached_property
     def _op_norm(self):
         return float(np.linalg.norm(self.B, 2))
+
+    @functools.cached_property
+    def _sym_eigh(self):
+        """Eigenvalues (ascending) and eigenvectors of B + B^T, for the gap."""
+        return np.linalg.eigh(self.B + self.B.T)
 
     @property
     def L(self):
@@ -155,71 +158,53 @@ class TestDomain:
         self.center = np.asarray(center, dtype=np.float64)
         self.radius = float(radius)
 
-    def project(self, x):
-        delta = x - self.center
-        norm = np.linalg.norm(delta)
-        if norm <= self.radius:
-            return x
-        return self.center + delta * (self.radius / norm)
 
-    def d_squared(self, x1):
-        """sup over the ball of ||x1 - p||^2."""
-        return (np.linalg.norm(np.asarray(x1) - self.center) + self.radius) ** 2
-
-
-def restricted_gap(x_hat, op, dom, tol=1e-6, restarts=3, max_iter=20000):
-    """sup over x in the ball of <A(x), x_hat - x>.
+def restricted_gap(x_hat, op, dom):
+    """sup over x in the ball of <A(x), x_hat - x>, exactly.
 
     For skew B the objective is linear in x and the supremum has a closed
-    form.  Otherwise the objective is concave (monotonicity makes its
-    quadratic part negative semidefinite) and is maximized by projected
-    gradient ascent from the ball center plus ``restarts`` random starts,
-    stopping when the projected-gradient step moves less than ``tol``.  If no
-    start converges the best value found is still returned (any feasible
-    point lower-bounds the supremum) under a NonConvergedAscent warning.
+    form.  Otherwise, with x = center + z and H = B + B^T, the objective is
+    <A(center), x_hat - center> + h.z - z.Hz/2 over ||z|| <= r: a
+    trust-region subproblem (More & Sorensen 1983).  With lam the
+    eigenvalues of H (cached per operator) and h in its eigenbasis, the dual
+    value
+
+        <A(center), x_hat - center> + (sum_i h_i^2 / (lam_i + mu) + mu r^2) / 2
+
+    bounds the maximum from above for every mu >= max(0, -lam_min), and
+    equals it at the least such mu with ||(Lam + mu I)^-1 h|| <= r.  That mu
+    is the lower end when the inequality already holds there (the interior
+    solution); otherwise it is the root of ||(Lam + mu I)^-1 h|| = r, found
+    by bisection until the bracket cannot shrink in floating point.
+    Components of h that are exactly zero are left out of both sums, so the
+    hard case (h orthogonal to the eigenvectors of lam_min) needs no
+    division by zero.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if not np.all(np.isfinite(x_hat)):
         raise ValueError("gap requested at a non-finite point")
-    g = op.B.T @ x_hat - op.c
-    const = float(op.c @ x_hat)
     if op.is_skew:
+        g = op.B.T @ x_hat - op.c
+        const = float(op.c @ x_hat)
         return float(dom.center @ g) + dom.radius * float(np.linalg.norm(g)) + const
 
-    S2 = op.B + op.B.T  # gradient of <Bx, x>
-    lip = max(op.sym_eig_max * 2.0, 1e-12)
-    step = 1.0 / lip
-
-    def value(x):
-        return float(x @ g) - float(x @ (S2 @ x)) / 2.0 + const
-
-    def ascend(x):
-        for _ in range(max_iter):
-            grad = g - S2 @ x
-            x_new = dom.project(x + step * grad)
-            if np.linalg.norm(x_new - x) <= tol * step:
-                return x_new, True
-            x = x_new
-        return x, False
-
-    local = np.random.default_rng(1729)
-    starts = [dom.center.copy()]
-    for _ in range(restarts):
-        direction = local.standard_normal(op.d)
-        direction /= max(np.linalg.norm(direction), 1e-12)
-        starts.append(dom.center + dom.radius * local.random() * direction)
-
-    best, any_ok = -np.inf, False
-    for x0 in starts:
-        x_end, ok = ascend(x0)
-        any_ok = any_ok or ok
-        best = max(best, value(x_end))
-    if not any_ok:
-        warnings.warn(
-            "projected ascent did not reach tolerance; gap is a lower bound",
-            NonConvergedAscent,
-        )
-    return best
+    lam, Q = op._sym_eigh
+    mu = max(0.0, -float(lam[0]))  # least shift that makes H + mu I semidefinite
+    dx = x_hat - dom.center
+    a0 = op.B @ dom.center + op.c  # A at the ball centre
+    h = Q.T @ (op.B.T @ dx - a0)  # objective gradient at the centre, rotated
+    keep = h != 0.0
+    lam, sq = lam[keep], h[keep] ** 2
+    r2 = dom.radius ** 2
+    if not (lam + mu).all() or sq @ (lam + mu) ** -2 > r2:
+        lo, hi = mu, mu + float(np.sqrt(sq.sum())) / dom.radius
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if sq @ (lam + mid) ** -2 > r2:
+                lo = mid
+            else:
+                hi = mid
+        mu = hi
+    return float(a0 @ dx) + 0.5 * (float(sq @ (1.0 / (lam + mu))) + mu * r2)
 
 
 class ProblemInstance:
@@ -238,8 +223,8 @@ class ProblemInstance:
         self.L = op.L
         self.beta = op.beta
 
-    def gap(self, x_hat, **kw):
-        return restricted_gap(x_hat, self.op, self.domain, **kw)
+    def gap(self, x_hat):
+        return restricted_gap(x_hat, self.op, self.domain)
 
 
 def _random_skew(rng, d):

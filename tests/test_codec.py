@@ -312,6 +312,27 @@ def test_decode_rejects_truncation():
         decode(codec.EncodedMessage(msg.data[:3], 24, "main"), books, fam, 2)
 
 
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+def test_roundtrip_with_codewords_longer_than_the_lookup_table(protocol):
+    # Halving probabilities give Huffman lengths 1, 2, ..., 23, 23: past the
+    # table limit, so decoding walks the codewords bit by bit.
+    n = 24
+    fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, n))], np.zeros(n, dtype=np.int64))
+    probs = 0.5 ** np.arange(1, n + 1)
+    probs[-1] = probs[-2]
+    books = build_codebook(fam, LevelHistogram([probs]), protocol)
+    assert max(l for l, _ in books.words.values()) > codec._TABLE_LEN_LIMIT
+    rng = np.random.default_rng(3)
+    idx = rng.permutation(n)
+    signs = np.where(idx > 0, rng.choice([-1, 1], size=n), 1)
+    qv = QuantizedVector(2.5, signs, idx, fam.fingerprint())
+    msg = encode(qv, books, fam)
+    assert decode(msg, books, fam, n) == qv
+    assert books.message_bits([qv.norm], [idx]).tolist() == [msg.nbits]
+    with pytest.raises(TruncatedMessage):
+        decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24, protocol), books, fam, n)
+
+
 def test_decode_rejects_trailing_bytes_and_dirty_padding():
     fam = _fam_single()
     books = build_codebook(fam, _hist_for(fam))

@@ -342,3 +342,30 @@ def test_cli_compare_set_switches_between_budgets_and_levels(tmp_path, capsys):
         assert main(["compare", *paths, "--out", out, "--set", pair]) == 0
         assert len(json.load(open(out + ".json"))["summaries"]) == 2
     capsys.readouterr()
+
+
+def test_cli_run_set_resizes_derived_keys(tmp_path, capsys):
+    # The default layer split and the budgets broadcast to M follow d and M.
+    small = ["--set", "run.T=8", "--set", "problem.K=2"]
+    out = str(tmp_path / "d6")
+    assert main(["run", "bilinear-abs", "--out", out, *small, "--set", "problem.d=6"]) == 0
+    cfg = load_config(out + ".ini")
+    assert (cfg.d, cfg.layer_sizes, cfg.budgets) == (6, [3, 3], [3, 3])
+    out = str(tmp_path / "m3")
+    assert main(["run", "bilinear-abs", "--out", out, *small, "--set", "quantization.M=3"]) == 0
+    cfg = load_config(out + ".ini")
+    assert (cfg.M, cfg.layer_sizes, cfg.budgets) == (3, [7, 7, 6], [3, 3, 3])
+    capsys.readouterr()
+
+
+def test_cli_compare_set_resizes_derived_keys(tmp_path, capsys):
+    paths = []
+    for seed in (0, 1):
+        path = tmp_path / f"s{seed}.ini"
+        path.write_text("[problem]\npreset = bilinear\nd = 8\nK = 2\n\n"
+                        f"[run]\nT = 8\nseed = {seed}\n")
+        paths.append(str(path))
+    out = str(tmp_path / "cmp")
+    assert main(["compare", *paths, "--out", out, "--set", "problem.d=6"]) == 0
+    assert len(json.load(open(out + ".json"))["summaries"]) == 2
+    capsys.readouterr()

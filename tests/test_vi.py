@@ -149,12 +149,8 @@ def test_is_relative_unwraps_clip():
     assert not is_relative(None)
 
 
-def test_domain_projection_and_diameter():
-    dom = vi.TestDomain(np.zeros(2), 1.0)
-    assert np.allclose(dom.project(np.array([3.0, 4.0])), [0.6, 0.8])
-    inside = np.array([0.1, 0.2])
-    assert dom.project(inside) is inside
-    assert dom.d_squared(np.array([2.0, 0.0])) == pytest.approx(9.0)
+def test_domain_rejects_non_positive_radius():
+    assert vi.TestDomain(np.zeros(2), 1.0).radius == 1.0
     with pytest.raises(ValueError):
         vi.TestDomain(np.zeros(2), 0.0)
 
@@ -263,3 +259,129 @@ def test_restricted_gap_dominates_inner_products():
         direction /= np.linalg.norm(direction)
         x = p.domain.center + p.domain.radius * rng.random() * direction
         assert val >= float(p.op.apply(x) @ (x_hat - x)) - 1e-8
+
+
+def _ascent_gap(x_hat, op, dom, tol=1e-6, restarts=3, max_iter=20000):
+    """Reference gap by projected gradient ascent from the ball center plus
+    ``restarts`` seeded random starts.  Every iterate is feasible, so the
+    result is a lower bound on the gap."""
+
+    def project(x):
+        delta = x - dom.center
+        norm = np.linalg.norm(delta)
+        return x if norm <= dom.radius else dom.center + delta * (dom.radius / norm)
+
+    g = op.B.T @ x_hat - op.c
+    const = float(op.c @ x_hat)
+    S2 = op.B + op.B.T
+    step = 1.0 / max(op.sym_eig_max * 2.0, 1e-12)
+
+    def value(x):
+        return float(x @ g) - float(x @ (S2 @ x)) / 2.0 + const
+
+    def ascend(x):
+        for _ in range(max_iter):
+            x_new = project(x + step * (g - S2 @ x))
+            if np.linalg.norm(x_new - x) <= tol * step:
+                return x_new, True
+            x = x_new
+        return x, False
+
+    local = np.random.default_rng(1729)
+    starts = [dom.center.copy()]
+    for _ in range(restarts):
+        direction = local.standard_normal(op.d)
+        direction /= max(np.linalg.norm(direction), 1e-12)
+        starts.append(dom.center + dom.radius * local.random() * direction)
+    best, converged = -np.inf, False
+    for x0 in starts:
+        x_end, ok = ascend(x0)
+        converged = converged or ok
+        best = max(best, value(x_end))
+    assert converged
+    return best
+
+
+def _assert_matches_ascent(new, ref):
+    scale = max(1.0, abs(ref))
+    assert new >= ref - 1e-13 * scale
+    assert new - ref <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
+@pytest.mark.parametrize("d", [5, 20, 200])
+def test_restricted_gap_matches_projected_ascent(kind, d):
+    p = make_problem(kind, d=d, K=1, seed=d)
+    rng = np.random.default_rng(d)
+    H = p.op.B + p.op.B.T
+    boundary = 0
+    for i in range(30):
+        # Half the points on the problem's own ball, half on a ball with a
+        # random centre and radius; distances span interior and boundary maxima.
+        dom = p.domain if i % 2 else vi.TestDomain(
+            p.x_star + 0.5 * rng.standard_normal(d) / np.sqrt(d), rng.uniform(0.3, 3.0))
+        x_hat = p.x_star + 10 ** rng.uniform(-2, 2) * rng.standard_normal(d) / np.sqrt(d)
+        gap = vi.restricted_gap(x_hat, p.op, dom)
+        ref = _ascent_gap(x_hat, p.op, dom)
+        _assert_matches_ascent(gap, ref)
+        h = p.op.B.T @ (x_hat - dom.center) - p.op.apply(dom.center)
+        boundary += np.linalg.norm(np.linalg.solve(H, h)) > dom.radius
+    assert 5 <= boundary <= 25  # both kinds of maximum were checked
+
+
+def test_restricted_gap_is_exact_for_a_scaled_identity():
+    # With B = mu I + skew, H = 2 mu I and the maximum over the ball has a
+    # closed form in ||h||: interior below 2 mu r, on the sphere above it.
+    rng = np.random.default_rng(21)
+    d, mu, r = 7, 0.3, 1.5
+    G = rng.standard_normal((d, d))
+    B = mu * np.eye(d) + (G - G.T)
+    dom = vi.TestDomain(rng.standard_normal(d), r)
+    op = AffineOperator(B, c=0.01 * rng.standard_normal(d) - B @ dom.center)
+    a0 = op.apply(dom.center)
+    inside = 0
+    for scale in np.geomspace(1e-3, 1e2, 30):
+        x_hat = dom.center + scale * rng.standard_normal(d)
+        n = np.linalg.norm(op.B.T @ (x_hat - dom.center) - a0)
+        inside += n <= 2 * mu * r
+        best = n * n / (4 * mu) if n <= 2 * mu * r else r * n - mu * r * r
+        exact = float(a0 @ (x_hat - dom.center)) + best
+        assert vi.restricted_gap(x_hat, op, dom) == pytest.approx(exact, rel=1e-14, abs=1e-14)
+    assert 0 < inside < 30
+
+
+@pytest.mark.filterwarnings("error")  # no division by zero on a singular H
+def test_restricted_gap_hard_case_is_exact():
+    # H = diag(2, 0) is singular and h = (1, 0) has no component along its
+    # null vector; the maximizer z = (1/2, 0) lies inside the ball.
+    op = AffineOperator(np.diag([1.0, 0.0]))
+    dom = vi.TestDomain(np.zeros(2), 2.0)
+    assert abs(vi.restricted_gap(np.array([1.0, 0.7]), op, dom) - 0.25) <= 1e-15
+    # With a component along the null vector the maximum is on the sphere;
+    # a slightly negative eigenvalue, inside the monotonicity tolerance,
+    # shifts the search interval.
+    shifted = AffineOperator(np.diag([1.0, 0.0]), c=np.array([0.0, 0.3]))
+    tilted = AffineOperator(np.diag([1.0, -1e-12]))
+    for op in (shifted, tilted):
+        for x_hat in ([1.0, 0.7], [-0.4, 2.0], [3.0, -1.0]):
+            x_hat = np.array(x_hat)
+            _assert_matches_ascent(vi.restricted_gap(x_hat, op, dom),
+                                   _ascent_gap(x_hat, op, dom))
+
+
+def test_gap_eigendecomposes_each_non_skew_operator_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.shape) or eigh(M))
+    rng = np.random.default_rng(0)
+    for kind in ("cocoercive", "strongly_monotone:0.3"):
+        p = make_problem(kind, d=6, K=2, seed=1)
+        for _ in range(4):
+            p.gap(p.x_star + rng.standard_normal(6))
+    assert calls == [(6, 6), (6, 6)]
+    near_skew = AffineOperator(np.array([[0.0, 1.0], [-1.0, 1e-13]]))
+    for op in (make_problem("bilinear", d=6, K=1, seed=1).op, near_skew):
+        assert op.is_skew
+        for _ in range(3):
+            vi.restricted_gap(rng.standard_normal(op.d), op, vi.TestDomain(np.zeros(op.d), 1.0))
+    assert len(calls) == 2
