@@ -204,8 +204,7 @@ def config_from_dict(raw):
     if len(v["budgets"]) != M:
         raise ParseError(f"[quantization] expected {M} budgets, got {len(v['budgets'])}")
     if not v["layer_sizes"]:
-        base, extra = divmod(d, M)
-        v["layer_sizes"] = [base + (1 if i < extra else 0) for i in range(M)]
+        v["layer_sizes"] = _even_split(d, M)
     sizes = v["layer_sizes"]
     if len(sizes) != M or sum(sizes) != d or min(sizes) < 1:
         raise ParseError(f"[quantization] layer_sizes must be {M} positive ints summing to {d}")
@@ -214,6 +213,12 @@ def config_from_dict(raw):
     if v["schedule_kind"] == "constant" and v["c"] <= 0:
         raise ParseError("[schedule] c must be positive")
     return ExperimentConfig(**v)
+
+
+def _even_split(d, M):
+    """The default layer split: M near-equal sizes summing to d."""
+    base, extra = divmod(d, M)
+    return [base + (1 if i < extra else 0) for i in range(M)]
 
 
 def load_config(path, overrides=None):
@@ -232,12 +237,23 @@ def load_config(path, overrides=None):
 
 
 def _sections(cfg):
-    """The config as {section: {key: text}}; of budgets / levels, only the one in use."""
+    """The config as {section: {key: text}}; of budgets / levels, only the one in use.
+
+    Values that ``config_from_dict`` derives are written as the source text
+    they derive from: the default layer split as an empty ``layer_sizes``
+    and equal budgets as one.  The text reloads to the same config, and an
+    override of d or M resizes them again.
+    """
     unused = "budgets" if cfg.levels else "levels"
+    source = {
+        "layer_sizes": [] if cfg.layer_sizes == _even_split(cfg.d, cfg.M) else cfg.layer_sizes,
+        "budgets": cfg.budgets[:1] if len(set(cfg.budgets)) == 1 else cfg.budgets,
+    }
     out = {}
     for k in _SCHEMA:
         if k.key != unused:
-            out.setdefault(k.section, {})[k.key] = k.kind.dump(getattr(cfg, k.attr))
+            value = source.get(k.attr, getattr(cfg, k.attr))
+            out.setdefault(k.section, {})[k.key] = k.kind.dump(value)
     return out
 
 

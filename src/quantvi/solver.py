@@ -9,15 +9,27 @@ Each iteration of the main solver makes exactly one oracle call per node:
     X_{t+1} = X_1 + eta_{t+1} * Y_{t+1}
 
 The extrapolation step reuses the stored decoded messages from the previous
-iteration instead of a second oracle call.  Broadcast cost is counted on the
-sender side: one encoded message per node per broadcast.
+iteration instead of a second oracle call.  The extragradient baseline makes
+two oracle calls and two broadcasts per iteration with a constant step.
+Broadcast cost is counted on the sender side: one encoded message per node
+per broadcast.
 
-Decoding a message reproduces its quantized vector exactly, so the loop
+Both algorithms run in one driver (``_drive``).  It owns the state, the
+compression pipeline, the stacked node operators and the noise stream, and
+hands each algorithm's step one ``oracle(x)``: an oracle call per node at x,
+broadcast and decoded.  The driver refreshes levels on schedule, computes
+the gap and writes a row at each checkpoint, and builds the summary; a step
+only updates the iterates and its rates.
+
+Decoding a message reproduces its quantized vector exactly, so a broadcast
 takes Vhat straight from the quantizer and counts each message's bits from
 the codebook's code lengths (``Codebook.message_bits``) without building the
-bit stream.  At every checkpoint both solvers send that iteration's messages
-through the real encoder and decoder and raise ``codec.WireMismatch`` unless
-the roundtrip is exact and the messages hold exactly the counted bits.
+bit stream.  At checkpoint iterations every broadcast also sends its
+messages through the real encoder and decoder and raises
+``codec.WireMismatch`` unless the roundtrip is exact and the messages hold
+exactly the counted bits.  A run whose messages stop fitting the wire
+format, or whose gap turns non-finite, raises ``RuntimeError`` naming the
+iteration.
 
 Two adaptive learning-rate schedules are provided.  The general schedule
 sets gamma_t = eta_t from the accumulated squared differences of decoded
@@ -38,7 +50,7 @@ import numpy as np
 from . import adapt, codec
 from .codec import LevelHistogram, build_codebook, code_length_bound, estimate_level_probs
 from .levels import LevelFamily, variance_bound_eps
-from .quantizer import dequantize_batch, quantize_batch
+from .quantizer import NonFinite, dequantize_batch, quantize_batch
 
 
 class BadQHat(ValueError):
@@ -55,7 +67,9 @@ class SolverState:
     over completed iterations s; ``s_norm`` the same for plain squared norms
     and ``s_move`` for ||X_s - X_{s+1}||^2.  The ``*_last`` fields hold the
     most recent term of each sum so the alternative schedule can read the
-    sums lagged by one completed iteration.
+    sums lagged by one completed iteration.  ``at_checkpoint`` is set by the
+    driver on checkpoint iterations; while it is set, every broadcast checks
+    its messages on the real wire.
     """
 
     def __init__(self, x1, K):
@@ -64,8 +78,7 @@ class SolverState:
         self.y = np.zeros_like(self.x1)
         self.x_half = self.x1.copy()
         self.v_hat_prev = np.zeros((K, self.x1.size))
-        self.t = 1
-        self.K = K
+        self.at_checkpoint = False
         self.s_diff = 0.0
         self.s_norm = 0.0
         self.s_norm_last = 0.0
@@ -194,8 +207,6 @@ class _QuantPipeline:
         self.n_q = code_length_bound(self.hist, self.family, d, cfg.protocol)
         self.segments = [(1, self.eps_q, self.n_q)]
         self.buffers = [deque(maxlen=cfg.samples_per_node) for _ in range(K)]
-        # The last broadcast's rows, codebook, family and counted bits.
-        self.sent = None
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
 
@@ -225,21 +236,20 @@ class _QuantPipeline:
         self.segments.append((t, self.eps_q, self.n_q))
         return True
 
-    def broadcast(self, V):
-        """Compress one message per node; returns (Vhat, bits).
+    def broadcast(self, V, state):
+        """Compress one message per node, add its bits to ``state``; returns Vhat.
 
         The bits are counted from the codebook's code lengths and Vhat is
         the quantizer's own output: decoding the wire would reproduce it.
+        At a checkpoint the messages also go through the real codec.
         """
         uniforms = self.rng.random((self.K, self.d))
         norms, signs, idx = quantize_batch(V, self.family, uniforms=uniforms)
         bits = int(self.books.message_bits(norms, idx).sum())
-        self.sent = (norms, signs, idx, self.books, self.family, bits)
-        return dequantize_batch(norms, signs, idx, self.family), bits
-
-    def check_wire(self):
-        """Send the last broadcast through the real codec and check it."""
-        codec.verify_wire(*self.sent)
+        if state.at_checkpoint:
+            codec.verify_wire(norms, signs, idx, self.books, self.family, bits)
+        state.bits += bits
+        return dequantize_batch(norms, signs, idx, self.family)
 
 
 class _IdentityPipeline:
@@ -258,11 +268,9 @@ class _IdentityPipeline:
     def maybe_update(self, t):
         return False
 
-    def broadcast(self, V):
-        return V.copy(), 64 * self.d * self.K
-
-    def check_wire(self):
-        pass
+    def broadcast(self, V, state):
+        state.bits += 64 * self.d * self.K
+        return V.copy()
 
 
 class RunMetrics:
@@ -310,58 +318,63 @@ def _checkpoints(T):
     return sorted(pts)
 
 
-def _stacked_ops(problem):
-    B = np.stack([op.B for op in problem.node_ops])
-    c = np.stack([op.c for op in problem.node_ops])
-    return B, c
+def _drive(problem, T, quant, seed, step, record_iterates=False):
+    """Run ``step(state, oracle)`` for t = 1..T; returns RunMetrics.
 
-
-def _noise_rng(seed):
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
-
-
-def _make_pipeline(quant, problem, seed):
+    ``oracle(x)`` makes one oracle call per node at x, broadcasts the
+    results and returns the decoded messages Vhat (K, d).
+    """
+    K, d = problem.K, problem.d
+    state = SolverState(problem.x1, K)
     if quant is None:
-        return _IdentityPipeline(problem.d, problem.K)
-    return _QuantPipeline(quant, problem.d, problem.K, seed)
+        pipeline = _IdentityPipeline(d, K)
+    else:
+        pipeline = _QuantPipeline(quant, d, K, seed)
+    node_B = np.stack([op.B for op in problem.node_ops])
+    node_c = np.stack([op.c for op in problem.node_ops])
+    noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
+    def oracle(x):
+        V = node_B @ x + node_c
+        if problem.noise is not None:
+            V = problem.noise.sample_batch(V, noise_rng)
+        state.oracle_calls += 1
+        pipeline.observe(V)
+        return pipeline.broadcast(V, state)
 
-def qoda_step(state, problem, pipeline, schedule, node_B, node_c, noise_rng):
-    """Advance the solver by one iteration (one oracle call per node)."""
-    K = problem.K
-    gamma, eta = schedule.rates(state)
-    state.gamma, state.eta = gamma, eta
+    checkpoints = set(_checkpoints(T))
+    rows = []
+    iterates = [] if record_iterates else None
+    try:
+        for t in range(1, T + 1):
+            state.at_checkpoint = t in checkpoints
+            pipeline.maybe_update(t)
+            step(state, oracle)
+            state.x_half_sum += state.x_half
+            if record_iterates:
+                iterates.append(state.x.copy())
+            if state.at_checkpoint:
+                gap = problem.gap(state.x_half_sum / t)
+                if not np.isfinite(gap):
+                    raise RuntimeError(f"non-finite gap at iteration {t}")
+                rows.append((t, gap, state.gamma, state.eta, state.bits,
+                             state.oracle_calls, pipeline.eps_q))
+    except NonFinite as exc:
+        raise RuntimeError(f"diverged at iteration {t}: {exc}") from exc
 
-    state.x_half = state.x - gamma * (state.v_hat_prev.sum(axis=0) / K)
-
-    V = node_B @ state.x_half + node_c
-    if problem.noise is not None:
-        V = problem.noise.sample_batch(V, noise_rng)
-    state.oracle_calls += 1
-    pipeline.observe(V)
-
-    v_hat, bits = pipeline.broadcast(V)
-    state.bits += bits
-    state.x_half_sum += state.x_half
-
-    diff = v_hat - state.v_hat_prev
-    state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
-    norm_term = float(np.einsum("kd,kd->", v_hat, v_hat)) / K**2
-    state.s_norm += norm_term
-    state.s_norm_last = norm_term
-
-    state.y = state.y - v_hat.sum(axis=0) / K
-    eta_next = schedule.eta_next(state)
-    x_next = state.x1 + eta_next * state.y
-
-    move = state.x - x_next
-    move_term = float(move @ move)
-    state.s_move += move_term
-    state.s_move_last = move_term
-
-    state.v_hat_prev = v_hat
-    state.x = x_next
-    state.t += 1
+    eps_bar, eps_hat, n_bar = _segment_averages(pipeline.segments, T)
+    summary = {
+        "final_gap": rows[-1][1] if T >= 1 else float("nan"),
+        "total_bits": state.bits,
+        "oracle_calls_per_node": state.oracle_calls,
+        "eps_bar": eps_bar,
+        "eps_hat": eps_hat,
+        "n_bar": n_bar,
+        "T": T,
+        "empty": T == 0,
+    }
+    avg = state.x_half_sum / T if T >= 1 else None
+    return RunMetrics(rows, summary, avg, iterates)
 
 
 def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
@@ -370,31 +383,31 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
     Returns RunMetrics with one row per checkpoint (powers of two plus T)
     and summary aggregates.  Fully deterministic given (problem, seed).
     """
-    state = SolverState(problem.x1, problem.K)
-    pipeline = _make_pipeline(quant, problem, seed)
-    node_B, node_c = _stacked_ops(problem)
-    noise_rng = _noise_rng(seed)
-    checkpoints = _checkpoints(T)
-    rows = []
-    iterates = [] if record_iterates else None
-    next_cp = 0
-    for t in range(1, T + 1):
-        pipeline.maybe_update(t)
-        qoda_step(state, problem, pipeline, schedule, node_B, node_c, noise_rng)
-        if record_iterates:
-            iterates.append(state.x.copy())
-        if next_cp < len(checkpoints) and t == checkpoints[next_cp]:
-            pipeline.check_wire()
-            avg = state.x_half_sum / t
-            gap = problem.gap(avg)
-            if not np.isfinite(gap):
-                raise RuntimeError(f"non-finite gap at iteration {t}")
-            rows.append(
-                (t, gap, state.gamma, state.eta, state.bits, state.oracle_calls,
-                 pipeline.eps_q)
-            )
-            next_cp += 1
-    return _finish(rows, state, pipeline, T, iterates)
+    K = problem.K
+
+    def step(state, oracle):
+        state.gamma, state.eta = schedule.rates(state)
+        state.x_half = state.x - state.gamma * (state.v_hat_prev.sum(axis=0) / K)
+        v_hat = oracle(state.x_half)
+
+        diff = v_hat - state.v_hat_prev
+        state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
+        norm_term = float(np.einsum("kd,kd->", v_hat, v_hat)) / K**2
+        state.s_norm += norm_term
+        state.s_norm_last = norm_term
+
+        state.y = state.y - v_hat.sum(axis=0) / K
+        x_next = state.x1 + schedule.eta_next(state) * state.y
+
+        move = state.x - x_next
+        move_term = float(move @ move)
+        state.s_move += move_term
+        state.s_move_last = move_term
+
+        state.v_hat_prev = v_hat
+        state.x = x_next
+
+    return _drive(problem, T, quant, seed, step, record_iterates)
 
 
 def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3):
@@ -405,72 +418,12 @@ def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3):
     ``step / L``.  Metrics rows match run_qoda's schema (gamma = eta = the
     constant step).
     """
-    state = SolverState(problem.x1, problem.K)
-    pipeline = _make_pipeline(quant, problem, seed)
-    node_B, node_c = _stacked_ops(problem)
-    noise_rng = _noise_rng(seed)
     K = problem.K
     gamma = step / problem.L
-    state.gamma = state.eta = gamma
-    checkpoints = _checkpoints(T)
-    rows = []
-    next_cp = 0
-    for t in range(1, T + 1):
-        at_checkpoint = next_cp < len(checkpoints) and t == checkpoints[next_cp]
-        pipeline.maybe_update(t)
-        V = node_B @ state.x + node_c
-        if problem.noise is not None:
-            V = problem.noise.sample_batch(V, noise_rng)
-        state.oracle_calls += 1
-        pipeline.observe(V)
-        v_hat, bits = pipeline.broadcast(V)
-        if at_checkpoint:
-            pipeline.check_wire()
-        state.bits += bits
-        state.x_half = state.x - gamma * (v_hat.sum(axis=0) / K)
 
-        V = node_B @ state.x_half + node_c
-        if problem.noise is not None:
-            V = problem.noise.sample_batch(V, noise_rng)
-        state.oracle_calls += 1
-        pipeline.observe(V)
-        v_hat, bits = pipeline.broadcast(V)
-        if at_checkpoint:
-            pipeline.check_wire()
-        state.bits += bits
-        state.x = state.x - gamma * (v_hat.sum(axis=0) / K)
+    def eg_step(state, oracle):
+        state.gamma = state.eta = gamma
+        state.x_half = state.x - gamma * (oracle(state.x).sum(axis=0) / K)
+        state.x = state.x - gamma * (oracle(state.x_half).sum(axis=0) / K)
 
-        state.x_half_sum += state.x_half
-        state.t += 1
-        if at_checkpoint:
-            avg = state.x_half_sum / t
-            gap = problem.gap(avg)
-            if not np.isfinite(gap):
-                raise RuntimeError(f"non-finite gap at iteration {t}")
-            rows.append(
-                (t, gap, gamma, gamma, state.bits, state.oracle_calls,
-                 pipeline.eps_q)
-            )
-            next_cp += 1
-    return _finish(rows, state, pipeline, T, None)
-
-
-def _finish(rows, state, pipeline, T, iterates):
-    eps_bar, eps_hat, n_bar = _segment_averages(pipeline.segments, T)
-    if T >= 1:
-        avg = state.x_half_sum / T
-        final_gap = rows[-1][1]
-    else:
-        avg = None
-        final_gap = float("nan")
-    summary = {
-        "final_gap": final_gap,
-        "total_bits": state.bits,
-        "oracle_calls_per_node": state.oracle_calls,
-        "eps_bar": eps_bar,
-        "eps_hat": eps_hat,
-        "n_bar": n_bar,
-        "T": T,
-        "empty": T == 0,
-    }
-    return RunMetrics(rows, summary, avg, iterates)
+    return _drive(problem, T, quant, seed, eg_step)

@@ -6,9 +6,13 @@ empty its benchmark layer.  This test loads ``perfbench/child.py`` without
 running it and checks that every traced attribute is still there.
 """
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from quantvi import adapt, codec, levels, quantizer, runner, solver, vi
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -32,3 +36,26 @@ def test_every_traced_layer_function_exists(monkeypatch):
     assert not missing, f"traced but missing from the program: {missing}"
     spans = {span for _, _, span, _ in targets}
     assert {"vi.gap", "vi.noise", "adapt.dp", "codec.encode"} <= spans
+
+
+def test_every_solve_entry_point_exists():
+    # The child sets up and solves through these; a rename would only show
+    # when the benchmark crashes.  Every quantvi attribute child.py reads
+    # must exist, and every direct call must bind to the callee's signature.
+    modules = {m.__name__.rpartition(".")[2]: m
+               for m in (adapt, codec, levels, quantizer, runner, solver, vi)}
+    called = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "child.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in modules):
+                fn = getattr(modules[func.value.id], func.attr)
+                inspect.signature(fn).bind(*node.args, **{kw.arg: None for kw in node.keywords})
+                called.add(f"{func.value.id}.{func.attr}")
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), \
+                f"child.py uses missing {node.value.id}.{node.attr}"
+    assert {"solver.run_qoda", "solver.run_extragradient_baseline", "runner.build_schedule",
+            "runner.build_problem", "runner.build_quant", "runner.preset_config"} <= called

@@ -140,6 +140,9 @@ def test_config_ini_roundtrip_is_lossless(tmp_path):
         preset_config("bilinear-alt", {"noise": {"sigma": "0.1234567890123"}}),
         preset_config("bilinear-abs", {"quantization": {"levels": "uniform:2 | 0,0.3,1"},
                                        "run": {"step": repr(1 / 3)}}),
+        # Unequal budgets and a split other than the default are kept as given.
+        preset_config("bilinear-abs", {"quantization": {
+            "M": "3", "budgets": "2,3,5", "layer_sizes": "4,10,6"}}),
     ]
     assert cfgs[0].sigma == 0.1234567890123
     for i, cfg in enumerate(cfgs):
@@ -275,6 +278,20 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
+    # A constant rate of 50 makes the iterates blow up until a message norm
+    # no longer fits the 32-bit wire format, at t = 21.
+    code = main([
+        "run", "bilinear-abs", "--out", str(tmp_path / "div"), *_SMALL,
+        "--set", "run.T=64", "--set", "schedule.kind=constant", "--set", "schedule.c=50",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "diverged at iteration 21" in err
+    assert "overflows the 32-bit wire format" in err
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     assert main(["run", "nope"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -353,6 +370,17 @@ def test_cli_run_set_resizes_derived_keys(tmp_path, capsys):
     assert (cfg.d, cfg.layer_sizes, cfg.budgets) == (6, [3, 3], [3, 3])
     out = str(tmp_path / "m3")
     assert main(["run", "bilinear-abs", "--out", out, *small, "--set", "quantization.M=3"]) == 0
+    cfg = load_config(out + ".ini")
+    assert (cfg.M, cfg.layer_sizes, cfg.budgets) == (3, [7, 7, 6], [3, 3, 3])
+    # A run's own .ini names the source keys, so the same overrides resize it.
+    own = str(tmp_path / "own")
+    assert main(["run", "bilinear-abs", "--out", own, *small]) == 0
+    out = str(tmp_path / "own-d6")
+    assert main(["run", own + ".ini", "--out", out, "--set", "problem.d=6"]) == 0
+    cfg = load_config(out + ".ini")
+    assert (cfg.d, cfg.layer_sizes, cfg.budgets) == (6, [3, 3], [3, 3])
+    out = str(tmp_path / "own-m3")
+    assert main(["run", own + ".ini", "--out", out, "--set", "quantization.M=3"]) == 0
     cfg = load_config(out + ".ini")
     assert (cfg.M, cfg.layer_sizes, cfg.budgets) == (3, [7, 7, 6], [3, 3, 3])
     capsys.readouterr()

@@ -35,7 +35,7 @@ def test_state_initialization():
     assert st.x.tolist() == [1.0, 2.0]
     assert st.y.tolist() == [0.0, 0.0]
     assert st.v_hat_prev.shape == (3, 2)
-    assert st.t == 1
+    assert st.at_checkpoint is False
     assert (st.gamma, st.eta) == (1.0, 1.0)
     assert st.bits == 0 and st.oracle_calls == 0
 
@@ -129,27 +129,38 @@ def _scattered_quant(**kw):
     return QuantizationConfig(family=fam, **kw)
 
 
-def test_quantized_bits_match_message_sizes(monkeypatch):
+@pytest.mark.parametrize("algorithm", ["qoda", "extragradient"])
+def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
     # The run's counted bits must equal the lengths of the real messages
     # for the same draws, across level refreshes (t = 6, 11), under both
-    # protocols and both schemes.
-    sent = []
-    broadcast = solver._QuantPipeline.broadcast
+    # protocols and both schemes, for every broadcast of either algorithm.
+    sent = []  # (norms, signs, idx, books, family) of every broadcast
+    quantize, broadcast = solver.quantize_batch, solver._QuantPipeline.broadcast
 
-    def recording(self, V):
-        out = broadcast(self, V)
-        sent.append(self.sent[:5])  # (norms, signs, idx, books, family)
+    def recording_quantize(V, family, **kw):
+        rows = quantize(V, family, **kw)
+        sent.append(rows)
+        return rows
+
+    def recording_broadcast(self, V, state):
+        out = broadcast(self, V, state)
+        sent[-1] = (*sent[-1], self.books, self.family)
         return out
 
-    monkeypatch.setattr(solver._QuantPipeline, "broadcast", recording)
+    monkeypatch.setattr(solver, "quantize_batch", recording_quantize)
+    monkeypatch.setattr(solver._QuantPipeline, "broadcast", recording_broadcast)
     problem = make_problem("bilinear", d=6, K=2, seed=3, noise=AbsoluteNoise(0.1))
+    per_iteration = 1 if algorithm == "qoda" else 2
     for protocol in ("main", "alternating"):
         for scheme in ("huffman", "elias"):
             sent.clear()
             quant = _scattered_quant(protocol=protocol, scheme=scheme, update_period=5,
                                      samples_per_node=4)
-            metrics = run_qoda(problem, GeneralRates(), 12, quant=quant, seed=0)
-            assert len(sent) == 12
+            if algorithm == "qoda":
+                metrics = run_qoda(problem, GeneralRates(), 12, quant=quant, seed=0)
+            else:
+                metrics = run_extragradient_baseline(problem, 12, quant=quant, seed=0)
+            assert len(sent) == 12 * per_iteration
             assert len({id(books) for _, _, _, books, _ in sent}) == 3
             wire = sum(m.nbits for rows in sent for m in codec.encode_batch(*rows))
             assert metrics.summary["total_bits"] == wire
