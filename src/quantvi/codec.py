@@ -11,6 +11,13 @@ Two code constructions are supported: canonical Huffman built from a level
 histogram, and Elias omega codes indexed by level rank (no statistics
 needed).
 
+Decoding has one path for every codeword length.  Left-aligned to the
+longest length in its scope, each codeword of a prefix code covers a range
+of values disjoint from every other codeword's, so the decoder reads that
+many bits and bisects the sorted range starts for the one codeword that can
+match (Moffat & Turpin 1997, "On the implementation of minimum redundancy
+prefix codes").
+
 Wire format, most significant bit first: a 32-bit IEEE-754 big-endian norm,
 then, only when the norm is nonzero, for each coordinate in ascending order
 its codeword followed by one sign bit (1 = negative) when its level index is
@@ -20,6 +27,7 @@ positive.  The last byte is padded with zero bits.
 import heapq
 import math
 import struct
+from bisect import bisect_right
 
 import numpy as np
 
@@ -27,10 +35,6 @@ PROTOCOL_MAIN = "main"
 PROTOCOL_ALTERNATING = "alternating"
 SCHEME_HUFFMAN = "huffman"
 SCHEME_ELIAS = "elias"
-
-# Above this codeword length the flat decoding table would be too large and
-# decoding falls back to a bit-at-a-time walk.
-_TABLE_LEN_LIMIT = 20
 
 
 class InvalidCdf(ValueError):
@@ -205,48 +209,27 @@ def build_elias(alphabet_size):
 
 
 class _Scope:
-    """One prefix-free decoding scope: symbol list plus lookup structures."""
+    """One prefix-free decoding scope: codewords sorted for bisection.
+
+    Left-aligned to ``width``, the longest codeword length in the scope,
+    codeword (length l, code c) covers the ``width``-bit values
+    [c << (width - l), (c + 1) << (width - l)); a prefix code makes these
+    ranges disjoint.  ``starts``, ``lens`` and ``syms`` hold each codeword's
+    range start, length and symbol in ascending start order, so the only
+    codeword that can match a ``width``-bit chunk is the last one whose
+    start is <= the chunk.
+    """
 
     def __init__(self, entries):
         # entries: list of (symbol, length, code); symbol is an int for the
         # main protocol (level index) or a (type, level) pair otherwise.
-        self.entries = entries
-        self.max_len = max(l for _, l, _ in entries)
-        self.by_bits = {(l, c): sym for sym, l, c in entries}
-        self.table = None
-        if self.max_len <= _TABLE_LEN_LIMIT:
-            size = 1 << self.max_len
-            syms = [None] * size
-            lens = [0] * size
-            for sym, l, c in entries:
-                base = c << (self.max_len - l)
-                for x in range(1 << (self.max_len - l)):
-                    syms[base + x] = sym
-                    lens[base + x] = l
-            self.table = (syms, lens)
-
-    def read_symbol(self, value, total_bits, pos):
-        """Decode one symbol bit by bit from bit ``pos``; returns (symbol, new pos).
-
-        For scopes without a lookup table (codes longer than
-        ``_TABLE_LEN_LIMIT``); ``_decode_core`` reads tabled scopes itself.
-        """
-        remaining = total_bits - pos
-        if remaining <= 0:
-            raise TruncatedMessage("bit stream ended inside a codeword")
-        cur = 0
-        for l in range(1, min(self.max_len, remaining) + 1):
-            cur = (cur << 1) | ((value >> (total_bits - pos - l)) & 1)
-            sym = self.by_bits.get((l, cur))
-            if sym is not None:
-                return sym, pos + l
-        if remaining < self.max_len:
-            raise TruncatedMessage("bit stream ended inside a codeword")
-        raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
+        self.width = max(l for _, l, _ in entries)
+        rows = sorted((c << (self.width - l), l, sym) for sym, l, c in entries)
+        self.starts, self.lens, self.syms = (list(col) for col in zip(*rows))
 
 
 class Codebook:
-    """Codewords for every (type, level) pair plus decoding tables."""
+    """Codewords for every (type, level) pair plus decoding scopes."""
 
     def __init__(self, words, protocol, scheme, family):
         self.words = dict(words)
@@ -286,15 +269,6 @@ class Codebook:
         )
         self._coord_start = starts[family.assignment]
         self._coord_size = sizes[family.assignment]
-        # Flattened per-type lookup tables ((syms, lens, max_len) or None)
-        # so decode can read symbols without per-coordinate method calls.
-        self._dec_tables = [
-            (s.table[0], s.table[1], s.max_len) if s.table is not None else None
-            for s in self._scopes
-        ]
-
-    def scope_for_type(self, m):
-        return self._scopes[m] if self.protocol == PROTOCOL_MAIN else self._scopes[0]
 
     def codeword(self, m, j):
         try:
@@ -326,9 +300,7 @@ class Codebook:
 
     def kraft_sums(self):
         """Kraft sum per decoding scope (per type for main, global otherwise)."""
-        return [
-            sum(2.0 ** -l for _, l, _ in scope.entries) for scope in self._scopes
-        ]
+        return [sum(2.0 ** -l for l in scope.lens) for scope in self._scopes]
 
 
 def _alternating_order(family):
@@ -354,14 +326,15 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
         raise ValueError(f"unknown protocol {protocol!r}")
     if scheme not in (SCHEME_HUFFMAN, SCHEME_ELIAS):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if scheme == SCHEME_HUFFMAN and hist is None:
-        raise ValueError("Huffman codebooks need a level histogram")
+    if scheme == SCHEME_HUFFMAN:
+        if hist is None:
+            raise ValueError("Huffman codebooks need a level histogram")
+        hist.validate(family)
     words = {}
     if protocol == PROTOCOL_MAIN:
         for m, seq in enumerate(family.sequences):
             size = seq.alpha + 2
             if scheme == SCHEME_HUFFMAN:
-                hist.validate(family)
                 code = build_huffman(hist.rows[m])
             else:
                 code = build_elias(size)
@@ -370,7 +343,6 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     else:
         order = _alternating_order(family)
         if scheme == SCHEME_HUFFMAN:
-            hist.validate(family)
             joint = np.array(
                 [family.proportions[m] * hist.rows[m][j] for m, j in order]
             )
@@ -459,29 +431,29 @@ def _decode_core(data, books, d):
     idx = [0] * d
     signs = [1] * d
     assignment = books._assign_list
-    tables = books._dec_tables
     main = books.protocol == PROTOCOL_MAIN
+    scopes = [(sc.width, sc.starts, sc.lens, sc.syms) for sc in books._scopes]
     for i in range(d):
         m = assignment[i]
-        tbl = tables[m if main else 0]
-        if tbl is None:
-            sym, pos = books.scope_for_type(m).read_symbol(value, total_bits, pos)
+        width, starts, lens, syms = scopes[m if main else 0]
+        remaining = total_bits - pos
+        if remaining <= 0:
+            raise TruncatedMessage("bit stream ended inside a codeword")
+        if remaining >= width:
+            chunk = (value >> (remaining - width)) & ((1 << width) - 1)
         else:
-            syms, lens, max_len = tbl
-            remaining = total_bits - pos
-            if remaining <= 0:
-                raise TruncatedMessage("bit stream ended inside a codeword")
-            if remaining >= max_len:
-                chunk = (value >> (total_bits - pos - max_len)) & ((1 << max_len) - 1)
-            else:
-                chunk = (value & ((1 << remaining) - 1)) << (max_len - remaining)
-            length = lens[chunk]
-            if length == 0:
-                raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
-            if length > remaining:
-                raise TruncatedMessage("bit stream ended inside a codeword")
-            sym = syms[chunk]
-            pos += length
+            chunk = (value & ((1 << remaining) - 1)) << (width - remaining)
+        # The chunk lies in codeword k's range iff it is below the range's
+        # end.  A chunk below every start gives k = -1: the last start
+        # exceeds the chunk, so the shifted difference is negative, not 0.
+        k = bisect_right(starts, chunk) - 1
+        length = lens[k]
+        if (chunk - starts[k]) >> (width - length):
+            raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
+        if length > remaining:
+            raise TruncatedMessage("bit stream ended inside a codeword")
+        sym = syms[k]
+        pos += length
         if main:
             j = sym
         else:

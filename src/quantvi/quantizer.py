@@ -127,6 +127,18 @@ def _check_batch(V, family):
     return V
 
 
+def _intervals(U, family):
+    """(tau, lo, hi): each magnitude's level interval and its bracketing levels.
+
+    lo <= u < hi elementwise, except u = 1, which falls in its type's last
+    interval (hi = 1).
+    """
+    edges, offsets, tau, lo, hi = family.interval_table()
+    k = np.searchsorted(edges, U.ravel(), side="right").reshape(U.shape)
+    k += offsets
+    return tau[k], lo[k], hi[k]
+
+
 def quantize_batch(V, family, rng=None, uniforms=None):
     """Quantize a batch of row vectors in one vectorized pass.
 
@@ -139,9 +151,10 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     V = _check_batch(V, family)
     n, d = V.shape
     norms64, U = _normalized_magnitudes(V, family)
-    norms = norms64.astype(np.float32).astype(np.float64)
-    if not np.isfinite(norms).all():
+    # float32 rounds every value from 2^128 - 2^103 up to infinity.
+    if not (norms64 < 2.0**128 - 2.0**103).all():
         raise NonFinite("vector norm overflows the 32-bit wire format")
+    norms = norms64.astype(np.float32).astype(np.float64)
     if uniforms is None:
         uniforms = rng.random((n, d))
     else:
@@ -149,12 +162,8 @@ def quantize_batch(V, family, rng=None, uniforms=None):
         if uniforms.shape != (n, d):
             raise DimensionMismatch("uniforms must have one variate per coordinate")
 
-    edges, offsets, tau, lo, hi = family.interval_table()
-    k = np.searchsorted(edges, U.ravel(), side="right").reshape(n, d)
-    k += offsets
-    lo = lo[k]
-    xi = (U - lo) / (hi[k] - lo)
-    idx = tau[k] + (uniforms < xi)
+    tau, lo, hi = _intervals(U, family)
+    idx = tau + (uniforms < (U - lo) / (hi - lo))
 
     # A norm that underflows float32 degrades to the zero representation.
     if not norms.all():
@@ -215,14 +224,5 @@ def exact_quantization_variance(v, family):
     norms, U = _normalized_magnitudes(V, family)
     if norms[0] == 0.0:
         return 0.0
-    total = 0.0
-    for m in range(family.num_types):
-        cols = family.type_coordinates(m)
-        if cols.size == 0:
-            continue
-        ell = family.sequences[m].levels
-        sub = U[0, cols]
-        tau = np.searchsorted(ell, sub, side="right") - 1
-        np.minimum(tau, len(ell) - 2, out=tau)
-        total += float(np.sum((ell[tau + 1] - sub) * (sub - ell[tau])))
-    return float(norms[0] ** 2 * total)
+    _, lo, hi = _intervals(U, family)
+    return float(norms[0] ** 2 * np.sum((hi - U) * (U - lo)))

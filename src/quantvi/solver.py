@@ -155,18 +155,18 @@ class QuantizationConfig:
     samples_per_node: int = 16
 
 
-def _prior_histogram(family):
-    """Level histogram under a uniform prior on normalized magnitudes."""
-    rows = [
-        estimate_level_probs(adapt.UniformCdf(), seq) for seq in family.sequences
-    ]
-    return LevelHistogram(rows)
+def _level_histogram(family, cdfs):
+    """Level histogram of ``family`` under per-type CDFs; uniform where None."""
+    return LevelHistogram([
+        estimate_level_probs(adapt.UniformCdf() if c is None else c, seq)
+        for c, seq in zip(cdfs, family.sequences)
+    ])
 
 
 def refresh_levels(samples, family, budgets, grid, estimator, protocol, scheme):
     """Re-estimate CDFs, re-place levels, and rebuild codebooks from samples.
 
-    Returns (new_family, books, hist, cdf).  Raises adapt.AllZeroSamples when
+    Returns (new_family, books, hist).  Raises adapt.AllZeroSamples when
     the samples carry no information (callers keep the old family).
     """
     if estimator == "truncated-normal":
@@ -178,16 +178,9 @@ def refresh_levels(samples, family, budgets, grid, estimator, protocol, scheme):
         c = cdf.type_cdfs[m]
         new_seqs.append(seq if c is None else adapt.optimize_levels(c, budgets[m], grid))
     new_family = LevelFamily(new_seqs, family.assignment, q=family.q)
-    rows = [
-        estimate_level_probs(
-            cdf.type_cdfs[m] if cdf.type_cdfs[m] is not None else adapt.UniformCdf(),
-            new_family.sequences[m],
-        )
-        for m in range(new_family.num_types)
-    ]
-    hist = LevelHistogram(rows)
+    hist = _level_histogram(new_family, cdf.type_cdfs)
     books = build_codebook(new_family, hist, protocol, scheme)
-    return new_family, books, hist, cdf
+    return new_family, books, hist
 
 
 class _QuantPipeline:
@@ -199,16 +192,22 @@ class _QuantPipeline:
         self.cfg = cfg
         self.d = d
         self.K = K
-        self.family = cfg.family
         self.budgets = [seq.alpha for seq in cfg.family.sequences]
-        self.hist = _prior_histogram(self.family)
-        self.books = build_codebook(self.family, self.hist, cfg.protocol, cfg.scheme)
-        self.eps_q = variance_bound_eps(self.family, d)
-        self.n_q = code_length_bound(self.hist, self.family, d, cfg.protocol)
-        self.segments = [(1, self.eps_q, self.n_q)]
+        self.segments = []
+        hist = _level_histogram(cfg.family, [None] * cfg.family.num_types)
+        self._start_segment(
+            1, cfg.family, build_codebook(cfg.family, hist, cfg.protocol, cfg.scheme), hist
+        )
         self.buffers = [deque(maxlen=cfg.samples_per_node) for _ in range(K)]
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+
+    def _start_segment(self, t, family, books, hist):
+        """Quantize with ``family`` and ``books`` from iteration t on."""
+        self.family, self.books, self.hist = family, books, hist
+        self.eps_q = variance_bound_eps(family, self.d)
+        self.n_q = code_length_bound(hist, family, self.d, self.cfg.protocol)
+        self.segments.append((t, self.eps_q, self.n_q))
 
     def observe(self, V):
         if self.cfg.update_period <= 0:
@@ -220,21 +219,18 @@ class _QuantPipeline:
         """Refresh levels and codebooks when t is on the update schedule."""
         R = self.cfg.update_period
         if R <= 0 or t <= 1 or (t - 1) % R != 0:
-            return False
+            return
         samples = [v for buf in self.buffers for v in buf]
         if not samples:
-            return False
+            return
         try:
-            self.family, self.books, self.hist, _ = refresh_levels(
+            refreshed = refresh_levels(
                 np.stack(samples), self.family, self.budgets, self.cfg.grid,
                 self.cfg.estimator, self.cfg.protocol, self.cfg.scheme,
             )
         except adapt.AllZeroSamples:
-            return False
-        self.eps_q = variance_bound_eps(self.family, self.d)
-        self.n_q = code_length_bound(self.hist, self.family, self.d, self.cfg.protocol)
-        self.segments.append((t, self.eps_q, self.n_q))
-        return True
+            return
+        self._start_segment(t, *refreshed)
 
     def broadcast(self, V, state):
         """Compress one message per node, add its bits to ``state``; returns Vhat.
@@ -266,7 +262,7 @@ class _IdentityPipeline:
         pass
 
     def maybe_update(self, t):
-        return False
+        pass
 
     def broadcast(self, V, state):
         state.bits += 64 * self.d * self.K

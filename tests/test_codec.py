@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,16 +313,22 @@ def test_decode_rejects_truncation():
         decode(codec.EncodedMessage(msg.data[:3], 24, "main"), books, fam, 2)
 
 
-@pytest.mark.parametrize("protocol", ["main", "alternating"])
-def test_roundtrip_with_codewords_longer_than_the_lookup_table(protocol):
-    # Halving probabilities give Huffman lengths 1, 2, ..., 23, 23: past the
-    # table limit, so decoding walks the codewords bit by bit.
-    n = 24
+def _halving_hist(n):
+    # Halving probabilities give Huffman lengths 1, 2, ..., n - 1, n - 1.
     fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, n))], np.zeros(n, dtype=np.int64))
     probs = 0.5 ** np.arange(1, n + 1)
     probs[-1] = probs[-2]
-    books = build_codebook(fam, LevelHistogram([probs]), protocol)
-    assert max(l for l, _ in books.words.values()) > codec._TABLE_LEN_LIMIT
+    return fam, LevelHistogram([probs])
+
+
+@pytest.mark.parametrize("n", [24, 80])
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+def test_roundtrip_with_long_codewords(protocol, n):
+    # 23- and 79-bit codewords: longer than 20 bits, beyond which a flat
+    # 2^max_len decoding table is unaffordable, and wider than 64 bits.
+    fam, hist = _halving_hist(n)
+    books = build_codebook(fam, hist, protocol)
+    assert max(l for l, _ in books.words.values()) == n - 1 > 20
     rng = np.random.default_rng(3)
     idx = rng.permutation(n)
     signs = np.where(idx > 0, rng.choice([-1, 1], size=n), 1)
@@ -331,6 +338,51 @@ def test_roundtrip_with_codewords_longer_than_the_lookup_table(protocol):
     assert books.message_bits([qv.norm], [idx]).tolist() == [msg.nbits]
     with pytest.raises(TruncatedMessage):
         decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24, protocol), books, fam, n)
+
+
+def test_building_a_book_with_20_bit_codewords_stays_small():
+    fam, hist = _halving_hist(21)
+    tracemalloc.start()
+    try:
+        books = build_codebook(fam, hist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(l for l, _ in books.words.values()) == 20
+    assert peak < 1 << 20
+
+
+def _payload_message(bits):
+    # A norm-1 header followed by the given payload bit string.
+    header = struct.unpack(">I", struct.pack(">f", 1.0))[0]
+    nbits = 32 + len(bits)
+    acc = (header << len(bits)) | int(bits, 2)
+    pad = -nbits % 8
+    return codec.EncodedMessage((acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits, "main")
+
+
+def test_decode_rejects_bits_in_a_gap_of_an_elias_book():
+    # Elias omega over 3 ranks is {0, 100, 110}: Kraft sum 3/4, and the
+    # payloads 101... and 111... match no codeword.
+    fam = _fam_single()
+    books = build_codebook(fam, scheme="elias")
+    assert books.kraft_sums() == [0.75]
+    assert decode(_payload_message("0" + "1000"), books, fam, 2).level_idx.tolist() == [0, 1]
+    for bits in ("1010", "1110", "0" + "101"):
+        with pytest.raises(InvalidCodeword):
+            decode(_payload_message(bits), books, fam, 2)
+
+
+def test_decode_rejects_bits_below_the_lowest_codeword():
+    # No codeword starts with 00, so a payload starting 00 lies below the
+    # first sorted codeword; it must not wrap around to the last one.
+    fam = _fam_single()
+    words = {(0, 0): (2, 0b01), (0, 1): (2, 0b10), (0, 2): (2, 0b11)}
+    books = Codebook(words, "main", "huffman", fam)
+    assert decode(_payload_message("01" + "111"), books, fam, 2).level_idx.tolist() == [0, 2]
+    for bits in ("0001", "01" + "00"):
+        with pytest.raises(InvalidCodeword):
+            decode(_payload_message(bits), books, fam, 2)
 
 
 def test_decode_rejects_trailing_bytes_and_dirty_padding():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,8 +97,16 @@ def test_quantize_rejects_non_finite():
 
 def test_quantize_rejects_norm_overflowing_wire_format():
     fam = _fam(d=2)
-    with pytest.raises(NonFinite):
-        quantize_vector([1e300, 1e300], fam, rng=np.random.default_rng(0))
+    # Norms beyond float64 and norms only beyond float32 both raise, with
+    # no numpy warning first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([1e300, 1e300], [1e39, 0.0], [2.0**128 - 2.0**103, 0.0]):
+            with pytest.raises(NonFinite):
+                quantize_vector(v, fam, rng=np.random.default_rng(0))
+        largest = np.nextafter(2.0**128 - 2.0**103, 0.0)
+        qv = quantize_vector([largest, 0.0], fam, rng=np.random.default_rng(0))
+    assert qv.norm == float(np.finfo(np.float32).max)
 
 
 def test_quantize_rejects_dimension_mismatch():
@@ -176,6 +186,30 @@ def test_exact_variance_zero_cases():
     assert exact_quantization_variance([0.0, 0.0], fam) == 0.0
     # Coordinates landing exactly on levels round deterministically.
     assert exact_quantization_variance([1.0, 0.0], fam) == 0.0
+
+
+def test_exact_variance_matches_per_coordinate_reference():
+    # The closed form summed coordinate by coordinate through locate_level,
+    # on scattered three-type families, with zero and one-hot vectors among
+    # the inputs (u = 0 and u = 1).  Only the summation order differs.
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        seqs = [LevelSequence(np.r_[0.0, np.sort(rng.uniform(0, 1, a)), 1.0])
+                for a in (1, 3, 6)]
+        fam = LevelFamily(seqs, rng.integers(0, 3, size=12))
+        v = rng.standard_normal(12)
+        v[rng.random(12) < 0.2] = 0.0
+        if trial % 10 == 0:
+            v = np.eye(12)[trial % 12] * -2.0
+        norm = np.linalg.norm(v)
+        ref = 0.0
+        for i, m in enumerate(fam.assignment):
+            u = abs(v[i]) / norm
+            tau, _ = locate_level(u, seqs[m])
+            ell = seqs[m].levels
+            ref += (ell[tau + 1] - u) * (u - ell[tau])
+        assert exact_quantization_variance(v, fam) == pytest.approx(
+            norm ** 2 * ref, rel=1e-13, abs=1e-300)
 
 
 def test_exact_variance_matches_monte_carlo():

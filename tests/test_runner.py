@@ -278,7 +278,6 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
 def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
     # A constant rate of 50 makes the iterates blow up until a message norm
     # no longer fits the 32-bit wire format, at t = 21.

@@ -78,7 +78,7 @@ def test_refresh_levels_places_levels_and_books():
     rng = np.random.default_rng(0)
     fam = _fam(8, alpha=2)
     samples = np.abs(rng.standard_normal((12, 8)))
-    new_fam, books, hist, cdf = refresh_levels(
+    new_fam, books, hist = refresh_levels(
         samples, fam, [2], 64, "empirical", "main", "huffman"
     )
     assert new_fam.sequences[0].alpha == 2
