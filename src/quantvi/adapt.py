@@ -27,7 +27,9 @@ the optimizer and by codec.estimate_level_probs:
     the same over the closed interval [0, 1].
 """
 
+import operator
 import warnings
+from functools import reduce
 
 import numpy as np
 from scipy import optimize, stats
@@ -147,17 +149,17 @@ def _sample_weights(samples, q):
 
 
 def _type_points(samples, norms, lam, family, m):
-    """Normalized magnitudes and weights of type-m coordinates, all samples."""
+    """Normalized magnitudes and weights of type-m coordinates, all samples.
+
+    (None, None) when type m has no coordinates or no sample has weight,
+    so that the type keeps its levels.
+    """
     cols = family.type_coordinates(m)
-    pts, wts = [], []
-    for z in range(samples.shape[0]):
-        if lam[z] == 0.0:
-            continue
-        pts.append(np.abs(samples[z, cols]) / norms[z])
-        wts.append(np.full(cols.size, lam[z] / cols.size))
-    if not pts:
+    keep = lam != 0.0
+    if cols.size == 0 or not keep.any():
         return None, None
-    return np.concatenate(pts), np.concatenate(wts)
+    pts = np.abs(samples[keep][:, cols]) / norms[keep, None]
+    return pts.ravel(), np.repeat(lam[keep] / cols.size, cols.size)
 
 
 class WeightedCdf:
@@ -255,14 +257,12 @@ def fit_truncated_normal(samples, family):
 def quantization_cost(cdf, seq):
     """integral of (l_tau+1 - u)(u - l_tau) dF(u): the per-unit-norm variance."""
     ell = seq.levels if isinstance(seq, LevelSequence) else np.asarray(seq, float)
-    total = cdf.total_moments()
     below = cdf.moments_below(ell)
-    cost = 0.0
-    for j in range(len(ell) - 1):
-        hi = total if j == len(ell) - 2 else below[j + 1]
-        m0, m1, m2 = hi - below[j]
-        cost += -m2 + (ell[j] + ell[j + 1]) * m1 - ell[j] * ell[j + 1] * m0
-    return float(cost)
+    m0, m1, m2 = (np.vstack([below[1:-1], cdf.total_moments()]) - below[:-1]).T
+    terms = -m2 + (ell[:-1] + ell[1:]) * m1 - ell[:-1] * ell[1:] * m0
+    # Summed left to right from 0.0, one interval at a time (Python's sum
+    # compensates rounding from 3.12 on, which would change the last bits).
+    return reduce(operator.add, terms.tolist(), 0.0)
 
 
 def optimize_levels(cdf, alpha, grid=512):

@@ -111,18 +111,15 @@ def estimate_level_probs(cdf, seq):
     if abs(total[0] - 1.0) > 1e-9:
         raise InvalidCdf(f"total mass {total[0]} is not 1")
     below = np.asarray(cdf.moments_below(ell), dtype=np.float64)
+    # Moments of each level interval [l_j, l_j+1); the last one is closed.
+    m0, m1 = (np.vstack([below[1:-1], total]) - below[:-1])[:, :2].T
+    if (m0 < -1e-12).any():
+        raise InvalidCdf("CDF is decreasing")
+    w_up = (m1 - ell[:-1] * m0) / np.diff(ell)
+    w_up = np.minimum(np.maximum(w_up, 0.0), np.maximum(m0, 0.0))
     row = np.zeros(len(ell))
-    for j in range(len(ell) - 1):
-        hi = total if j == len(ell) - 2 else below[j + 1]
-        m0 = hi[0] - below[j][0]
-        m1 = hi[1] - below[j][1]
-        if m0 < -1e-12:
-            raise InvalidCdf("CDF is decreasing")
-        delta = ell[j + 1] - ell[j]
-        w_up = (m1 - ell[j] * m0) / delta
-        w_up = min(max(w_up, 0.0), max(m0, 0.0))
-        row[j] += m0 - w_up
-        row[j + 1] += w_up
+    row[:-1] += m0 - w_up
+    row[1:] += w_up
     np.clip(row, 0.0, None, out=row)
     return row
 
@@ -236,39 +233,29 @@ class Codebook:
         self.protocol = protocol
         self.scheme = scheme
         self.family_id = family.fingerprint()
-        self._num_types = family.num_types
-        # Per-type codeword tables as plain ints: the encoder accumulates
-        # the bit stream in an arbitrary-precision integer, so the lengths
-        # and codes must never coerce it to a fixed-width numpy type.
-        self._enc = []
-        for m in range(family.num_types):
-            size = family.sequences[m].alpha + 2
-            lens = [0] * size
-            codes = [0] * size
-            for j in range(size):
-                if (m, j) not in self.words:
-                    raise MissingCodeword(f"no codeword for type {m}, level {j}")
-                lens[j], codes[j] = (int(v) for v in self.words[(m, j)])
-            self._enc.append((lens, codes))
+        _, self._coord_start, self._coord_size = family.flat_levels()
+        # Codeword lengths and codes in the family's flat (type, level)
+        # order, as plain ints: the encoder accumulates the bit stream in an
+        # arbitrary-precision integer, so they must never coerce it to a
+        # fixed-width numpy type.
+        pairs = [(m, j) for m, seq in enumerate(family.sequences) for j in range(len(seq))]
+        flat_words = [self.codeword(m, j) for m, j in pairs]
+        self._lens = [int(l) for l, _ in flat_words]
+        self._codes = [int(c) for _, c in flat_words]
+        entries = list(zip(pairs, self._lens, self._codes))
         if protocol == PROTOCOL_MAIN:
             self._scopes = [
-                _Scope([(j, l, c) for j, (l, c) in enumerate(zip(*self._enc[m]))])
+                _Scope([(j, l, c) for (k, j), l, c in entries if k == m])
                 for m in range(family.num_types)
             ]
         else:
-            entries = [(pair, int(l), int(c)) for pair, (l, c) in self.words.items()]
             self._scopes = [_Scope(entries)]
         self._assign_list = family.assignment.tolist()
-        # Wire bits per (type, level), codeword plus sign bit, flattened with
-        # per-coordinate offsets so message_bits needs one gather.
-        sizes = np.array([len(lens) for lens, _ in self._enc])
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        self._start_list = self._coord_start.tolist()
+        # Wire bits per flat (type, level) index: codeword plus sign bit.
         self._wire_bits = np.array(
-            [l + (j > 0) for lens, _ in self._enc for j, l in enumerate(lens)],
-            dtype=np.int64,
+            [l + (j > 0) for (_, j), l in zip(pairs, self._lens)], dtype=np.int64
         )
-        self._coord_start = starts[family.assignment]
-        self._coord_size = sizes[family.assignment]
 
     def codeword(self, m, j):
         try:
@@ -284,19 +271,38 @@ class Codebook:
         plus one sign bit when the level index is positive.  Equals the
         ``nbits`` of the messages ``encode_batch`` builds from the same rows.
         """
+        level_idx = self._rows(level_idx)
+        if level_idx.min() < 0 or (self._coord_size - level_idx).min() <= 0:
+            raise MissingCodeword("level index outside its type's codebook")
+        return self.flat_message_bits(norms, level_idx + self._coord_start)
+
+    def _rows(self, level_idx):
+        """``level_idx`` as rows, checked against the codebook's dimension."""
         level_idx = np.atleast_2d(level_idx)
         if level_idx.shape[1] != self._coord_start.size:
             raise ValueError(
                 f"dimension {level_idx.shape[1]} != codebook dimension "
                 f"{self._coord_start.size}"
             )
-        if level_idx.min() < 0 or (self._coord_size - level_idx).min() <= 0:
-            raise MissingCodeword("level index outside its type's codebook")
-        bits = self._wire_bits[level_idx + self._coord_start].sum(axis=1)
+        return level_idx
+
+    def flat_message_bits(self, norms, flat):
+        """``message_bits`` at flat indices ``coord_start + level`` (no range check)."""
+        bits = self._wire_bits[flat].sum(axis=1)
         norms = np.asarray(norms)
         if not norms.all():
             bits[norms == 0.0] = 0
         return bits + 32
+
+    def _check_encodable(self, norms, level_idx):
+        """Raise MissingCodeword at the first uncovered index of a nonzero-norm row."""
+        level_idx = self._rows(level_idx)
+        bad = (level_idx < 0) | (level_idx >= self._coord_size)
+        bad[np.asarray(norms) == 0.0] = False
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            m, j = self._assign_list[i], level_idx[k, i]
+            raise MissingCodeword(f"no codeword for type {m}, level {j}")
 
     def kraft_sums(self):
         """Kraft sum per decoding scope (per type for main, global otherwise)."""
@@ -378,14 +384,11 @@ def _encode_core(norm, idx, signs, books):
         return EncodedMessage(struct.pack(">f", 0.0), 32, books.protocol)
     acc = struct.unpack(">I", struct.pack(">f", norm))[0]
     nbits = 32
-    assignment = books._assign_list
-    enc = books._enc
+    lens, codes, start = books._lens, books._codes, books._start_list
     for i, j in enumerate(idx):
-        lens, codes = enc[assignment[i]]
-        if j < 0 or j >= len(lens):
-            raise MissingCodeword(f"no codeword for type {assignment[i]}, level {j}")
-        acc = (acc << lens[j]) | codes[j]
-        nbits += lens[j]
+        f = start[i] + j
+        acc = (acc << lens[f]) | codes[f]
+        nbits += lens[f]
         if j > 0:
             acc = (acc << 1) | (1 if signs[i] < 0 else 0)
             nbits += 1
@@ -399,6 +402,7 @@ def encode(qv, books, family):
     """Serialize a QuantizedVector to the wire format."""
     if qv.family_id != books.family_id or qv.family_id != family.fingerprint():
         raise ValueError("QuantizedVector, codebook, and family do not match")
+    books._check_encodable([qv.norm], qv.level_idx)
     return _encode_core(qv.norm, qv.level_idx.tolist(), qv.signs.tolist(), books)
 
 
@@ -406,6 +410,7 @@ def encode_batch(norms, signs, level_idx, books, family):
     """Encode quantize_batch output row by row into a list of messages."""
     if books.family_id != family.fingerprint():
         raise ValueError("codebook and family do not match")
+    books._check_encodable(norms, level_idx)
     idx_rows = np.asarray(level_idx).tolist()
     sign_rows = np.asarray(signs).tolist()
     return [
@@ -486,10 +491,7 @@ def decode(msg, books, family, d):
     if d != family.dimension:
         raise ValueError(f"dimension {d} != family dimension {family.dimension}")
     norm, idx, signs = _decode_core(msg.data, books, d)
-    return QuantizedVector._wrap(
-        norm, np.array(signs, dtype=np.int8), np.array(idx, dtype=np.int32),
-        family.fingerprint(),
-    )
+    return QuantizedVector(norm, signs, idx, family.fingerprint())
 
 
 def decode_batch(msgs, books, family, d):

@@ -157,7 +157,7 @@ class LevelFamily:
         self.unused = counts == 0
         self._fingerprint = None
         self._type_cols = None
-        self._value_table = None
+        self._flat = None
         self._interval_table = None
 
     @property
@@ -183,22 +183,27 @@ class LevelFamily:
             ]
         return self._type_cols[m]
 
-    def level_value_table(self):
-        """(table, sizes): per-type level values padded to equal width.
+    def _level_starts(self):
+        """(starts, sizes): flat index of each type's level 0, and its level count."""
+        sizes = np.array([len(s) for s in self.sequences])
+        return np.cumsum(sizes) - sizes, sizes
 
-        ``table[m, j]`` is level j of type m (NaN past the end), ``sizes[m]``
-        the number of levels of type m.  Lets callers map (type, index)
-        pairs to values in one vectorized lookup.
+    def flat_levels(self):
+        """(values, coord_start, coord_size): one flat index for all (type, level) pairs.
+
+        ``values`` lists the levels of types 0 .. M-1 end to end.  Level j at
+        coordinate i has flat index ``coord_start[i] + j``, for 0 <= j <
+        ``coord_size[i]``.  Value, codeword and wire-bit tables share this
+        order, so mapping level indices to any of them is one gather.
         """
-        if self._value_table is None:
-            sizes = np.array([len(s.levels) for s in self.sequences])
-            table = np.full((len(self.sequences), sizes.max()), np.nan)
-            for m, s in enumerate(self.sequences):
-                table[m, : sizes[m]] = s.levels
-            table.setflags(write=False)
-            sizes.setflags(write=False)
-            self._value_table = (table, sizes)
-        return self._value_table
+        if self._flat is None:
+            starts, sizes = self._level_starts()
+            values = np.concatenate([s.levels for s in self.sequences])
+            flat = (values, starts[self.assignment], sizes[self.assignment])
+            for arr in flat:
+                arr.setflags(write=False)
+            self._flat = flat
+        return self._flat
 
     def interval_table(self):
         """(edges, offsets, tau, lo, hi): level intervals of all types in one search.
@@ -213,16 +218,16 @@ class LevelFamily:
         makes the same comparisons as a per-type ``searchsorted``.
         """
         if self._interval_table is None:
-            edges = np.unique(np.concatenate([s.levels for s in self.sequences]))
+            values = self.flat_levels()[0]
+            edges = np.unique(values)
             width = edges.size + 1
             tau = np.zeros((self.num_types, width), dtype=np.int32)
             for m, s in enumerate(self.sequences):
                 below = np.searchsorted(s.levels, edges, side="right")
                 # Entry 0 (u below every edge) cannot occur for u >= 0.
                 tau[m, 1:] = np.minimum(below - 1, s.alpha)
-            table, _ = self.level_value_table()
-            rows = np.arange(self.num_types)[:, None]
-            lo, hi = table[rows, tau].ravel(), table[rows, tau + 1].ravel()
+            flat = (self._level_starts()[0][:, None] + tau).ravel()
+            lo, hi = values[flat], values[flat + 1]
             offsets = self.assignment * width
             for arr in (edges, offsets, tau, lo, hi):
                 arr.setflags(write=False)
@@ -251,19 +256,15 @@ class LevelFamily:
 class BoundStats:
     """Scalar statistics of a family that drive the variance bound."""
 
-    __slots__ = ("lbar", "lbar1", "d_th", "eps_q")
+    __slots__ = ("lbar", "lbar1", "d_th")
 
-    def __init__(self, lbar, lbar1, d_th, eps_q=None):
+    def __init__(self, lbar, lbar1, d_th):
         self.lbar = lbar
         self.lbar1 = lbar1
         self.d_th = d_th
-        self.eps_q = eps_q
 
     def __repr__(self):
-        return (
-            f"BoundStats(lbar={self.lbar}, lbar1={self.lbar1}, "
-            f"d_th={self.d_th}, eps_q={self.eps_q})"
-        )
+        return f"BoundStats(lbar={self.lbar}, lbar1={self.lbar1}, d_th={self.d_th})"
 
 
 def family_stats(family):
@@ -308,5 +309,4 @@ def variance_bound_eps(family, d):
         eps += stats.lbar1 * d ** (1.0 / e) - 1.0
     else:
         eps += (stats.lbar1 ** 2 / 4.0) * d ** (2.0 / e)
-    stats.eps_q = eps
     return eps

@@ -49,17 +49,6 @@ class QuantizedVector:
         self.level_idx = np.asarray(level_idx, dtype=np.int32)
         self.family_id = family_id
 
-    @classmethod
-    def _wrap(cls, norm, signs, level_idx, family_id):
-        # Internal: skip the dtype conversions when the fields are already
-        # exactly right (hot paths construct thousands of these).
-        self = object.__new__(cls)
-        self.norm = norm
-        self.signs = signs
-        self.level_idx = level_idx
-        self.family_id = family_id
-        return self
-
     @property
     def dimension(self):
         return self.level_idx.size
@@ -185,20 +174,19 @@ def quantize_vector(v, family, rng=None, uniforms=None):
     return QuantizedVector(norms[0], signs[0], idx[0], family.fingerprint())
 
 
-def _level_values(level_idx, family):
-    """Map per-coordinate level indices to level values, checking ranges."""
-    level_idx = np.atleast_2d(level_idx)
-    table, sizes = family.level_value_table()
-    assign = family.assignment
-    if level_idx.min() < 0 or (sizes[assign] - level_idx).min() <= 0:
-        raise IndexOutOfRange("level index outside its type's sequence")
-    return table[assign, level_idx]
+def reconstruct_flat(norms, signs, flat, values):
+    """``dequantize_batch`` at flat indices into ``flat_levels`` values, unchecked."""
+    return norms[:, None] * signs * values[flat]
 
 
 def dequantize_batch(norms, signs, level_idx, family):
     """Reconstruct a batch of vectors from quantize_batch output."""
-    values = _level_values(level_idx, family)
-    return np.asarray(norms, dtype=np.float64)[:, None] * signs * values
+    level_idx = np.atleast_2d(level_idx)
+    values, coord_start, coord_size = family.flat_levels()
+    if level_idx.min() < 0 or (coord_size - level_idx).min() <= 0:
+        raise IndexOutOfRange("level index outside its type's sequence")
+    norms = np.asarray(norms, dtype=np.float64)
+    return reconstruct_flat(norms, signs, level_idx + coord_start, values)
 
 
 def dequantize(qv, family):

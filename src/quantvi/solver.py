@@ -22,13 +22,14 @@ the gap and writes a row at each checkpoint, and builds the summary; a step
 only updates the iterates and its rates.
 
 Decoding a message reproduces its quantized vector exactly, so a broadcast
-takes Vhat straight from the quantizer and counts each message's bits from
-the codebook's code lengths (``Codebook.message_bits``) without building the
-bit stream.  At checkpoint iterations every broadcast also sends its
-messages through the real encoder and decoder and raises
-``codec.WireMismatch`` unless the roundtrip is exact and the messages hold
-exactly the counted bits.  A run whose messages stop fitting the wire
-format, or whose gap turns non-finite, raises ``RuntimeError`` naming the
+takes Vhat and each message's bit count straight from the quantizer's level
+indices, by one gather each at the family's flat (type, level) indices
+(``LevelFamily.flat_levels``), without building the bit stream.  At
+checkpoint iterations every broadcast also sends its messages through the
+real encoder and decoder and raises ``codec.WireMismatch`` unless the
+roundtrip is exact and the messages hold exactly the counted bits.  A run
+that overflows, produces an invalid value or a norm the wire format cannot
+hold, or whose gap turns non-finite, raises ``RuntimeError`` naming the
 iteration.
 
 Two adaptive learning-rate schedules are provided.  The general schedule
@@ -50,7 +51,7 @@ import numpy as np
 from . import adapt, codec
 from .codec import LevelHistogram, build_codebook, code_length_bound, estimate_level_probs
 from .levels import LevelFamily, variance_bound_eps
-from .quantizer import NonFinite, dequantize_batch, quantize_batch
+from .quantizer import NonFinite, quantize_batch, reconstruct_flat
 
 
 class BadQHat(ValueError):
@@ -235,17 +236,19 @@ class _QuantPipeline:
     def broadcast(self, V, state):
         """Compress one message per node, add its bits to ``state``; returns Vhat.
 
-        The bits are counted from the codebook's code lengths and Vhat is
-        the quantizer's own output: decoding the wire would reproduce it.
+        Vhat and the bits are gathered at the quantizer's own level indices,
+        which need no range check; decoding the wire would reproduce Vhat.
         At a checkpoint the messages also go through the real codec.
         """
         uniforms = self.rng.random((self.K, self.d))
         norms, signs, idx = quantize_batch(V, self.family, uniforms=uniforms)
-        bits = int(self.books.message_bits(norms, idx).sum())
+        values, coord_start, _ = self.family.flat_levels()
+        flat = idx + coord_start
+        bits = int(self.books.flat_message_bits(norms, flat).sum())
         if state.at_checkpoint:
             codec.verify_wire(norms, signs, idx, self.books, self.family, bits)
         state.bits += bits
-        return dequantize_batch(norms, signs, idx, self.family)
+        return reconstruct_flat(norms, signs, flat, values)
 
 
 class _IdentityPipeline:
@@ -342,20 +345,22 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
     rows = []
     iterates = [] if record_iterates else None
     try:
-        for t in range(1, T + 1):
-            state.at_checkpoint = t in checkpoints
-            pipeline.maybe_update(t)
-            step(state, oracle)
-            state.x_half_sum += state.x_half
-            if record_iterates:
-                iterates.append(state.x.copy())
-            if state.at_checkpoint:
-                gap = problem.gap(state.x_half_sum / t)
-                if not np.isfinite(gap):
-                    raise RuntimeError(f"non-finite gap at iteration {t}")
-                rows.append((t, gap, state.gamma, state.eta, state.bits,
-                             state.oracle_calls, pipeline.eps_q))
-    except NonFinite as exc:
+        # A run diverges at its first overflow, not checkpoints later.
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(1, T + 1):
+                state.at_checkpoint = t in checkpoints
+                pipeline.maybe_update(t)
+                step(state, oracle)
+                state.x_half_sum += state.x_half
+                if record_iterates:
+                    iterates.append(state.x.copy())
+                if state.at_checkpoint:
+                    gap = problem.gap(state.x_half_sum / t)
+                    if not np.isfinite(gap):
+                        raise RuntimeError(f"non-finite gap at iteration {t}")
+                    rows.append((t, gap, state.gamma, state.eta, state.bits,
+                                 state.oracle_calls, pipeline.eps_q))
+    except (NonFinite, FloatingPointError) as exc:
         raise RuntimeError(f"diverged at iteration {t}: {exc}") from exc
 
     eps_bar, eps_hat, n_bar = _segment_averages(pipeline.segments, T)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from quantvi import adapt
+from quantvi import adapt, codec
 from quantvi.adapt import (
     AllZeroSamples,
     BudgetTooLarge,
@@ -348,3 +348,53 @@ def test_layerwise_optimum_never_worse_than_pooled():
             for m in range(2)
         )
         assert layer <= pooled + 1e-12
+
+
+def _loop_cost(cdf, ell):
+    """Reference: the rounding-variance integral summed interval by interval."""
+    total, below = cdf.total_moments(), cdf.moments_below(ell)
+    cost = 0.0
+    for j in range(len(ell) - 1):
+        m0, m1, m2 = (total if j == len(ell) - 2 else below[j + 1]) - below[j]
+        cost += -m2 + (ell[j] + ell[j + 1]) * m1 - ell[j] * ell[j + 1] * m0
+    return float(cost)
+
+
+def _loop_level_probs(cdf, ell):
+    """Reference: each interval's mass split between its two levels, one at a time."""
+    total, below = cdf.total_moments(), cdf.moments_below(ell)
+    row = np.zeros(len(ell))
+    for j in range(len(ell) - 1):
+        m0, m1, _ = (total if j == len(ell) - 2 else below[j + 1]) - below[j]
+        w_up = min(max((m1 - ell[j] * m0) / (ell[j + 1] - ell[j]), 0.0), max(m0, 0.0))
+        row[j] += m0 - w_up
+        row[j + 1] += w_up
+    return np.clip(row, 0.0, None)
+
+
+def test_vectorized_interval_sums_equal_the_loops_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(300):
+        k = rng.integers(1, 30)
+        cdf = [StepCdf(rng.integers(0, 5, k) / 4 if trial % 6 == 0 else rng.random(k),
+                       rng.random(k)),
+               UniformCdf(),
+               TruncNormCdf(rng.normal(0.3, 0.3), rng.uniform(0.1, 2.0))][trial % 3]
+        interior = np.sort(rng.random(rng.integers(0, 8)))
+        seq = LevelSequence(np.unique(np.concatenate(([0.0], interior, [1.0]))))
+        assert quantization_cost(cdf, seq) == _loop_cost(cdf, seq.levels)
+        got = codec.estimate_level_probs(cdf, seq)
+        assert got.tobytes() == _loop_level_probs(cdf, seq.levels).tobytes()
+
+
+def test_weighted_cdf_points_follow_sample_then_coordinate_order():
+    # Type 1 has no coordinates, and sample 1 has zero weight.
+    fam = LevelFamily([LevelSequence([0.0, 1.0])] * 3, np.array([2, 0, 2, 0, 0]))
+    S = np.array([[1.0, -2.0, 0.5, 0.0, 3.0], [0.0] * 5, [-1.0, 1.0, 1.0, 2.0, -0.5]])
+    w = weighted_cdf(S, fam)
+    assert w.type_cdfs[1] is None
+    norms, lam = adapt._sample_weights(S, fam.q)
+    pts, wts = adapt._type_points(S, norms, lam, fam, 0)
+    expect = [abs(S[z, i]) / norms[z] for z in (0, 2) for i in (1, 3, 4)]
+    assert pts.tolist() == expect
+    assert wts.tolist() == [lam[z] / 3 for z in (0, 2) for _ in range(3)]

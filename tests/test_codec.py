@@ -284,6 +284,31 @@ def test_message_bits_rejects_indices_outside_the_book():
         books.message_bits([1.0], [[0, 0, 0]])
 
 
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+def test_encode_rejects_indices_outside_the_book(protocol):
+    # One check before encoding names the first uncovered (type, level) pair
+    # in row-major order; a zero-norm row is the bare header and unchecked.
+    fam = _fam_two(d=4)  # indices 0..2 for both types
+    books = build_codebook(fam, _hist_for(fam), protocol)
+    fid = fam.fingerprint()
+    with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
+        encode(QuantizedVector(1.0, [1] * 4, [0, 1, 0, 3], fid), books, fam)
+    with pytest.raises(MissingCodeword, match="no codeword for type 0, level -1"):
+        encode(QuantizedVector(1.0, [1] * 4, [0, -1, 5, 0], fid), books, fam)
+    norms = np.array([1.0, 0.0, 2.0])
+    idx = np.array([[0, 1, 2, 1], [0, 7, 0, 0], [2, 0, 0, 3]])
+    with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
+        encode_batch(norms, np.ones((3, 4), dtype=np.int8), idx, books, fam)
+    msgs = encode_batch(norms[:2], np.ones((2, 4), dtype=np.int8), idx[:2], books, fam)
+    assert msgs[1].nbits == 32
+    assert encode(QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fid), books, fam).nbits == 32
+    # A row of the wrong dimension used to encode a message that decoded
+    # to other indices without an error.
+    for d in (3, 5):
+        with pytest.raises(ValueError, match="dimension"):
+            encode(QuantizedVector(1.0, [1] * d, [1] * d, fid), books, fam)
+
+
 def test_verify_wire_checks_roundtrip_and_counted_bits():
     rng = np.random.default_rng(8)
     fam = _fam_scattered()

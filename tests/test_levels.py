@@ -159,13 +159,23 @@ def test_type_coordinates():
     assert scattered.type_coordinates(0).tolist() == [0, 2]
 
 
-def test_level_value_table_pads_with_nan():
-    fam = _two_type_family()
-    table, sizes = fam.level_value_table()
-    assert sizes.tolist() == [3, 2]
-    assert table[0].tolist() == [0.0, 0.5, 1.0]
-    assert table[1, 0] == 0.0 and table[1, 1] == 1.0
-    assert np.isnan(table[1, 2])
+def test_flat_levels_layout():
+    # Types' levels end to end; level j at coordinate i sits at
+    # coord_start[i] + j, for j below coord_size[i].
+    fam = LevelFamily(
+        [LevelSequence([0.0, 0.5, 1.0]), LevelSequence([0.0, 1.0]),
+         LevelSequence([0.0, 0.25, 0.75, 1.0])],
+        np.array([2, 0, 2, 1, 0]),
+    )
+    values, start, size = fam.flat_levels()
+    assert values.tolist() == [0.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.25, 0.75, 1.0]
+    assert start.tolist() == [5, 0, 5, 3, 0]
+    assert size.tolist() == [4, 3, 4, 2, 3]
+    for i, m in enumerate(fam.assignment):
+        levels = fam.sequences[m].levels
+        assert values[start[i]: start[i] + size[i]].tolist() == levels.tolist()
+    assert fam.flat_levels() is fam.flat_levels()
+    assert not any(arr.flags.writeable for arr in (values, start, size))
 
 
 def test_fingerprint_distinguishes_structure():

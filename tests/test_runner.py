@@ -2,6 +2,7 @@ import configparser
 import dataclasses
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,22 @@ def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "diverged at iteration 21" in err
     assert "overflows the 32-bit wire format" in err
+
+
+def test_cli_unquantized_divergence_names_its_first_overflow(tmp_path, capsys):
+    # Without quantization no wire-format check stops the run; the first
+    # floating-point overflow does, long before the gap at t = 128 turns
+    # non-finite.
+    code = main([
+        "run", "bilinear-abs", "--out", str(tmp_path / "div"),
+        "--set", "quantization.enabled=false", "--set", "schedule.kind=constant",
+        "--set", "schedule.c=50", "--set", "problem.d=6", "--set", "problem.K=2",
+        "--set", "run.T=400",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    match = re.search(r"diverged at iteration (\d+): overflow encountered", err)
+    assert match and int(match.group(1)) < 128
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):

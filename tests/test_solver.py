@@ -1,4 +1,6 @@
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from quantvi.solver import (
     run_extragradient_baseline,
     run_qoda,
 )
+from quantvi.quantizer import dequantize_batch
 from quantvi.vi import AbsoluteNoise, make_problem
 
 
@@ -165,6 +168,72 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
             wire = sum(m.nbits for rows in sent for m in codec.encode_batch(*rows))
             assert metrics.summary["total_bits"] == wire
             assert metrics.rows[-1][4] == wire
+
+
+def _random_family(rng):
+    M = int(rng.integers(1, 4))
+    seqs = [LevelSequence(np.concatenate(([0.0], np.sort(rng.random(a)), [1.0])))
+            for a in rng.integers(0, 6, M)]
+    d = int(rng.integers(3, 9))
+    return LevelFamily(seqs, rng.integers(0, M, d), q=int(rng.integers(1, 3)))
+
+
+def test_broadcast_matches_the_checked_public_functions():
+    # The broadcast gathers Vhat and the bits at flat (type, level) indices
+    # without a range check; with the same uniforms both must equal what
+    # dequantize_batch and message_bits return, bit for bit.  The rows cover
+    # a zero vector, a norm that underflows float32, a lone nonzero
+    # coordinate (u = 1 exactly) and scattered zeros.
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        fam = _random_family(rng)
+        d = fam.dimension
+        V = rng.standard_normal((5, d))
+        V[0] = 0.0
+        V[1] *= 1e-50
+        V[2] = 0.0
+        V[2, rng.integers(d)] = -3.0
+        V[3, rng.random(d) < 0.5] = 0.0
+        quant = QuantizationConfig(family=fam, protocol=("main", "alternating")[trial % 2],
+                                   scheme=("huffman", "elias")[trial // 2 % 2])
+        pipe = solver._QuantPipeline(quant, d, 5, seed=trial)
+        U = copy.deepcopy(pipe.rng).random((5, d))
+        state = SolverState(np.zeros(d), 5)
+        state.at_checkpoint = trial % 3 == 0
+        v_hat = pipe.broadcast(V, state)
+
+        norms, signs, idx = solver.quantize_batch(V, fam, uniforms=U)
+        lone = int(np.flatnonzero(V[2])[0])
+        assert norms[0] == norms[1] == 0.0
+        assert idx[2, lone] == len(fam.sequences[fam.assignment[lone]]) - 1
+        expected = dequantize_batch(norms, signs, idx, fam)
+        assert v_hat.tobytes() == expected.tobytes()
+        assert state.bits == int(pipe.books.message_bits(norms, idx).sum())
+
+
+@pytest.mark.parametrize("estimator", ["empirical", "truncated-normal"])
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+def test_refresh_keeps_the_levels_of_a_type_without_coordinates(monkeypatch, protocol,
+                                                                estimator):
+    seq = LevelSequence([0.0, 0.25, 0.5, 0.75, 1.0])
+    fam = LevelFamily([seq] * 3, np.array([0, 2, 0, 2, 2, 0]))
+    quant = QuantizationConfig(family=fam, protocol=protocol, estimator=estimator,
+                               update_period=100, grid=64)
+    problem = make_problem("bilinear", d=6, K=2, seed=1, noise=AbsoluteNoise(0.1))
+    refreshed = []
+    start = solver._QuantPipeline._start_segment
+
+    def recording_start(self, t, family, books, hist):
+        refreshed.append((t, family))
+        start(self, t, family, books, hist)
+
+    monkeypatch.setattr(solver._QuantPipeline, "_start_segment", recording_start)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", adapt.DegenerateSample)
+        metrics = run_qoda(problem, GeneralRates(), 400, quant=quant, seed=0)
+    assert metrics.rows[-1][0] == 400
+    assert [t for t, _ in refreshed] == [1, 101, 201, 301]
+    assert all(f.sequences[1] == seq for _, f in refreshed)
 
 
 def test_wire_is_checked_at_every_checkpoint(monkeypatch):
