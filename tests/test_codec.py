@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -271,6 +272,45 @@ def test_message_bits_match_encoded_lengths(protocol, scheme):
     counted = books.message_bits(norms, idx)
     assert counted.tolist() == [m.nbits for m in encode_batch(norms, signs, idx, books, fam)]
     assert counted[2] == counted[7] == 32
+
+
+# sha256 of every message's bytes and 4-byte big-endian nbits, and the
+# codewords in (type, level) order, for the books and batches below.
+_FROZEN_WIRE = {
+    ("main", "huffman"): (
+        "235dc1f2c70aa0f3bd46d18a73157c5a476344a2f700c16c71f43bdf51049f75",
+        [(1, 0), (2, 2), (2, 3), (3, 6), (4, 14), (1, 0), (2, 2), (4, 15), (1, 0), (1, 1)],
+    ),
+    ("main", "elias"): (
+        "c03e8f21311a3dacd0a89908ce29830bf634231357f363e483cfccfd645257f5",
+        [(1, 0), (3, 4), (3, 6), (1, 0), (3, 4), (3, 6), (6, 40), (6, 42), (1, 0), (3, 4)],
+    ),
+    ("alternating", "huffman"): (
+        "b7dd495dee7653d2e3094094c1bf2906c7393e19b0d677997167f652ced9991a",
+        [(2, 0), (6, 63), (5, 30), (4, 12), (6, 62), (2, 1), (4, 13), (4, 14), (3, 4), (3, 5)],
+    ),
+    ("alternating", "elias"): (
+        "09a128fbf3cc5f3c90df2dd89de0279a1d069c24ac2d21fc9800c22720a9da28",
+        [(1, 0), (6, 44), (7, 112), (3, 4), (6, 40), (6, 42), (6, 46), (7, 114), (3, 6), (7, 116)],
+    ),
+}
+
+
+@pytest.mark.parametrize("protocol, scheme", sorted(_FROZEN_WIRE))
+def test_wire_is_frozen(protocol, scheme):
+    rng = np.random.default_rng(41)
+    fam = _fam_scattered()
+    hist = LevelHistogram([rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences])
+    books = build_codebook(fam, hist, protocol, scheme)
+    h = hashlib.sha256()
+    for rows in (16, 1, 5):
+        V = rng.standard_normal((rows, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+        V[1::5] = 0.0
+        norms, signs, idx = quantize_batch(V, fam, rng=rng)
+        for msg in encode_batch(norms, signs, idx, books, fam):
+            h.update(msg.data + msg.nbits.to_bytes(4, "big"))
+    words = [books.codeword(m, j) for m, s in enumerate(fam.sequences) for j in range(len(s))]
+    assert (h.hexdigest(), words) == _FROZEN_WIRE[(protocol, scheme)]
 
 
 def test_message_bits_rejects_indices_outside_the_book():
