@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 from scipy import optimize, stats
 
-from .levels import LevelSequence
+from .levels import LevelFamily, LevelSequence
 
 
 class AllZeroSamples(ValueError):
@@ -191,9 +191,8 @@ def weighted_cdf(samples, family):
 class TruncNormalFit:
     """Per-type truncated-normal fits, with step-CDF fallbacks where needed."""
 
-    def __init__(self, type_cdfs, params, degenerate, lambdas):
+    def __init__(self, type_cdfs, degenerate, lambdas):
         self.type_cdfs = type_cdfs
-        self.params = params
         self.degenerate = degenerate
         self.lambdas = lambdas
 
@@ -225,12 +224,11 @@ def fit_truncated_normal(samples, family):
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     norms, lam = _sample_weights(samples, family.q)
-    cdfs, params, degenerate = [], [], []
+    cdfs, degenerate = [], []
     for m in range(family.num_types):
         pts, wts = _type_points(samples, norms, lam, family, m)
         if pts is None:
             cdfs.append(None)
-            params.append(None)
             degenerate.append(False)
             continue
         mean = float(np.sum(wts * pts))
@@ -245,13 +243,11 @@ def fit_truncated_normal(samples, family):
                 DegenerateSample,
             )
             cdfs.append(StepCdf(pts, wts))
-            params.append(None)
             degenerate.append(True)
         else:
             cdfs.append(TruncNormCdf(*fitted))
-            params.append(fitted)
             degenerate.append(False)
-    return TruncNormalFit(cdfs, params, degenerate, lam)
+    return TruncNormalFit(cdfs, degenerate, lam)
 
 
 def quantization_cost(cdf, seq):
@@ -353,6 +349,19 @@ def _layer_min(fprev, first, xs, prefix):
             np.concatenate([opt[left], ihi[right]]),
         )
     return fnew, par
+
+
+def place_levels(family, cdfs, grid):
+    """``family`` with each type's levels re-placed optimally on its CDF.
+
+    Every type keeps its number of interior levels; a type whose CDF is
+    None (no observed coordinates) keeps its levels as they are.
+    """
+    seqs = [
+        seq if c is None else optimize_levels(c, seq.alpha, grid)
+        for c, seq in zip(cdfs, family.sequences)
+    ]
+    return LevelFamily(seqs, family.assignment, q=family.q)
 
 
 def mqv_objective(family, cdf):

@@ -11,12 +11,20 @@ Two code constructions are supported: canonical Huffman built from a level
 histogram, and Elias omega codes indexed by level rank (no statistics
 needed).
 
-Decoding has one path for every codeword length.  Left-aligned to the
-longest length in its scope, each codeword of a prefix code covers a range
-of values disjoint from every other codeword's, so the decoder reads that
-many bits and bisects the sorted range starts for the one codeword that can
-match (Moffat & Turpin 1997, "On the implementation of minimum redundancy
-prefix codes").
+Every symbol is a flat (type, level) index in the order of
+``LevelFamily.flat_levels``: a codebook is one list of codewords in that
+order, and a decoding scope (one per type, or one for all under the
+alternating protocol) is a set of flat indices.  Level j at coordinate i is
+flat index ``coord_start[i] + j`` on both sides of the wire.
+
+Messages are built and read as strings of "0" and "1".  The encoder joins
+each flat index's precomputed wire string; the decoder has one path for
+every codeword length.  Zero-padded to the longest length in its scope, the
+codewords of a prefix code sort in the order of the disjoint ranges of
+windows they begin, so the decoder bisects them on the next window of the
+stream for the one codeword that can match (Moffat & Turpin 1997, "On the
+implementation of minimum redundancy prefix codes").  Both sides take time
+linear in the message length.
 
 Wire format, most significant bit first: a 32-bit IEEE-754 big-endian norm,
 then, only when the norm is nonzero, for each coordinate in ascending order
@@ -205,63 +213,71 @@ def build_elias(alphabet_size):
     return [elias_omega(k) for k in range(1, alphabet_size + 1)]
 
 
-class _Scope:
-    """One prefix-free decoding scope: codewords sorted for bisection.
+def _bits(length, code):
+    """A codeword as a string of ``length`` bits."""
+    return format(code, f"0{length}b")
 
-    Left-aligned to ``width``, the longest codeword length in the scope,
-    codeword (length l, code c) covers the ``width``-bit values
-    [c << (width - l), (c + 1) << (width - l)); a prefix code makes these
-    ranges disjoint.  ``starts``, ``lens`` and ``syms`` hold each codeword's
-    range start, length and symbol in ascending start order, so the only
-    codeword that can match a ``width``-bit chunk is the last one whose
-    start is <= the chunk.
+
+class _Scope:
+    """One prefix-free decoding scope: the flat (type, level) indices it decodes.
+
+    Zero-padded on the right to ``width``, the longest codeword length in the
+    scope, the codewords of a prefix code sort in the order of the disjoint
+    ranges of ``width``-bit strings they begin.  ``padded`` holds the padded
+    codewords in that order and ``entries`` each one's (bit string, flat
+    index), so the only codeword that can begin a ``width``-bit window of the
+    stream is the last one whose padded string is <= the window.
     """
 
-    def __init__(self, entries):
-        # entries: list of (symbol, length, code); symbol is an int for the
-        # main protocol (level index) or a (type, level) pair otherwise.
-        self.width = max(l for _, l, _ in entries)
-        rows = sorted((c << (self.width - l), l, sym) for sym, l, c in entries)
-        self.starts, self.lens, self.syms = (list(col) for col in zip(*rows))
+    def __init__(self, flat, words):
+        self.width = max(words[f][0] for f in flat)
+        rows = sorted((_bits(*words[f]).ljust(self.width, "0"), f) for f in flat)
+        self.padded = [p for p, _ in rows]
+        self.entries = [(p[:words[f][0]], f) for p, f in rows]
 
 
 class Codebook:
-    """Codewords for every (type, level) pair plus decoding scopes."""
+    """Codewords in the family's flat (type, level) order plus decoding scopes.
+
+    ``words[f]`` is the (length, code) of flat index f, as laid out by
+    ``LevelFamily.flat_levels``: one scope per type under the main protocol,
+    one scope over all flat indices under the alternating protocol.
+    """
 
     def __init__(self, words, protocol, scheme, family):
-        self.words = dict(words)
+        self.words = list(words)
         self.protocol = protocol
         self.scheme = scheme
         self.family_id = family.fingerprint()
+        self._assignment = family.assignment
+        self._type_start, self._type_size = family.level_starts()
         _, self._coord_start, self._coord_size = family.flat_levels()
-        # Codeword lengths and codes in the family's flat (type, level)
-        # order, as plain ints: the encoder accumulates the bit stream in an
-        # arbitrary-precision integer, so they must never coerce it to a
-        # fixed-width numpy type.
-        pairs = [(m, j) for m, seq in enumerate(family.sequences) for j in range(len(seq))]
-        flat_words = [self.codeword(m, j) for m, j in pairs]
-        self._lens = [int(l) for l, _ in flat_words]
-        self._codes = [int(c) for _, c in flat_words]
-        entries = list(zip(pairs, self._lens, self._codes))
+        spans = [range(a, a + n) for a, n in zip(self._type_start, self._type_size)]
         if protocol == PROTOCOL_MAIN:
-            self._scopes = [
-                _Scope([(j, l, c) for (k, j), l, c in entries if k == m])
-                for m in range(family.num_types)
-            ]
+            self._scopes = [_Scope(span, self.words) for span in spans]
+            scope_of = self._scopes
         else:
-            self._scopes = [_Scope(entries)]
-        self._assign_list = family.assignment.tolist()
-        self._start_list = self._coord_start.tolist()
-        # Wire bits per flat (type, level) index: codeword plus sign bit.
-        self._wire_bits = np.array(
-            [l + (j > 0) for (_, j), l in zip(pairs, self._lens)], dtype=np.int64
-        )
+            self._scopes = [_Scope(range(len(self.words)), self.words)]
+            scope_of = self._scopes * family.num_types
+        # Per coordinate: its scope and the flat range of its type's levels.
+        per_type = [
+            (sc.width, sc.padded, sc.entries, span.start, span.stop)
+            for sc, span in zip(scope_of, spans)
+        ]
+        self._coord_scopes = [per_type[m] for m in family.assignment.tolist()]
+        self._pad = "0" * max(sc.width for sc in self._scopes)
+        # Wire string per flat index: the codeword, then a sign bit (1 =
+        # negative) when the level index is positive.
+        signed = [j > 0 for n in self._type_size for j in range(n)]
+        strings = [_bits(l, c) for l, c in self.words]
+        self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
+        self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
+        self._wire_bits = np.array([l + g for (l, _), g in zip(self.words, signed)])
 
     def codeword(self, m, j):
-        try:
-            return self.words[(m, j)]
-        except KeyError:
-            raise MissingCodeword(f"no codeword for type {m}, level {j}") from None
+        if 0 <= m < len(self._type_size) and 0 <= j < self._type_size[m]:
+            return self.words[self._type_start[m] + j]
+        raise MissingCodeword(f"no codeword for type {m}, level {j}")
 
     def message_bits(self, norms, level_idx):
         """Exact wire length in bits of each row's message, without encoding.
@@ -269,22 +285,33 @@ class Codebook:
         Follows the wire format: a zero-norm row is its 32-bit header; any
         other row adds, per coordinate, the codeword length of its level
         plus one sign bit when the level index is positive.  Equals the
-        ``nbits`` of the messages ``encode_batch`` builds from the same rows.
+        ``nbits`` of the messages ``encode_batch`` builds from the same rows,
+        and raises the same errors.
         """
-        level_idx = self._rows(level_idx)
-        if level_idx.min() < 0 or (self._coord_size - level_idx).min() <= 0:
-            raise MissingCodeword("level index outside its type's codebook")
-        return self.flat_message_bits(norms, level_idx + self._coord_start)
+        return self.flat_message_bits(norms, self.flat_indices(norms, level_idx))
 
-    def _rows(self, level_idx):
-        """``level_idx`` as rows, checked against the codebook's dimension."""
+    def flat_indices(self, norms, level_idx):
+        """Flat indices of ``level_idx`` rows; a zero-norm row reads level 0.
+
+        A zero-norm row is sent as its bare header, so its level indices are
+        not checked.  Raises ValueError on a row of the wrong dimension and
+        MissingCodeword at the first uncovered (type, level) pair of another
+        row, in row order.
+        """
         level_idx = np.atleast_2d(level_idx)
         if level_idx.shape[1] != self._coord_start.size:
             raise ValueError(
                 f"dimension {level_idx.shape[1]} != codebook dimension "
                 f"{self._coord_start.size}"
             )
-        return level_idx
+        level_idx = np.where((np.asarray(norms) == 0.0)[:, None], 0, level_idx)
+        bad = (level_idx < 0) | (level_idx >= self._coord_size)
+        if bad.any():
+            k, i = np.argwhere(bad)[0]
+            raise MissingCodeword(
+                f"no codeword for type {self._assignment[i]}, level {level_idx[k, i]}"
+            )
+        return level_idx + self._coord_start
 
     def flat_message_bits(self, norms, flat):
         """``message_bits`` at flat indices ``coord_start + level`` (no range check)."""
@@ -294,29 +321,9 @@ class Codebook:
             bits[norms == 0.0] = 0
         return bits + 32
 
-    def _check_encodable(self, norms, level_idx):
-        """Raise MissingCodeword at the first uncovered index of a nonzero-norm row."""
-        level_idx = self._rows(level_idx)
-        bad = (level_idx < 0) | (level_idx >= self._coord_size)
-        bad[np.asarray(norms) == 0.0] = False
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            m, j = self._assign_list[i], level_idx[k, i]
-            raise MissingCodeword(f"no codeword for type {m}, level {j}")
-
     def kraft_sums(self):
         """Kraft sum per decoding scope (per type for main, global otherwise)."""
-        return [sum(2.0 ** -l for l in scope.lens) for scope in self._scopes]
-
-
-def _alternating_order(family):
-    """Union-alphabet symbols sorted by level value, ties by type index."""
-    symbols = []
-    for m, seq in enumerate(family.sequences):
-        for j, value in enumerate(seq.levels):
-            symbols.append((float(value), m, j))
-    symbols.sort()
-    return [(m, j) for _, m, j in symbols]
+        return [sum(2.0 ** -len(w) for w, _ in scope.entries) for scope in self._scopes]
 
 
 def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFFMAN):
@@ -326,7 +333,7 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     ranks.  Under the alternating protocol the Huffman input is the joint
     distribution over (type, level) pairs, each type's row weighted by its
     share of coordinates, and Elias ranks follow the global level-value
-    order.
+    order, ties broken by type index.
     """
     if protocol not in (PROTOCOL_MAIN, PROTOCOL_ALTERNATING):
         raise ValueError(f"unknown protocol {protocol!r}")
@@ -336,31 +343,29 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
         if hist is None:
             raise ValueError("Huffman codebooks need a level histogram")
         hist.validate(family)
-    words = {}
     if protocol == PROTOCOL_MAIN:
+        words = []
         for m, seq in enumerate(family.sequences):
-            size = seq.alpha + 2
             if scheme == SCHEME_HUFFMAN:
-                code = build_huffman(hist.rows[m])
+                words += build_huffman(hist.rows[m])
             else:
-                code = build_elias(size)
-            for j in range(size):
-                words[(m, j)] = code[j]
+                words += build_elias(len(seq))
+        return Codebook(words, protocol, scheme, family)
+    values = family.flat_levels()[0]
+    flat_type = np.repeat(np.arange(family.num_types), family.level_starts()[1])
+    order = np.lexsort((flat_type, values))
+    if scheme == SCHEME_HUFFMAN:
+        joint = (family.proportions[flat_type] * np.concatenate(hist.rows))[order]
+        if joint.sum() <= 0:
+            raise EmptyAlphabet("no (type, level) pair has positive mass")
+        # Unused types carry zero mass overall; normalization keeps the
+        # row a distribution without changing the code.
+        code = build_huffman(joint / joint.sum())
     else:
-        order = _alternating_order(family)
-        if scheme == SCHEME_HUFFMAN:
-            joint = np.array(
-                [family.proportions[m] * hist.rows[m][j] for m, j in order]
-            )
-            if joint.sum() <= 0:
-                raise EmptyAlphabet("no (type, level) pair has positive mass")
-            # Unused types carry zero mass overall; normalization keeps the
-            # row a distribution without changing the code.
-            code = build_huffman(joint / joint.sum())
-        else:
-            code = build_elias(len(order))
-        for rank, pair in enumerate(order):
-            words[pair] = code[rank]
+        code = build_elias(order.size)
+    words = [None] * order.size
+    for rank, f in enumerate(order.tolist()):
+        words[f] = code[rank]
     return Codebook(words, protocol, scheme, family)
 
 
@@ -378,45 +383,30 @@ class EncodedMessage:
         return f"EncodedMessage(nbits={self.nbits}, protocol={self.protocol!r})"
 
 
-def _encode_core(norm, idx, signs, books):
-    """Encode one vector from plain Python lists; returns an EncodedMessage."""
-    if norm == 0.0:
-        return EncodedMessage(struct.pack(">f", 0.0), 32, books.protocol)
-    acc = struct.unpack(">I", struct.pack(">f", norm))[0]
-    nbits = 32
-    lens, codes, start = books._lens, books._codes, books._start_list
-    for i, j in enumerate(idx):
-        f = start[i] + j
-        acc = (acc << lens[f]) | codes[f]
-        nbits += lens[f]
-        if j > 0:
-            acc = (acc << 1) | (1 if signs[i] < 0 else 0)
-            nbits += 1
-    pad = -nbits % 8
-    return EncodedMessage(
-        (acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits, books.protocol
-    )
-
-
 def encode(qv, books, family):
     """Serialize a QuantizedVector to the wire format."""
-    if qv.family_id != books.family_id or qv.family_id != family.fingerprint():
-        raise ValueError("QuantizedVector, codebook, and family do not match")
-    books._check_encodable([qv.norm], qv.level_idx)
-    return _encode_core(qv.norm, qv.level_idx.tolist(), qv.signs.tolist(), books)
+    if qv.family_id != books.family_id:
+        raise ValueError("QuantizedVector and codebook do not match")
+    return encode_batch([qv.norm], [qv.signs], [qv.level_idx], books, family)[0]
 
 
 def encode_batch(norms, signs, level_idx, books, family):
     """Encode quantize_batch output row by row into a list of messages."""
     if books.family_id != family.fingerprint():
         raise ValueError("codebook and family do not match")
-    books._check_encodable(norms, level_idx)
-    idx_rows = np.asarray(level_idx).tolist()
-    sign_rows = np.asarray(signs).tolist()
-    return [
-        _encode_core(float(n), idx_rows[k], sign_rows[k], books)
-        for k, n in enumerate(norms)
-    ]
+    flat = books.flat_indices(norms, level_idx)
+    rows = np.where(np.asarray(signs) < 0, books._minus[flat], books._plus[flat])
+    msgs = []
+    for norm, row in zip(np.asarray(norms).tolist(), rows):
+        if norm == 0.0:
+            msgs.append(EncodedMessage(bytes(4), 32, books.protocol))
+            continue
+        header = struct.unpack(">I", struct.pack(">f", norm))[0]
+        bits = format(header, "032b") + "".join(row)
+        pad = -len(bits) % 8
+        data = int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
+        msgs.append(EncodedMessage(data, len(bits), books.protocol))
+    return msgs
 
 
 def _decode_core(data, books, d):
@@ -431,52 +421,33 @@ def _decode_core(data, books, d):
         if total_bits != 32:
             raise TrailingBits("zero-norm message carries payload bits")
         return norm, [0] * d, [1] * d
-    value = int.from_bytes(data, "big")
+    # Zero bits past the end make every window full width.
+    bits = format(int.from_bytes(data, "big"), f"0{total_bits}b") + books._pad
     pos = 32
     idx = [0] * d
     signs = [1] * d
-    assignment = books._assign_list
-    main = books.protocol == PROTOCOL_MAIN
-    scopes = [(sc.width, sc.starts, sc.lens, sc.syms) for sc in books._scopes]
-    for i in range(d):
-        m = assignment[i]
-        width, starts, lens, syms = scopes[m if main else 0]
-        remaining = total_bits - pos
-        if remaining <= 0:
+    for i, (width, padded, entries, lo, hi) in enumerate(books._coord_scopes):
+        if pos >= total_bits:
             raise TruncatedMessage("bit stream ended inside a codeword")
-        if remaining >= width:
-            chunk = (value >> (remaining - width)) & ((1 << width) - 1)
-        else:
-            chunk = (value & ((1 << remaining) - 1)) << (width - remaining)
-        # The chunk lies in codeword k's range iff it is below the range's
-        # end.  A chunk below every start gives k = -1: the last start
-        # exceeds the chunk, so the shifted difference is negative, not 0.
-        k = bisect_right(starts, chunk) - 1
-        length = lens[k]
-        if (chunk - starts[k]) >> (width - length):
+        # A window below every codeword picks entry -1; the stream cannot
+        # start with that last, largest codeword then, so it is rejected.
+        word, sym = entries[bisect_right(padded, bits[pos:pos + width]) - 1]
+        if not bits.startswith(word, pos):
             raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
-        if length > remaining:
+        pos += len(word)
+        if pos > total_bits:
             raise TruncatedMessage("bit stream ended inside a codeword")
-        sym = syms[k]
-        pos += length
-        if main:
-            j = sym
-        else:
-            sym_m, j = sym
-            if sym_m != m:
-                raise InvalidCodeword(
-                    f"coordinate {i} expects type {m} but codeword is for type {sym_m}"
-                )
-        if j > 0:
-            idx[i] = j
+        if not lo <= sym < hi:
+            raise InvalidCodeword(f"coordinate {i} got a codeword of another type")
+        if sym > lo:
+            idx[i] = sym - lo
             if pos >= total_bits:
                 raise TruncatedMessage("bit stream ended before a sign bit")
-            if (value >> (total_bits - pos - 1)) & 1:
+            if bits[pos] == "1":
                 signs[i] = -1
             pos += 1
-    remaining = total_bits - pos
-    if remaining >= 8 or (value & ((1 << remaining) - 1)) != 0:
-        raise TrailingBits(f"{remaining} bits past the last symbol")
+    if total_bits - pos >= 8 or "1" in bits[pos:total_bits]:
+        raise TrailingBits(f"{total_bits - pos} bits past the last symbol")
     return norm, idx, signs
 
 

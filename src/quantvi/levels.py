@@ -152,9 +152,6 @@ class LevelFamily:
         counts = np.bincount(assignment, minlength=len(self.sequences))
         self.counts = counts
         self.proportions = counts / assignment.size
-        # Types with no assigned coordinate are legal but flagged so that
-        # statistics and adaptation can skip them.
-        self.unused = counts == 0
         self._fingerprint = None
         self._type_cols = None
         self._flat = None
@@ -183,7 +180,7 @@ class LevelFamily:
             ]
         return self._type_cols[m]
 
-    def _level_starts(self):
+    def level_starts(self):
         """(starts, sizes): flat index of each type's level 0, and its level count."""
         sizes = np.array([len(s) for s in self.sequences])
         return np.cumsum(sizes) - sizes, sizes
@@ -197,7 +194,7 @@ class LevelFamily:
         order, so mapping level indices to any of them is one gather.
         """
         if self._flat is None:
-            starts, sizes = self._level_starts()
+            starts, sizes = self.level_starts()
             values = np.concatenate([s.levels for s in self.sequences])
             flat = (values, starts[self.assignment], sizes[self.assignment])
             for arr in flat:
@@ -226,7 +223,7 @@ class LevelFamily:
                 below = np.searchsorted(s.levels, edges, side="right")
                 # Entry 0 (u below every edge) cannot occur for u >= 0.
                 tau[m, 1:] = np.minimum(below - 1, s.alpha)
-            flat = (self._level_starts()[0][:, None] + tau).ravel()
+            flat = (self.level_starts()[0][:, None] + tau).ravel()
             lo, hi = values[flat], values[flat + 1]
             offsets = self.assignment * width
             for arr in (edges, offsets, tau, lo, hi):

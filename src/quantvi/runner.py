@@ -208,6 +208,11 @@ def config_from_dict(raw):
     sizes = v["layer_sizes"]
     if len(sizes) != M or sum(sizes) != d or min(sizes) < 1:
         raise ParseError(f"[quantization] layer_sizes must be {M} positive ints summing to {d}")
+    if v["quant_enabled"] and v["update_period"] > 0:
+        alphas = [sequence_from_spec(t).alpha for t in v["levels"]] or v["budgets"]
+        if max(alphas) >= v["grid"]:
+            raise ParseError(f"[quantization] grid {v['grid']} must exceed every type's "
+                             f"interior level count, here {max(alphas)}, to place levels")
     if v["schedule_kind"] == "alt" and not 0.0 < v["q_hat"] <= 0.25:
         raise ParseError(f"[schedule] q_hat must lie in (0, 1/4], got {v['q_hat']}")
     if v["schedule_kind"] == "constant" and v["c"] <= 0:
@@ -407,11 +412,7 @@ def mqv_study(cfg, probes=16):
 
     family = build_family(cfg)
     wcdf = adapt.weighted_cdf(samples, family)
-    layer_seqs = []
-    for m, seq in enumerate(family.sequences):
-        c = wcdf.type_cdfs[m]
-        layer_seqs.append(seq if c is None else adapt.optimize_levels(c, seq.alpha, cfg.grid))
-    layer_family = LevelFamily(layer_seqs, family.assignment, q=family.q)
+    layer_family = adapt.place_levels(family, wcdf.type_cdfs, cfg.grid)
     layer_val = adapt.mqv_objective(layer_family, wcdf)
 
     pooled = adapt.pooled_cdf(wcdf, family)

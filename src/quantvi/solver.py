@@ -164,7 +164,7 @@ def _level_histogram(family, cdfs):
     ])
 
 
-def refresh_levels(samples, family, budgets, grid, estimator, protocol, scheme):
+def refresh_levels(samples, family, grid, estimator, protocol, scheme):
     """Re-estimate CDFs, re-place levels, and rebuild codebooks from samples.
 
     Returns (new_family, books, hist).  Raises adapt.AllZeroSamples when
@@ -174,11 +174,7 @@ def refresh_levels(samples, family, budgets, grid, estimator, protocol, scheme):
         cdf = adapt.fit_truncated_normal(samples, family)
     else:
         cdf = adapt.weighted_cdf(samples, family)
-    new_seqs = []
-    for m, seq in enumerate(family.sequences):
-        c = cdf.type_cdfs[m]
-        new_seqs.append(seq if c is None else adapt.optimize_levels(c, budgets[m], grid))
-    new_family = LevelFamily(new_seqs, family.assignment, q=family.q)
+    new_family = adapt.place_levels(family, cdf.type_cdfs, grid)
     hist = _level_histogram(new_family, cdf.type_cdfs)
     books = build_codebook(new_family, hist, protocol, scheme)
     return new_family, books, hist
@@ -193,7 +189,6 @@ class _QuantPipeline:
         self.cfg = cfg
         self.d = d
         self.K = K
-        self.budgets = [seq.alpha for seq in cfg.family.sequences]
         self.segments = []
         hist = _level_histogram(cfg.family, [None] * cfg.family.num_types)
         self._start_segment(
@@ -226,7 +221,7 @@ class _QuantPipeline:
             return
         try:
             refreshed = refresh_levels(
-                np.stack(samples), self.family, self.budgets, self.cfg.grid,
+                np.stack(samples), self.family, self.cfg.grid,
                 self.cfg.estimator, self.cfg.protocol, self.cfg.scheme,
             )
         except adapt.AllZeroSamples:
@@ -372,7 +367,6 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         "eps_hat": eps_hat,
         "n_bar": n_bar,
         "T": T,
-        "empty": T == 0,
     }
     avg = state.x_half_sum / T if T >= 1 else None
     return RunMetrics(rows, summary, avg, iterates)

@@ -177,7 +177,7 @@ def test_codebook_covers_every_pair_and_kraft():
 def test_alternating_codebook_is_globally_prefix_free():
     fam = _fam_two()
     books = build_codebook(fam, _hist_for(fam), protocol="alternating")
-    words = [_bits(*w) for w in books.words.values()]
+    words = [_bits(*w) for w in books.words]
     assert len(set(words)) == len(words)
     for i, a in enumerate(words):
         for b in words[i + 1 :]:
@@ -322,6 +322,10 @@ def test_message_bits_rejects_indices_outside_the_book():
         books.message_bits([1.0], [[0, 0, -1, 0]])
     with pytest.raises(ValueError):
         books.message_bits([1.0], [[0, 0, 0]])
+    # A zero-norm row is its bare header and unchecked, as in encode.
+    assert books.message_bits([0.0], [[0, 9, 0, 0]]).tolist() == [32]
+    qv = QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fam.fingerprint())
+    assert encode(qv, books, fam).nbits == 32
 
 
 @pytest.mark.parametrize("protocol", ["main", "alternating"])
@@ -393,7 +397,7 @@ def test_roundtrip_with_long_codewords(protocol, n):
     # 2^max_len decoding table is unaffordable, and wider than 64 bits.
     fam, hist = _halving_hist(n)
     books = build_codebook(fam, hist, protocol)
-    assert max(l for l, _ in books.words.values()) == n - 1 > 20
+    assert max(l for l, _ in books.words) == n - 1 > 20
     rng = np.random.default_rng(3)
     idx = rng.permutation(n)
     signs = np.where(idx > 0, rng.choice([-1, 1], size=n), 1)
@@ -413,7 +417,7 @@ def test_building_a_book_with_20_bit_codewords_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(l for l, _ in books.words.values()) == 20
+    assert max(l for l, _ in books.words) == 20
     assert peak < 1 << 20
 
 
@@ -442,7 +446,7 @@ def test_decode_rejects_bits_below_the_lowest_codeword():
     # No codeword starts with 00, so a payload starting 00 lies below the
     # first sorted codeword; it must not wrap around to the last one.
     fam = _fam_single()
-    words = {(0, 0): (2, 0b01), (0, 1): (2, 0b10), (0, 2): (2, 0b11)}
+    words = [(2, 0b01), (2, 0b10), (2, 0b11)]
     books = Codebook(words, "main", "huffman", fam)
     assert decode(_payload_message("01" + "111"), books, fam, 2).level_idx.tolist() == [0, 2]
     for bits in ("0001", "01" + "00"):

@@ -106,7 +106,7 @@ def test_family_basic_attributes():
     assert fam.dimension == 6
     assert fam.counts.tolist() == [3, 3]
     assert fam.proportions.tolist() == [0.5, 0.5]
-    assert not fam.unused.any()
+    assert (fam.counts > 0).all()
 
 
 def test_family_accepts_raw_level_lists():
@@ -137,7 +137,7 @@ def test_family_flags_unused_types():
         [LevelSequence([0.0, 1.0]), LevelSequence([0.0, 0.5, 1.0])],
         np.zeros(4, dtype=np.int64),
     )
-    assert fam.unused.tolist() == [False, True]
+    assert (fam.counts == 0).tolist() == [False, True]
 
 
 def test_from_layer_sizes_matches_manual_assignment():

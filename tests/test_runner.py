@@ -279,6 +279,25 @@ def test_cli_run_with_overrides(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
 
 
+def test_cli_rejects_a_level_budget_the_grid_cannot_place(tmp_path, capsys):
+    # 600 interior levels need a placement grid of more than 600 points;
+    # the run used to fail only at its first level refresh, writing nothing.
+    out = str(tmp_path / "big")
+    big = ["--set", "quantization.budgets=600", "--set", "quantization.grid=600"]
+    assert main(["run", "bilinear-abs", "--out", out, *_SMALL, *big]) == 1
+    assert "[quantization] grid" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    explicit = ["--set", "quantization.levels=uniform:2 | uniform:8",
+                "--set", "quantization.grid=8"]
+    assert main(["run", "bilinear-abs", "--out", out, *_SMALL, *explicit]) == 1
+    assert "[quantization] grid" in capsys.readouterr().err
+    # Without level refreshes the grid is never used.
+    for args in (big, explicit):
+        assert main(["run", "bilinear-abs", "--out", out, *_SMALL, *args,
+                     "--set", "quantization.update_period=0"]) == 0
+    assert os.path.exists(out + ".csv")
+
+
 def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
     # A constant rate of 50 makes the iterates blow up until a message norm
     # no longer fits the 32-bit wire format, at t = 21.

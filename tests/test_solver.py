@@ -82,14 +82,14 @@ def test_refresh_levels_places_levels_and_books():
     fam = _fam(8, alpha=2)
     samples = np.abs(rng.standard_normal((12, 8)))
     new_fam, books, hist = refresh_levels(
-        samples, fam, [2], 64, "empirical", "main", "huffman"
+        samples, fam, 64, "empirical", "main", "huffman"
     )
     assert new_fam.sequences[0].alpha == 2
     assert new_fam.fingerprint() != fam.fingerprint()
     assert books.family_id == new_fam.fingerprint()
     hist.validate(new_fam)
     with pytest.raises(adapt.AllZeroSamples):
-        refresh_levels(np.zeros((3, 8)), fam, [2], 64, "empirical", "main", "huffman")
+        refresh_levels(np.zeros((3, 8)), fam, 64, "empirical", "main", "huffman")
 
 
 def test_run_qoda_row_schema_and_counts():
