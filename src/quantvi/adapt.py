@@ -163,7 +163,7 @@ def _type_points(samples, norms, lam, family, m):
 
 
 class WeightedCdf:
-    """Per-type weighted empirical CDFs estimated from sample dual vectors."""
+    """Per-type CDFs of normalized coordinates, with the sample weights behind them."""
 
     def __init__(self, type_cdfs, lambdas):
         self.type_cdfs = type_cdfs
@@ -188,15 +188,6 @@ def weighted_cdf(samples, family):
     return WeightedCdf(cdfs, lam)
 
 
-class TruncNormalFit:
-    """Per-type truncated-normal fits, with step-CDF fallbacks where needed."""
-
-    def __init__(self, type_cdfs, degenerate, lambdas):
-        self.type_cdfs = type_cdfs
-        self.degenerate = degenerate
-        self.lambdas = lambdas
-
-
 def _fit_one_truncnorm(mean, var):
     """Method-of-moments parameters of a [0,1]-truncated normal, or None."""
 
@@ -219,17 +210,15 @@ def fit_truncated_normal(samples, family):
 
     Types whose samples are degenerate (fewer than two distinct values) or
     whose moments no truncated normal can reproduce fall back to the step
-    CDF, flagged in ``degenerate`` and announced with a DegenerateSample
-    warning.
+    CDF, announced with a DegenerateSample warning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     norms, lam = _sample_weights(samples, family.q)
-    cdfs, degenerate = [], []
+    cdfs = []
     for m in range(family.num_types):
         pts, wts = _type_points(samples, norms, lam, family, m)
         if pts is None:
             cdfs.append(None)
-            degenerate.append(False)
             continue
         mean = float(np.sum(wts * pts))
         var = float(np.sum(wts * pts**2) - mean**2)
@@ -243,11 +232,9 @@ def fit_truncated_normal(samples, family):
                 DegenerateSample,
             )
             cdfs.append(StepCdf(pts, wts))
-            degenerate.append(True)
         else:
             cdfs.append(TruncNormCdf(*fitted))
-            degenerate.append(False)
-    return TruncNormalFit(cdfs, degenerate, lam)
+    return WeightedCdf(cdfs, lam)
 
 
 def quantization_cost(cdf, seq):

@@ -27,15 +27,35 @@ _SKEW_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
 
 
+def spectral_norm(M):
+    """The spectral norm ||M||_2 of a real matrix.
+
+    ||M||_2^2 is the largest eigenvalue of the symmetric M^T M, so one
+    product and one symmetric eigensolve give it exactly up to rounding,
+    with no SVD and no iteration.  M is first scaled by the power of two
+    that brings max|M| into [1/2, 1).  That scaling is exact, and after it
+    M^T M cannot overflow and its largest eigenvalue, at least 1/4, cannot
+    underflow, whatever the magnitude of M.
+    """
+    M = np.asarray(M, dtype=np.float64)
+    peak = float(np.abs(M).max(initial=0.0))
+    if peak == 0.0:
+        return 0.0
+    _, exp = np.frexp(peak)
+    S = np.ldexp(M, -exp)
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]), exp))
+
+
 class AffineOperator:
     """A(x) = Bx + c with B + B^T required positive semidefinite.
 
-    ``L`` is the spectral norm of B unless a larger value is declared; it is
-    computed on first read and kept, and a declared value is checked against
-    the norm here.  When B + B^T is exactly zero every eigenvalue of the
-    symmetric part is 0, so the operator is skew and monotone without an
-    eigensolve or a norm.  The eigendecomposition of B + B^T that the gap of
-    a non-skew operator needs is likewise computed on first use and kept.
+    ``L`` is the spectral norm of B (``spectral_norm``: one eigensolve of
+    B^T B) unless a larger value is declared; it is computed on first read
+    and kept, and a declared value is checked against the norm here.  When
+    B + B^T is exactly zero every eigenvalue of the symmetric part is 0, so
+    the operator is skew and monotone without an eigensolve or a norm.  The
+    eigendecomposition of B + B^T that the gap of a non-skew operator needs
+    is likewise computed on first use and kept.
     """
 
     def __init__(self, B, c=None, L=None, beta=None, x_star=None):
@@ -70,7 +90,7 @@ class AffineOperator:
 
     @functools.cached_property
     def _op_norm(self):
-        return float(np.linalg.norm(self.B, 2))
+        return spectral_norm(self.B)
 
     @functools.cached_property
     def _sym_eigh(self):
@@ -220,8 +240,12 @@ class ProblemInstance:
         self.d = op.d
         self.K = len(node_ops)
         self.x_star = op.x_star
-        self.L = op.L
         self.beta = op.beta
+
+    @property
+    def L(self):
+        """The global operator's norm, computed on first read (``AffineOperator.L``)."""
+        return self.op.L
 
     def gap(self, x_hat):
         return restricted_gap(x_hat, self.op, self.domain)
@@ -233,7 +257,7 @@ def _random_skew(rng, d):
 
 
 def _unit_spectral(M):
-    norm = np.linalg.norm(M, 2)
+    norm = spectral_norm(M)
     return M / norm if norm > 0 else M
 
 
@@ -249,6 +273,12 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
     Node operators either share B exactly (``node_split="identical"``, the
     default whenever the noise scales with the operator) or receive
     zero-sum skew perturbations (``node_split="skew"``).
+
+    Every matrix scaled to unit norm is divided by its ``spectral_norm``.
+    ``bilinear`` normalizes the h x h saddle block M, since the assembled
+    B = [[0, M], [-M^T, 0]] has the same norm at an eighth of the cost; a
+    skew split then computes 1 + K norms, and the global ``L`` is computed
+    only when read.
     """
     if K < 1:
         raise ValueError("need at least one node")
@@ -259,11 +289,10 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
         if d < 2 or d % 2 != 0:
             raise BadDimension("bilinear problems need even dimension >= 2")
         h = d // 2
-        M = rng.standard_normal((h, h))
+        M = _unit_spectral(rng.standard_normal((h, h)))  # ||B||_2 = ||M||_2
         B = np.zeros((d, d))
         B[:h, h:] = M
         B[h:, :h] = -M.T
-        B = _unit_spectral(B)
         beta = None
     elif base == "strongly_monotone":
         mu = float(arg) if arg else 0.1

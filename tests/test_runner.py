@@ -298,6 +298,25 @@ def test_cli_rejects_a_level_budget_the_grid_cannot_place(tmp_path, capsys):
     assert os.path.exists(out + ".csv")
 
 
+def test_cli_compare_rejects_a_level_budget_the_grid_cannot_place(tmp_path, monkeypatch, capsys):
+    # With no level refreshes every run is valid, but compare's mqv study
+    # places the first config's levels on the grid after all runs are done.
+    paths = []
+    for seed in (0, 1):
+        path = tmp_path / f"s{seed}.ini"
+        path.write_text("[problem]\npreset = bilinear\nd = 6\nK = 2\n\n"
+                        "[quantization]\nlayer_sizes = 3,3\nbudgets = 600\ngrid = 600\n"
+                        f"update_period = 0\n\n[run]\nT = 8\nseed = {seed}\n")
+        paths.append(str(path))
+    runs = []
+    monkeypatch.setattr(runner, "execute", lambda cfg: runs.append(cfg))
+    out = str(tmp_path / "cmp")
+    assert main(["compare", *paths, "--out", out]) == 1
+    assert "[quantization] grid 600" in capsys.readouterr().err
+    assert runs == []
+    assert not os.path.exists(out + ".json")
+
+
 def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
     # A constant rate of 50 makes the iterates blow up until a message norm
     # no longer fits the 32-bit wire format, at t = 21.

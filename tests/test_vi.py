@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,8 +41,8 @@ def test_affine_operator_rejects_non_monotone():
 
 
 def _count_factorizations(monkeypatch):
-    """Count SVDs, those inside np.linalg.norm(M, 2) included, and eigensolves."""
-    counts = {"svd": 0, "eigvalsh": 0}
+    """Count spectral norms, SVDs (those inside np.linalg.norm(M, 2) included) and eigensolves."""
+    counts = {"spectral_norm": 0, "svd": 0, "eigvalsh": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -48,6 +50,7 @@ def _count_factorizations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(vi, "spectral_norm", counting("spectral_norm", vi.spectral_norm))
     svd = counting("svd", np.linalg.svd)
     monkeypatch.setattr(np.linalg, "svd", svd)
     # norm looks svd up in the globals of the module that defines it.
@@ -56,39 +59,86 @@ def _count_factorizations(monkeypatch):
     return counts
 
 
+def _assert_is_norm(L, B):
+    """L is spectral_norm(B) exactly, and the SVD's norm to within 8 eps."""
+    assert L == vi.spectral_norm(B)
+    assert L == pytest.approx(np.linalg.norm(B, 2), rel=8 * np.finfo(float).eps, abs=0.0)
+
+
 def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     K = 4
     p = make_problem("bilinear", d=8, K=K, seed=0, node_split="skew")
-    # _unit_spectral(B), the global L, and one _unit_spectral per delta.
-    assert counts == {"svd": 2 + K, "eigvalsh": 0}
+    # _unit_spectral of the saddle block and of each delta; no SVD, and the
+    # exactly skew global and node operators need no eigensolve of B + B^T.
+    assert counts == {"spectral_norm": 1 + K, "svd": 0, "eigvalsh": 1 + K}
     assert all(op.is_skew and op.sym_eig_max == 0.0 for op in p.node_ops)
+    # The global L is computed on its first read, once.
+    assert p.L == p.L
+    assert counts == {"spectral_norm": 2 + K, "svd": 0, "eigvalsh": 2 + K}
+    _assert_is_norm(p.L, p.op.B)
 
 
 def test_operator_norm_is_computed_once_on_first_read(monkeypatch):
     p = make_problem("bilinear", d=8, K=3, seed=1, node_split="skew")
     skew_op = p.node_ops[1]
-    B = np.array([[2.0, 1.0], [1.0, 3.0]])
-    skew_norm, sym_norm = np.linalg.norm(skew_op.B, 2), np.linalg.norm(B, 2)
     counts = _count_factorizations(monkeypatch)
     # A node operator of a skew split has no norm until its L is read.
-    assert (skew_op.L, skew_op.L) == (skew_norm, skew_norm)
-    assert counts == {"svd": 1, "eigvalsh": 0}
+    assert skew_op.L == skew_op.L
+    assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 1}
     # A non-skew operator needs the norm for its tolerances and shares it with L.
-    assert AffineOperator(B).L == sym_norm
-    assert counts == {"svd": 2, "eigvalsh": 1}
+    B = np.array([[2.0, 1.0], [1.0, 3.0]])
+    op = AffineOperator(B)
+    assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
+    assert op.L == op.L
+    assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
+    _assert_is_norm(skew_op.L, skew_op.B)
+    _assert_is_norm(op.L, B)
 
 
 def test_nearly_skew_operator_takes_the_eigensolve(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     B = np.array([[0.0, 1.0, 1e-13], [-1.0, 0.0, 0.0], [1e-13, 0.0, 0.0]])
     op = AffineOperator(B)  # B + B^T is nonzero, with eigenvalues +-1e-13
-    assert counts == {"svd": 1, "eigvalsh": 1}
+    # One norm (one eigensolve of B^T B) and one eigensolve of B + B^T.
+    assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 2}
     assert op.is_skew
     assert op.sym_eig_max == pytest.approx(1e-13)
     with pytest.raises(ValueError):
         AffineOperator(-np.eye(3))
-    assert counts["eigvalsh"] == 2
+    assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 4}
+
+
+def _norm_test_matrices(rng):
+    yield np.zeros((3, 3))
+    for n in (1, 2, 7, 40, 101):
+        G = rng.standard_normal((n, n))
+        yield G
+        yield G - G.T  # skew
+        yield G + G.T  # symmetric, indefinite
+        yield np.outer(rng.standard_normal(n), rng.standard_normal(n))  # rank one
+        yield G * np.logspace(0, -12, n)  # graded columns
+        yield rng.standard_normal((n, n + 3))  # rectangular
+
+
+def test_spectral_norm_matches_the_svd():
+    # Both norms carry rounding error of order n * eps; up to n = 101 the two
+    # differ by at most 12 eps over 30 seeds of these matrices.
+    eps = np.finfo(float).eps
+    for M in _norm_test_matrices(np.random.default_rng(5)):
+        svd_norm = np.linalg.norm(M, 2)
+        assert vi.spectral_norm(M) == pytest.approx(svd_norm, rel=32 * eps, abs=0.0)
+    assert vi.spectral_norm([[-3.0]]) == 3.0
+
+
+def test_spectral_norm_is_exact_under_power_of_two_scaling():
+    """Entries near 1e160 or 1e-170 would overflow or underflow once squared."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in _norm_test_matrices(np.random.default_rng(6)):
+            norm = vi.spectral_norm(M)
+            for k in (531, -565):  # 2^531 ~ 1e160, 2^-565 ~ 1e-170
+                assert vi.spectral_norm(np.ldexp(M, k)) == np.ldexp(norm, k)
 
 
 def test_absolute_noise_mean_and_power():
