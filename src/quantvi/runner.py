@@ -209,20 +209,15 @@ def config_from_dict(raw):
     if len(sizes) != M or sum(sizes) != d or min(sizes) < 1:
         raise ParseError(f"[quantization] layer_sizes must be {M} positive ints summing to {d}")
     if v["quant_enabled"] and v["update_period"] > 0:
-        _check_grid(v["levels"], v["budgets"], v["grid"])
+        alphas = [sequence_from_spec(t).alpha for t in v["levels"]] or v["budgets"]
+        if max(alphas) >= v["grid"]:
+            raise ParseError(f"[quantization] grid {v['grid']} must exceed every type's "
+                             f"interior level count, here {max(alphas)}, to place levels")
     if v["schedule_kind"] == "alt" and not 0.0 < v["q_hat"] <= 0.25:
         raise ParseError(f"[schedule] q_hat must lie in (0, 1/4], got {v['q_hat']}")
     if v["schedule_kind"] == "constant" and v["c"] <= 0:
         raise ParseError("[schedule] c must be positive")
     return ExperimentConfig(**v)
-
-
-def _check_grid(levels, budgets, grid):
-    """Reject a grid too coarse to place every type's interior levels on."""
-    alphas = [sequence_from_spec(t).alpha for t in levels] or budgets
-    if max(alphas) >= grid:
-        raise ParseError(f"[quantization] grid {grid} must exceed every type's "
-                         f"interior level count, here {max(alphas)}, to place levels")
 
 
 def _even_split(d, M):
@@ -441,8 +436,9 @@ def compare(cfgs, labels=None):
         allowed = [k.where for k in _SCHEMA if k.varies]
         raise IncomparableConfigs(
             f"configs differ in {', '.join(differ)}; only {', '.join(allowed)} may vary")
-    if cfgs[0].quant_enabled:  # mqv_study places the first config's levels
-        _check_grid(cfgs[0].levels, cfgs[0].budgets, cfgs[0].grid)
+    # mqv_study seeds its own generator, so running it first changes no
+    # result, and a budget the grid cannot hold fails before any config runs.
+    mqv = mqv_study(cfgs[0])
     if labels is None:
         labels = []
         for i, c in enumerate(cfgs):
@@ -483,7 +479,7 @@ def compare(cfgs, labels=None):
         "gap_at_T": {lb: summaries[lb]["final_gap"] for lb in labels},
         "vs_first": vs_first,
         "bits_to_gap_threshold": {"threshold": threshold, "bits": bits_to_threshold},
-        "mqv": mqv_study(cfgs[0]),
+        "mqv": mqv,
     }
 
 

@@ -240,12 +240,8 @@ class ProblemInstance:
         self.d = op.d
         self.K = len(node_ops)
         self.x_star = op.x_star
+        self.L = op.L
         self.beta = op.beta
-
-    @property
-    def L(self):
-        """The global operator's norm, computed on first read (``AffineOperator.L``)."""
-        return self.op.L
 
     def gap(self, x_hat):
         return restricted_gap(x_hat, self.op, self.domain)
@@ -272,13 +268,8 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
 
     Node operators either share B exactly (``node_split="identical"``, the
     default whenever the noise scales with the operator) or receive
-    zero-sum skew perturbations (``node_split="skew"``).
-
-    Every matrix scaled to unit norm is divided by its ``spectral_norm``.
-    ``bilinear`` normalizes the h x h saddle block M, since the assembled
-    B = [[0, M], [-M^T, 0]] has the same norm at an eighth of the cost; a
-    skew split then computes 1 + K norms, and the global ``L`` is computed
-    only when read.
+    zero-sum skew perturbations (``node_split="skew"``).  Unit-norm
+    matrices are divided by their ``spectral_norm``.
     """
     if K < 1:
         raise ValueError("need at least one node")
@@ -330,6 +321,7 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
         deltas = np.stack([0.25 * _unit_spectral(_random_skew(rng, d)) for _ in range(K)])
         deltas -= deltas.mean(axis=0)
         node_ops = [AffineOperator(B + deltas[k], c) for k in range(K)]
+        del deltas  # K d x d arrays, freed before the global norm's eigensolve
     else:
         raise ValueError(f"unknown node split {node_split!r}")
 

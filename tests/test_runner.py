@@ -300,7 +300,7 @@ def test_cli_rejects_a_level_budget_the_grid_cannot_place(tmp_path, capsys):
 
 def test_cli_compare_rejects_a_level_budget_the_grid_cannot_place(tmp_path, monkeypatch, capsys):
     # With no level refreshes every run is valid, but compare's mqv study
-    # places the first config's levels on the grid after all runs are done.
+    # places the first config's levels on the grid.
     paths = []
     for seed in (0, 1):
         path = tmp_path / f"s{seed}.ini"
@@ -312,7 +312,7 @@ def test_cli_compare_rejects_a_level_budget_the_grid_cannot_place(tmp_path, monk
     monkeypatch.setattr(runner, "execute", lambda cfg: runs.append(cfg))
     out = str(tmp_path / "cmp")
     assert main(["compare", *paths, "--out", out]) == 1
-    assert "[quantization] grid 600" in capsys.readouterr().err
+    assert "600 interior levels need a grid of > 600 points" in capsys.readouterr().err
     assert runs == []
     assert not os.path.exists(out + ".json")
 

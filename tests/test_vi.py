@@ -69,13 +69,11 @@ def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     K = 4
     p = make_problem("bilinear", d=8, K=K, seed=0, node_split="skew")
-    # _unit_spectral of the saddle block and of each delta; no SVD, and the
-    # exactly skew global and node operators need no eigensolve of B + B^T.
-    assert counts == {"spectral_norm": 1 + K, "svd": 0, "eigvalsh": 1 + K}
-    assert all(op.is_skew and op.sym_eig_max == 0.0 for op in p.node_ops)
-    # The global L is computed on its first read, once.
-    assert p.L == p.L
+    # _unit_spectral of the saddle block and of each delta, and the global L;
+    # no SVD, and the exactly skew global and node operators need no
+    # eigensolve of B + B^T.
     assert counts == {"spectral_norm": 2 + K, "svd": 0, "eigvalsh": 2 + K}
+    assert all(op.is_skew and op.sym_eig_max == 0.0 for op in p.node_ops)
     _assert_is_norm(p.L, p.op.B)
 
 
