@@ -138,9 +138,11 @@ class TruncNormCdf:
         return float(m[1]), float(m[2] - m[1] ** 2)
 
 
-def _sample_weights(samples, q):
-    """Squared q-norm weights, one per sample vector."""
-    norms = np.linalg.norm(samples, ord=q, axis=1)
+def _sample_weights(samples, family):
+    """Squared q-norm weights, one per sample vector of the family's dimension."""
+    if samples.shape[1] != family.dimension:
+        raise ValueError("sample dimension does not match the family")
+    norms = np.linalg.norm(samples, ord=family.q, axis=1)
     sq = norms**2
     total = sq.sum()
     if total <= 0:
@@ -178,9 +180,7 @@ def weighted_cdf(samples, family):
     weight, so every type's CDF has total mass 1.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    if samples.shape[1] != family.dimension:
-        raise ValueError("sample dimension does not match the family")
-    norms, lam = _sample_weights(samples, family.q)
+    norms, lam = _sample_weights(samples, family)
     cdfs = []
     for m in range(family.num_types):
         pts, wts = _type_points(samples, norms, lam, family, m)
@@ -213,7 +213,7 @@ def fit_truncated_normal(samples, family):
     CDF, announced with a DegenerateSample warning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    norms, lam = _sample_weights(samples, family.q)
+    norms, lam = _sample_weights(samples, family)
     cdfs = []
     for m in range(family.num_types):
         pts, wts = _type_points(samples, norms, lam, family, m)

@@ -14,17 +14,20 @@ needed).
 Every symbol is a flat (type, level) index in the order of
 ``LevelFamily.flat_levels``: a codebook is one list of codewords in that
 order, and a decoding scope (one per type, or one for all under the
-alternating protocol) is a set of flat indices.  Level j at coordinate i is
-flat index ``coord_start[i] + j`` on both sides of the wire.
+alternating protocol) holds the wire strings of a set of flat indices.
+Level j at coordinate i is flat index ``coord_start[i] + j`` on both sides
+of the wire, and the codebook is the codec's only context.
 
-Messages are built and read as strings of "0" and "1".  The encoder joins
-each flat index's precomputed wire string; the decoder has one path for
-every codeword length.  Zero-padded to the longest length in its scope, the
-codewords of a prefix code sort in the order of the disjoint ranges of
-windows they begin, so the decoder bisects them on the next window of the
-stream for the one codeword that can match (Moffat & Turpin 1997, "On the
-implementation of minimum redundancy prefix codes").  Both sides take time
-linear in the message length.
+Messages are built and read as strings of "0" and "1", from one table of
+signed wire strings per flat index: the codeword, then one sign bit when the
+level index is positive.  Splitting a codeword into its two signed strings
+keeps a code prefix-free and its Kraft sum unchanged, so the decoder reads
+the encoder's own strings.  Zero-padded to the longest length in its scope,
+the wire strings sort in the order of the disjoint ranges of windows they
+begin, so the decoder bisects them on the next window of the stream for the
+one string that can match, and reads a coordinate's level and sign at once
+(Moffat & Turpin 1997, "On the implementation of minimum redundancy prefix
+codes").  Both sides take time linear in the message length.
 
 Wire format, most significant bit first: a 32-bit IEEE-754 big-endian norm,
 then, only when the norm is nonzero, for each coordinate in ascending order
@@ -155,27 +158,16 @@ def build_huffman(probs):
     if n == 1:
         return [(1, 0)]
 
-    heap = [(float(p), i, i) for i, p in enumerate(probs)]
+    # Each heap node carries its symbols; a merge puts them one level deeper.
+    heap = [(float(p), i, [i]) for i, p in enumerate(probs)]
     heapq.heapify(heap)
-    children = {}
-    next_id = n
-    while len(heap) > 1:
+    lengths = [0] * n
+    for next_id in range(n, 2 * n - 1):
         pa, _, a = heapq.heappop(heap)
         pb, _, b = heapq.heappop(heap)
-        children[next_id] = (a, b)
-        heapq.heappush(heap, (pa + pb, next_id, next_id))
-        next_id += 1
-
-    lengths = [0] * n
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node < n:
-            lengths[node] = depth
-        else:
-            a, b = children[node]
-            stack.append((a, depth + 1))
-            stack.append((b, depth + 1))
+        for sym in a + b:
+            lengths[sym] += 1
+        heapq.heappush(heap, (pa + pb, next_id, a + b))
     return _canonical_from_lengths(lengths)
 
 
@@ -213,35 +205,36 @@ def build_elias(alphabet_size):
     return [elias_omega(k) for k in range(1, alphabet_size + 1)]
 
 
-def _bits(length, code):
-    """A codeword as a string of ``length`` bits."""
-    return format(code, f"0{length}b")
-
-
 class _Scope:
-    """One prefix-free decoding scope: the flat (type, level) indices it decodes.
+    """One prefix-free decoding scope: the wire strings of its flat indices.
 
-    Zero-padded on the right to ``width``, the longest codeword length in the
-    scope, the codewords of a prefix code sort in the order of the disjoint
-    ranges of ``width``-bit strings they begin.  ``padded`` holds the padded
-    codewords in that order and ``entries`` each one's (bit string, flat
-    index), so the only codeword that can begin a ``width``-bit window of the
-    stream is the last one whose padded string is <= the window.
+    A flat index has one wire string per sign it can carry: ``plus[f]`` and
+    ``minus[f]``, which coincide at level 0.  Zero-padded on the right to
+    ``width``, the longest wire string in the scope, the strings of a prefix
+    code sort in the order of the disjoint ranges of ``width``-bit strings
+    they begin.  ``padded`` holds the padded strings in that order and
+    ``entries`` each one's (wire string, flat index, sign), so the only
+    string that can begin a ``width``-bit window of the stream is the last
+    one whose padded string is <= the window.
     """
 
-    def __init__(self, flat, words):
-        self.width = max(words[f][0] for f in flat)
-        rows = sorted((_bits(*words[f]).ljust(self.width, "0"), f) for f in flat)
-        self.padded = [p for p, _ in rows]
-        self.entries = [(p[:words[f][0]], f) for p, f in rows]
+    def __init__(self, flat, plus, minus):
+        # Level 0 sends no sign bit: its one string decodes with sign +1.
+        table = {minus[f]: (f, -1) for f in flat} | {plus[f]: (f, 1) for f in flat}
+        self.width = max(map(len, table))
+        rows = sorted((w.ljust(self.width, "0"), w, f, g) for w, (f, g) in table.items())
+        self.padded = [r[0] for r in rows]
+        self.entries = [r[1:] for r in rows]
 
 
 class Codebook:
     """Codewords in the family's flat (type, level) order plus decoding scopes.
 
     ``words[f]`` is the (length, code) of flat index f, as laid out by
-    ``LevelFamily.flat_levels``: one scope per type under the main protocol,
-    one scope over all flat indices under the alternating protocol.
+    ``LevelFamily.flat_levels``, and ``_plus[f]``/``_minus[f]`` its signed
+    wire strings, the one table both the encoder and the decoding scopes
+    read: one scope per type under the main protocol, one scope over all
+    flat indices under the alternating protocol.
     """
 
     def __init__(self, words, protocol, scheme, family):
@@ -252,12 +245,19 @@ class Codebook:
         self._assignment = family.assignment
         self._type_start, self._type_size = family.level_starts()
         _, self._coord_start, self._coord_size = family.flat_levels()
+        # Wire string per flat index: the codeword, then a sign bit (1 =
+        # negative) when the level index is positive.
+        signed = [j > 0 for n in self._type_size for j in range(n)]
+        strings = [format(c, f"0{l}b") for l, c in self.words]
+        self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
+        self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
+        self._wire_bits = np.array([len(w) for w in self._plus])
         spans = [range(a, a + n) for a, n in zip(self._type_start, self._type_size)]
         if protocol == PROTOCOL_MAIN:
-            self._scopes = [_Scope(span, self.words) for span in spans]
+            self._scopes = [_Scope(span, self._plus, self._minus) for span in spans]
             scope_of = self._scopes
         else:
-            self._scopes = [_Scope(range(len(self.words)), self.words)]
+            self._scopes = [_Scope(range(len(self.words)), self._plus, self._minus)]
             scope_of = self._scopes * family.num_types
         # Per coordinate: its scope and the flat range of its type's levels.
         per_type = [
@@ -266,13 +266,6 @@ class Codebook:
         ]
         self._coord_scopes = [per_type[m] for m in family.assignment.tolist()]
         self._pad = "0" * max(sc.width for sc in self._scopes)
-        # Wire string per flat index: the codeword, then a sign bit (1 =
-        # negative) when the level index is positive.
-        signed = [j > 0 for n in self._type_size for j in range(n)]
-        strings = [_bits(l, c) for l, c in self.words]
-        self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
-        self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
-        self._wire_bits = np.array([l + g for (l, _), g in zip(self.words, signed)])
 
     def codeword(self, m, j):
         if 0 <= m < len(self._type_size) and 0 <= j < self._type_size[m]:
@@ -323,7 +316,8 @@ class Codebook:
 
     def kraft_sums(self):
         """Kraft sum per decoding scope (per type for main, global otherwise)."""
-        return [sum(2.0 ** -len(w) for w, _ in scope.entries) for scope in self._scopes]
+        # Summed exactly: a codeword's two signed strings add up to its term.
+        return [math.fsum(2.0 ** -len(w) for w, _, _ in sc.entries) for sc in self._scopes]
 
 
 def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFFMAN):
@@ -372,45 +366,43 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
 class EncodedMessage:
     """A finished bit stream: packed bytes plus its exact bit length."""
 
-    __slots__ = ("data", "nbits", "protocol")
+    __slots__ = ("data", "nbits")
 
-    def __init__(self, data, nbits, protocol):
+    def __init__(self, data, nbits):
         self.data = data
         self.nbits = nbits
-        self.protocol = protocol
 
     def __repr__(self):
-        return f"EncodedMessage(nbits={self.nbits}, protocol={self.protocol!r})"
+        return f"EncodedMessage(nbits={self.nbits})"
 
 
-def encode(qv, books, family):
+def encode(qv, books):
     """Serialize a QuantizedVector to the wire format."""
     if qv.family_id != books.family_id:
         raise ValueError("QuantizedVector and codebook do not match")
-    return encode_batch([qv.norm], [qv.signs], [qv.level_idx], books, family)[0]
+    return encode_batch([qv.norm], [qv.signs], [qv.level_idx], books)[0]
 
 
-def encode_batch(norms, signs, level_idx, books, family):
+def encode_batch(norms, signs, level_idx, books):
     """Encode quantize_batch output row by row into a list of messages."""
-    if books.family_id != family.fingerprint():
-        raise ValueError("codebook and family do not match")
     flat = books.flat_indices(norms, level_idx)
     rows = np.where(np.asarray(signs) < 0, books._minus[flat], books._plus[flat])
     msgs = []
     for norm, row in zip(np.asarray(norms).tolist(), rows):
         if norm == 0.0:
-            msgs.append(EncodedMessage(bytes(4), 32, books.protocol))
+            msgs.append(EncodedMessage(bytes(4), 32))
             continue
         header = struct.unpack(">I", struct.pack(">f", norm))[0]
         bits = format(header, "032b") + "".join(row)
         pad = -len(bits) % 8
         data = int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
-        msgs.append(EncodedMessage(data, len(bits), books.protocol))
+        msgs.append(EncodedMessage(data, len(bits)))
     return msgs
 
 
-def _decode_core(data, books, d):
+def _decode_core(data, books):
     """Decode one message into (norm, level index list, sign list)."""
+    d = len(books._coord_scopes)
     total_bits = len(data) * 8
     if total_bits < 32:
         raise TruncatedMessage("message shorter than the 32-bit norm header")
@@ -428,74 +420,58 @@ def _decode_core(data, books, d):
     signs = [1] * d
     for i, (width, padded, entries, lo, hi) in enumerate(books._coord_scopes):
         if pos >= total_bits:
-            raise TruncatedMessage("bit stream ended inside a codeword")
-        # A window below every codeword picks entry -1; the stream cannot
-        # start with that last, largest codeword then, so it is rejected.
-        word, sym = entries[bisect_right(padded, bits[pos:pos + width]) - 1]
+            raise TruncatedMessage("bit stream ended inside a wire string")
+        # A window below every string picks entry -1; the stream cannot
+        # start with that last, largest string then, so it is rejected.
+        word, sym, sign = entries[bisect_right(padded, bits[pos:pos + width]) - 1]
         if not bits.startswith(word, pos):
             raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
         pos += len(word)
         if pos > total_bits:
-            raise TruncatedMessage("bit stream ended inside a codeword")
+            raise TruncatedMessage("bit stream ended inside a wire string")
         if not lo <= sym < hi:
             raise InvalidCodeword(f"coordinate {i} got a codeword of another type")
-        if sym > lo:
-            idx[i] = sym - lo
-            if pos >= total_bits:
-                raise TruncatedMessage("bit stream ended before a sign bit")
-            if bits[pos] == "1":
-                signs[i] = -1
-            pos += 1
+        idx[i] = sym - lo
+        signs[i] = sign
     if total_bits - pos >= 8 or "1" in bits[pos:total_bits]:
         raise TrailingBits(f"{total_bits - pos} bits past the last symbol")
     return norm, idx, signs
 
 
-def decode(msg, books, family, d):
+def decode(msg, books):
     """Reconstruct the QuantizedVector a message encodes.
 
-    Inverse of ``encode`` for matching codebooks and family: the roundtrip
-    is exact, including the 32-bit norm.
+    Inverse of ``encode`` for the same codebook: the roundtrip is exact,
+    including the 32-bit norm.
     """
     from .quantizer import QuantizedVector
 
-    if d != family.dimension:
-        raise ValueError(f"dimension {d} != family dimension {family.dimension}")
-    norm, idx, signs = _decode_core(msg.data, books, d)
-    return QuantizedVector(norm, signs, idx, family.fingerprint())
+    norm, idx, signs = _decode_core(msg.data, books)
+    return QuantizedVector(norm, signs, idx, books.family_id)
 
 
-def decode_batch(msgs, books, family, d):
+def decode_batch(msgs, books):
     """Decode a list of messages into (norms, signs, level_idx) arrays."""
-    if d != family.dimension:
-        raise ValueError(f"dimension {d} != family dimension {family.dimension}")
-    norms = np.empty(len(msgs))
-    idx_rows = []
-    sign_rows = []
-    for k, msg in enumerate(msgs):
-        norm, idx, signs = _decode_core(msg.data, books, d)
-        norms[k] = norm
-        idx_rows.append(idx)
-        sign_rows.append(signs)
+    rows = [_decode_core(msg.data, books) for msg in msgs]
     return (
-        norms,
-        np.array(sign_rows, dtype=np.int8),
-        np.array(idx_rows, dtype=np.int32),
+        np.array([norm for norm, _, _ in rows], dtype=np.float64),
+        np.array([signs for _, _, signs in rows], dtype=np.int8),
+        np.array([idx for _, idx, _ in rows], dtype=np.int32),
     )
 
 
-def verify_wire(norms, signs, level_idx, books, family, counted_bits):
+def verify_wire(norms, signs, level_idx, books, counted_bits):
     """Send quantize_batch output through the real wire and check it.
 
     Raises WireMismatch unless the encoded messages hold ``counted_bits``
     bits in total and decoding them reproduces (norms, signs, level_idx)
     exactly.
     """
-    msgs = encode_batch(norms, signs, level_idx, books, family)
+    msgs = encode_batch(norms, signs, level_idx, books)
     nbits = sum(m.nbits for m in msgs)
     if nbits != counted_bits:
         raise WireMismatch(f"messages hold {nbits} bits but {counted_bits} were counted")
-    got = decode_batch(msgs, books, family, family.dimension)
+    got = decode_batch(msgs, books)
     if not all(np.array_equal(a, b) for a, b in zip(got, (norms, signs, level_idx))):
         raise WireMismatch("decode(encode(q)) differs from q")
 

@@ -11,6 +11,7 @@ largest first level l_1 across types.
 """
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -250,18 +251,12 @@ class LevelFamily:
         )
 
 
-class BoundStats:
+class BoundStats(NamedTuple):
     """Scalar statistics of a family that drive the variance bound."""
 
-    __slots__ = ("lbar", "lbar1", "d_th")
-
-    def __init__(self, lbar, lbar1, d_th):
-        self.lbar = lbar
-        self.lbar1 = lbar1
-        self.d_th = d_th
-
-    def __repr__(self):
-        return f"BoundStats(lbar={self.lbar}, lbar1={self.lbar1}, d_th={self.d_th})"
+    lbar: float
+    lbar1: float
+    d_th: float
 
 
 def family_stats(family):
@@ -273,13 +268,7 @@ def family_stats(family):
     threshold dimension separating the two branches of the variance bound is
     d_th = (2 / lbar1)^min(2, q).
     """
-    ratios = []
-    for seq in family.sequences:
-        try:
-            ratios.append(seq.max_interior_ratio())
-        except AlphaZero:
-            ratios.append(1.0)
-    lbar = max(ratios)
+    lbar = max(seq.max_interior_ratio() if seq.alpha else 1.0 for seq in family.sequences)
     lbar1 = max(float(seq.levels[1]) for seq in family.sequences)
     d_th = (2.0 / lbar1) ** min(2, family.q)
     return BoundStats(lbar, lbar1, d_th)

@@ -363,24 +363,10 @@ def _csv_text(rows):
     return "\n".join(lines) + "\n"
 
 
-def _summary_dict(metrics, slope):
-    s = metrics.summary
-    return {
-        "final_gap": s["final_gap"],
-        "slope": slope,
-        "total_bits": s["total_bits"],
-        "eps_bar": s["eps_bar"],
-        "eps_hat": s["eps_hat"],
-        "n_bar": s["n_bar"],
-        "oracle_calls_per_node": s["oracle_calls_per_node"],
-        "T": s["T"],
-    }
-
-
 def run_experiment(cfg):
     """Execute one config and write <out>.csv, <out>.json, <out>.ini."""
     metrics, slope = execute(cfg)
-    summary = _summary_dict(metrics, slope)
+    summary = dict(metrics.summary, slope=slope)
     parent = os.path.dirname(cfg.out)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -449,7 +435,7 @@ def compare(cfgs, labels=None):
     rows_by_label = {}
     for label, cfg in zip(labels, cfgs):
         metrics, slope = execute(cfg)
-        summaries[label] = _summary_dict(metrics, slope)
+        summaries[label] = dict(metrics.summary, slope=slope)
         rows_by_label[label] = metrics.rows
 
     first = labels[0]

@@ -241,7 +241,7 @@ class _QuantPipeline:
         flat = idx + coord_start
         bits = int(self.books.flat_message_bits(norms, flat).sum())
         if state.at_checkpoint:
-            codec.verify_wire(norms, signs, idx, self.books, self.family, bits)
+            codec.verify_wire(norms, signs, idx, self.books, bits)
         state.bits += bits
         return reconstruct_flat(norms, signs, flat, values)
 

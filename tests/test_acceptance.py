@@ -206,9 +206,7 @@ def test_criterion_04_codec_roundtrip():
             v = np.zeros(d) if k == 0 else rng.standard_normal(d)
             qv = quantize_vector(v, fam, rng=rng)
             for protocol in ("main", "alternating"):
-                back = codec.decode(
-                    codec.encode(qv, books[protocol], fam), books[protocol], fam, d
-                )
+                back = codec.decode(codec.encode(qv, books[protocol]), books[protocol])
                 assert back == qv
                 per_protocol[protocol] += 1
     ok = per_protocol == {"main": 1000, "alternating": 1000}
@@ -250,7 +248,7 @@ def test_criterion_05_entropy_sandwich_and_length_bound():
             ).astype(np.int32)
             signs = np.where(idx > 0, rng.choice([-1, 1], size=d), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
-            total += codec.encode(qv, books, fam).nbits
+            total += codec.encode(qv, books).nbits
         bound = codec.code_length_bound(hist, fam, d, protocol)
         margins[protocol] = bound - total / n_msgs
     ok = sandwich_ok and all(m >= 0.0 for m in margins.values())

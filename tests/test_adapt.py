@@ -106,6 +106,16 @@ def test_weighted_cdf_dimension_check():
         weighted_cdf(np.ones((2, 5)), fam)
 
 
+def test_fit_truncated_normal_dimension_check():
+    # Wider samples used to give fits from norms over every column, and
+    # narrower ones a bare IndexError.
+    fam = _fam_two(d=6)
+    rng = np.random.default_rng(3)
+    for cols in (9, 4):
+        with pytest.raises(ValueError, match="sample dimension does not match"):
+            fit_truncated_normal(np.abs(rng.standard_normal((5, cols))), fam)
+
+
 def test_fit_truncated_normal_recovers_moments():
     rng = np.random.default_rng(8)
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(400, dtype=np.int64))
@@ -392,7 +402,7 @@ def test_weighted_cdf_points_follow_sample_then_coordinate_order():
     S = np.array([[1.0, -2.0, 0.5, 0.0, 3.0], [0.0] * 5, [-1.0, 1.0, 1.0, 2.0, -0.5]])
     w = weighted_cdf(S, fam)
     assert w.type_cdfs[1] is None
-    norms, lam = adapt._sample_weights(S, fam.q)
+    norms, lam = adapt._sample_weights(S, fam)
     pts, wts = adapt._type_points(S, norms, lam, fam, 0)
     expect = [abs(S[z, i]) / norms[z] for z in (0, 2) for i in (1, 3, 4)]
     assert pts.tolist() == expect

@@ -194,7 +194,7 @@ def test_encode_frozen_wire_example():
     fam = _fam_single()
     books = build_codebook(fam, LevelHistogram([np.array([0.25, 0.5, 0.25])]))
     qv = QuantizedVector(5.0, [1, -1], [1, 2], fam.fingerprint())
-    msg = encode(qv, books, fam)
+    msg = encode(qv, books)
     assert msg.nbits == 37
     assert msg.data == bytes.fromhex("40a0000038")
 
@@ -203,10 +203,10 @@ def test_zero_norm_message_is_exactly_the_header():
     fam = _fam_single()
     books = build_codebook(fam, _hist_for(fam))
     qv = QuantizedVector(0.0, [1, 1], [0, 0], fam.fingerprint())
-    msg = encode(qv, books, fam)
+    msg = encode(qv, books)
     assert msg.nbits == 32
     assert msg.data == bytes(4)
-    back = decode(msg, books, fam, 2)
+    back = decode(msg, books)
     assert back == qv
 
 
@@ -215,7 +215,7 @@ def test_encode_rejects_mismatched_family():
     books = build_codebook(fam, _hist_for(fam))
     qv = QuantizedVector(1.0, [1, 1], [0, 0], other.fingerprint())
     with pytest.raises(ValueError):
-        encode(qv, books, fam)
+        encode(qv, books)
 
 
 def test_roundtrip_random_vectors_all_modes():
@@ -226,7 +226,7 @@ def test_roundtrip_random_vectors_all_modes():
             books = build_codebook(fam, _hist_for(fam), protocol, scheme)
             for _ in range(40):
                 qv = quantize_vector(rng.standard_normal(6), fam, rng=rng)
-                back = decode(encode(qv, books, fam), books, fam, 6)
+                back = decode(encode(qv, books), books)
                 assert back == qv
 
 
@@ -236,11 +236,11 @@ def test_batch_encode_decode_match_single():
     books = build_codebook(fam, _hist_for(fam))
     V = rng.standard_normal((7, 5))
     norms, signs, idx = quantize_batch(V, fam, rng=rng)
-    msgs = encode_batch(norms, signs, idx, books, fam)
+    msgs = encode_batch(norms, signs, idx, books)
     for k in range(7):
         qv = QuantizedVector(norms[k], signs[k], idx[k], fam.fingerprint())
-        assert msgs[k].data == encode(qv, books, fam).data
-    dn, ds, di = decode_batch(msgs, books, fam, 5)
+        assert msgs[k].data == encode(qv, books).data
+    dn, ds, di = decode_batch(msgs, books)
     assert np.array_equal(dn, norms)
     assert np.array_equal(ds, signs)
     assert np.array_equal(di, idx)
@@ -270,7 +270,7 @@ def test_message_bits_match_encoded_lengths(protocol, scheme):
     V[[2, 7]] = 0.0
     norms, signs, idx = quantize_batch(V, fam, rng=rng)
     counted = books.message_bits(norms, idx)
-    assert counted.tolist() == [m.nbits for m in encode_batch(norms, signs, idx, books, fam)]
+    assert counted.tolist() == [m.nbits for m in encode_batch(norms, signs, idx, books)]
     assert counted[2] == counted[7] == 32
 
 
@@ -307,7 +307,7 @@ def test_wire_is_frozen(protocol, scheme):
         V = rng.standard_normal((rows, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
         V[1::5] = 0.0
         norms, signs, idx = quantize_batch(V, fam, rng=rng)
-        for msg in encode_batch(norms, signs, idx, books, fam):
+        for msg in encode_batch(norms, signs, idx, books):
             h.update(msg.data + msg.nbits.to_bytes(4, "big"))
     words = [books.codeword(m, j) for m, s in enumerate(fam.sequences) for j in range(len(s))]
     assert (h.hexdigest(), words) == _FROZEN_WIRE[(protocol, scheme)]
@@ -325,7 +325,7 @@ def test_message_bits_rejects_indices_outside_the_book():
     # A zero-norm row is its bare header and unchecked, as in encode.
     assert books.message_bits([0.0], [[0, 9, 0, 0]]).tolist() == [32]
     qv = QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fam.fingerprint())
-    assert encode(qv, books, fam).nbits == 32
+    assert encode(qv, books).nbits == 32
 
 
 @pytest.mark.parametrize("protocol", ["main", "alternating"])
@@ -336,21 +336,21 @@ def test_encode_rejects_indices_outside_the_book(protocol):
     books = build_codebook(fam, _hist_for(fam), protocol)
     fid = fam.fingerprint()
     with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
-        encode(QuantizedVector(1.0, [1] * 4, [0, 1, 0, 3], fid), books, fam)
+        encode(QuantizedVector(1.0, [1] * 4, [0, 1, 0, 3], fid), books)
     with pytest.raises(MissingCodeword, match="no codeword for type 0, level -1"):
-        encode(QuantizedVector(1.0, [1] * 4, [0, -1, 5, 0], fid), books, fam)
+        encode(QuantizedVector(1.0, [1] * 4, [0, -1, 5, 0], fid), books)
     norms = np.array([1.0, 0.0, 2.0])
     idx = np.array([[0, 1, 2, 1], [0, 7, 0, 0], [2, 0, 0, 3]])
     with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
-        encode_batch(norms, np.ones((3, 4), dtype=np.int8), idx, books, fam)
-    msgs = encode_batch(norms[:2], np.ones((2, 4), dtype=np.int8), idx[:2], books, fam)
+        encode_batch(norms, np.ones((3, 4), dtype=np.int8), idx, books)
+    msgs = encode_batch(norms[:2], np.ones((2, 4), dtype=np.int8), idx[:2], books)
     assert msgs[1].nbits == 32
-    assert encode(QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fid), books, fam).nbits == 32
+    assert encode(QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fid), books).nbits == 32
     # A row of the wrong dimension used to encode a message that decoded
     # to other indices without an error.
     for d in (3, 5):
         with pytest.raises(ValueError, match="dimension"):
-            encode(QuantizedVector(1.0, [1] * d, [1] * d, fid), books, fam)
+            encode(QuantizedVector(1.0, [1] * d, [1] * d, fid), books)
 
 
 def test_verify_wire_checks_roundtrip_and_counted_bits():
@@ -359,27 +359,61 @@ def test_verify_wire_checks_roundtrip_and_counted_bits():
     books = build_codebook(fam, _hist_for(fam), "alternating")
     norms, signs, idx = quantize_batch(rng.standard_normal((4, 9)), fam, rng=rng)
     bits = int(books.message_bits(norms, idx).sum())
-    codec.verify_wire(norms, signs, idx, books, fam, bits)
+    codec.verify_wire(norms, signs, idx, books, bits)
     with pytest.raises(codec.WireMismatch):
-        codec.verify_wire(norms, signs, idx, books, fam, bits + 1)
+        codec.verify_wire(norms, signs, idx, books, bits + 1)
     # A level-0 coordinate sends no sign bit, so a negative sign there
     # cannot survive the roundtrip.
     bad = signs.copy()
     bad[idx == 0] = -1
     assert (idx == 0).any()
     with pytest.raises(codec.WireMismatch):
-        codec.verify_wire(norms, bad, idx, books, fam, bits)
+        codec.verify_wire(norms, bad, idx, books, bits)
 
 
 def test_decode_rejects_truncation():
     fam = _fam_single()
     books = build_codebook(fam, _hist_for(fam))
     qv = quantize_vector([3.0, -4.0], fam, rng=np.random.default_rng(1))
-    msg = encode(qv, books, fam)
+    msg = encode(qv, books)
     with pytest.raises(TruncatedMessage):
-        decode(codec.EncodedMessage(msg.data[:4], 32, "main"), books, fam, 2)
+        decode(codec.EncodedMessage(msg.data[:4], 32), books)
     with pytest.raises(TruncatedMessage):
-        decode(codec.EncodedMessage(msg.data[:3], 24, "main"), books, fam, 2)
+        decode(codec.EncodedMessage(msg.data[:3], 24), books)
+
+
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+def test_decode_rejects_a_message_cut_before_a_sign_bit(protocol):
+    # Halving probabilities over 10 levels give level 7 an 8-bit codeword,
+    # so its message is 32 + 8 + 1 bits and its first 5 bytes end exactly
+    # where the sign bit begins.
+    fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, 10))], np.zeros(1, dtype=np.int64))
+    probs = 0.5 ** np.arange(1, 11)
+    probs[-1] = probs[-2]
+    books = build_codebook(fam, LevelHistogram([probs]), protocol)
+    assert books.codeword(0, 7)[0] == 8
+    qv = QuantizedVector(1.0, [-1], [7], fam.fingerprint())
+    msg = encode(qv, books)
+    assert msg.nbits == 41
+    assert decode(msg, books) == qv
+    with pytest.raises(TruncatedMessage):
+        decode(codec.EncodedMessage(msg.data[:5], 40), books)
+
+
+@pytest.mark.parametrize("protocol", ["main", "alternating"])
+@pytest.mark.parametrize("scheme", ["huffman", "elias"])
+def test_kraft_sums_count_codewords_not_wire_strings(protocol, scheme):
+    # Each positive level's codeword is split into its two signed wire
+    # strings, one bit longer, which add up to the codeword's Kraft term.
+    fam = _fam_scattered()  # types of 3, 5 and 2 levels
+    books = build_codebook(fam, _hist_for(fam), protocol, scheme)
+    starts, sizes = fam.level_starts()
+    kraft = [sum(2.0 ** -l for l, _ in books.words[a:a + n]) for a, n in zip(starts, sizes)]
+    if protocol == "alternating":
+        kraft = [sum(kraft)]
+    assert books.kraft_sums() == kraft
+    strings = sum(len(scope.entries) for scope in books._scopes)
+    assert strings == 2 * len(books.words) - fam.num_types
 
 
 def _halving_hist(n):
@@ -402,11 +436,11 @@ def test_roundtrip_with_long_codewords(protocol, n):
     idx = rng.permutation(n)
     signs = np.where(idx > 0, rng.choice([-1, 1], size=n), 1)
     qv = QuantizedVector(2.5, signs, idx, fam.fingerprint())
-    msg = encode(qv, books, fam)
-    assert decode(msg, books, fam, n) == qv
+    msg = encode(qv, books)
+    assert decode(msg, books) == qv
     assert books.message_bits([qv.norm], [idx]).tolist() == [msg.nbits]
     with pytest.raises(TruncatedMessage):
-        decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24, protocol), books, fam, n)
+        decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24), books)
 
 
 def test_building_a_book_with_20_bit_codewords_stays_small():
@@ -427,7 +461,7 @@ def _payload_message(bits):
     nbits = 32 + len(bits)
     acc = (header << len(bits)) | int(bits, 2)
     pad = -nbits % 8
-    return codec.EncodedMessage((acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits, "main")
+    return codec.EncodedMessage((acc << pad).to_bytes((nbits + pad) // 8, "big"), nbits)
 
 
 def test_decode_rejects_bits_in_a_gap_of_an_elias_book():
@@ -436,10 +470,10 @@ def test_decode_rejects_bits_in_a_gap_of_an_elias_book():
     fam = _fam_single()
     books = build_codebook(fam, scheme="elias")
     assert books.kraft_sums() == [0.75]
-    assert decode(_payload_message("0" + "1000"), books, fam, 2).level_idx.tolist() == [0, 1]
+    assert decode(_payload_message("0" + "1000"), books).level_idx.tolist() == [0, 1]
     for bits in ("1010", "1110", "0" + "101"):
         with pytest.raises(InvalidCodeword):
-            decode(_payload_message(bits), books, fam, 2)
+            decode(_payload_message(bits), books)
 
 
 def test_decode_rejects_bits_below_the_lowest_codeword():
@@ -448,31 +482,31 @@ def test_decode_rejects_bits_below_the_lowest_codeword():
     fam = _fam_single()
     words = [(2, 0b01), (2, 0b10), (2, 0b11)]
     books = Codebook(words, "main", "huffman", fam)
-    assert decode(_payload_message("01" + "111"), books, fam, 2).level_idx.tolist() == [0, 2]
+    assert decode(_payload_message("01" + "111"), books).level_idx.tolist() == [0, 2]
     for bits in ("0001", "01" + "00"):
         with pytest.raises(InvalidCodeword):
-            decode(_payload_message(bits), books, fam, 2)
+            decode(_payload_message(bits), books)
 
 
 def test_decode_rejects_trailing_bytes_and_dirty_padding():
     fam = _fam_single()
     books = build_codebook(fam, _hist_for(fam))
     qv = quantize_vector([3.0, -4.0], fam, rng=np.random.default_rng(1))
-    msg = encode(qv, books, fam)
+    msg = encode(qv, books)
     with pytest.raises(TrailingBits):
-        decode(codec.EncodedMessage(msg.data + b"\x00", msg.nbits, "main"), books, fam, 2)
+        decode(codec.EncodedMessage(msg.data + b"\x00", msg.nbits), books)
     dirty = bytearray(msg.data)
     if msg.nbits % 8:
         dirty[-1] |= 1
         with pytest.raises(TrailingBits):
-            decode(codec.EncodedMessage(bytes(dirty), msg.nbits, "main"), books, fam, 2)
+            decode(codec.EncodedMessage(bytes(dirty), msg.nbits), books)
 
 
 def test_decode_rejects_payload_on_zero_norm():
     fam = _fam_single()
     books = build_codebook(fam, _hist_for(fam))
     with pytest.raises(TrailingBits):
-        decode(codec.EncodedMessage(bytes(5), 40, "main"), books, fam, 2)
+        decode(codec.EncodedMessage(bytes(5), 40), books)
 
 
 def test_decode_rejects_negative_or_nan_norm_header():
@@ -481,7 +515,7 @@ def test_decode_rejects_negative_or_nan_norm_header():
     for bad in (-1.0, float("nan")):
         data = struct.pack(">f", bad)
         with pytest.raises(InvalidCodeword):
-            decode(codec.EncodedMessage(data, 32, "main"), books, fam, 2)
+            decode(codec.EncodedMessage(data, 32), books)
 
 
 def test_alternating_decode_rejects_wrong_type_codeword():
@@ -499,7 +533,7 @@ def test_alternating_decode_rejects_wrong_type_codeword():
     pad = -nbits % 8
     data = (acc << pad).to_bytes((nbits + pad) // 8, "big")
     with pytest.raises((InvalidCodeword, TruncatedMessage)):
-        decode(codec.EncodedMessage(data, nbits, "alternating"), books, fam, 2)
+        decode(codec.EncodedMessage(data, nbits), books)
 
 
 def test_code_length_bound_frozen_example():
@@ -539,5 +573,5 @@ def test_measured_bits_respect_bound():
             ).astype(np.int32)
             signs = np.where(idx > 0, rng.choice([-1, 1], size=32), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
-            total += encode(qv, books, fam).nbits
+            total += encode(qv, books).nbits
         assert total / n <= code_length_bound(hist, fam, 32, protocol)

@@ -164,6 +164,14 @@ def test_readme_config_block_is_the_defaults():
     assert config_from_dict(raw) == config_from_dict(MINIMAL)
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("## Library use"):]
+    block = block[block.index("```python\n") + len("```python\n"):]
+    exec(compile(block[:block.index("```")], "README.md", "exec"), {})
+    assert " bits;  E||Q(v) - v||^2 = " in capsys.readouterr().out
+
+
 def test_load_config_reports_parse_errors(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("problem]\npreset = bilinear\n")

@@ -137,7 +137,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
     # The run's counted bits must equal the lengths of the real messages
     # for the same draws, across level refreshes (t = 6, 11), under both
     # protocols and both schemes, for every broadcast of either algorithm.
-    sent = []  # (norms, signs, idx, books, family) of every broadcast
+    sent = []  # (norms, signs, idx, books) of every broadcast
     quantize, broadcast = solver.quantize_batch, solver._QuantPipeline.broadcast
 
     def recording_quantize(V, family, **kw):
@@ -147,7 +147,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
 
     def recording_broadcast(self, V, state):
         out = broadcast(self, V, state)
-        sent[-1] = (*sent[-1], self.books, self.family)
+        sent[-1] = (*sent[-1], self.books)
         return out
 
     monkeypatch.setattr(solver, "quantize_batch", recording_quantize)
@@ -164,7 +164,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
             else:
                 metrics = run_extragradient_baseline(problem, 12, quant=quant, seed=0)
             assert len(sent) == 12 * per_iteration
-            assert len({id(books) for _, _, _, books, _ in sent}) == 3
+            assert len({id(books) for _, _, _, books in sent}) == 3
             wire = sum(m.nbits for rows in sent for m in codec.encode_batch(*rows))
             assert metrics.summary["total_bits"] == wire
             assert metrics.rows[-1][4] == wire
