@@ -237,10 +237,8 @@ class Codebook:
     flat indices under the alternating protocol.
     """
 
-    def __init__(self, words, protocol, scheme, family):
+    def __init__(self, words, protocol, family):
         self.words = list(words)
-        self.protocol = protocol
-        self.scheme = scheme
         self.family_id = family.fingerprint()
         self._assignment = family.assignment
         self._type_start, self._type_size = family.level_starts()
@@ -344,7 +342,7 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
                 words += build_huffman(hist.rows[m])
             else:
                 words += build_elias(len(seq))
-        return Codebook(words, protocol, scheme, family)
+        return Codebook(words, protocol, family)
     values = family.flat_levels()[0]
     flat_type = np.repeat(np.arange(family.num_types), family.level_starts()[1])
     order = np.lexsort((flat_type, values))
@@ -360,7 +358,7 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     words = [None] * order.size
     for rank, f in enumerate(order.tolist()):
         words[f] = code[rank]
-    return Codebook(words, protocol, scheme, family)
+    return Codebook(words, protocol, family)
 
 
 class EncodedMessage:
@@ -482,8 +480,8 @@ def _entropy(p):
     return float(-np.sum(p * np.log2(p)))
 
 
-def code_length_bound(hist, family, d, protocol=PROTOCOL_MAIN):
-    """Expected-bits upper bound for one encoded message of dimension d.
+def code_length_bound(hist, family, protocol=PROTOCOL_MAIN):
+    """Expected-bits upper bound for one encoded message of the family's dimension d.
 
     Main protocol: 32 + sum_m mu_m d (1 - p_0^m) sign bits plus
     sum_m mu_m d (H(row_m) + 1) codeword bits, where H is the Shannon
@@ -493,7 +491,7 @@ def code_length_bound(hist, family, d, protocol=PROTOCOL_MAIN):
     of the type proportions.
     """
     hist.validate(family)
-    mu = family.proportions
+    mu, d = family.proportions, family.dimension
     sign_bits = d * float(
         np.sum([mu[m] * (1.0 - hist.rows[m][0]) for m in range(family.num_types)])
     )

@@ -111,11 +111,19 @@ def _parse_bool(where, text):
     raise ParseError(f"{where}: expected a boolean, got {text!r}")
 
 
+def _parse_level_lists(where, text):
+    tokens = [tok.strip() for tok in text.split("|")] if text.strip() else []
+    for tok in tokens:
+        try:
+            sequence_from_spec(tok)
+        except ValueError as exc:
+            raise ParseError(f"{where}: bad level list {tok!r}: {exc}") from None
+    return tokens
+
+
 _TEXT = _Kind(lambda where, text: text.strip(), str)
 _BOOL = _Kind(_parse_bool, lambda value: str(value).lower())
-_LEVEL_LISTS = _Kind(
-    lambda where, text: [tok.strip() for tok in text.split("|")] if text.strip() else [],
-    " | ".join)
+_LEVEL_LISTS = _Kind(_parse_level_lists, " | ".join)
 
 
 class _Key(NamedTuple):
@@ -383,18 +391,18 @@ def run_experiment(cfg):
 def mqv_study(cfg, probes=16):
     """Layer-wise vs pooled-global quantization objective on oracle samples.
 
-    Draws noiseless oracle evaluations at random probe points, estimates the
-    magnitude CDFs, places optimal levels per type and for one shared global
-    sequence on the pooled CDF, and returns both objectives.
+    Evaluates the run's own node operators, without noise, at random probe
+    points (K rows per point), estimates the magnitude CDFs, places optimal
+    levels per type and for one shared global sequence on the pooled CDF,
+    and returns both objectives.
     """
     if not cfg.quant_enabled:
         return None
-    probe_cfg = replace(cfg, noise_kind="none", clip=0.0)
-    problem = build_problem(probe_cfg)
+    problem = build_problem(cfg)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.problem_seed, spawn_key=(9,)))
     xs = problem.x1 + rng.standard_normal((probes, cfg.d))
-    samples = np.stack([op.apply(x) for x in xs for op in problem.node_ops])
+    samples = np.concatenate([problem.node_B @ x + problem.node_c for x in xs])
 
     family = build_family(cfg)
     wcdf = adapt.weighted_cdf(samples, family)

@@ -15,11 +15,11 @@ Broadcast cost is counted on the sender side: one encoded message per node
 per broadcast.
 
 Both algorithms run in one driver (``_drive``).  It owns the state, the
-compression pipeline, the stacked node operators and the noise stream, and
-hands each algorithm's step one ``oracle(x)``: an oracle call per node at x,
-broadcast and decoded.  The driver refreshes levels on schedule, computes
-the gap and writes a row at each checkpoint, and builds the summary; a step
-only updates the iterates and its rates.
+compression pipeline and the noise stream, and hands each algorithm's step
+one ``oracle(x)``: one matmul of the problem's stacked node split at x, the
+noise, the broadcast and decoding.  The driver refreshes levels on schedule,
+computes the gap and writes a row at each checkpoint, and builds the
+summary; a step only updates the iterates and its rates.
 
 Decoding a message reproduces its quantized vector exactly, so a broadcast
 takes Vhat and each message's bit count straight from the quantizer's level
@@ -93,8 +93,6 @@ class SolverState:
 
 
 class GeneralRates:
-    kind = "general"
-
     def rates(self, state):
         """gamma_t = eta_t = (1 + accumulated message differences)^(-1/2)."""
         v = (1.0 + state.s_diff) ** -0.5
@@ -106,8 +104,6 @@ class GeneralRates:
 
 
 class AltRates:
-    kind = "alt"
-
     def __init__(self, q_hat=0.25):
         if not 0.0 < q_hat <= 0.25:
             raise BadQHat(f"q_hat must lie in (0, 1/4], got {q_hat}")
@@ -129,8 +125,6 @@ class AltRates:
 
 
 class ConstantRates:
-    kind = "constant"
-
     def __init__(self, c):
         if c <= 0:
             raise ValueError("constant rate must be positive")
@@ -202,7 +196,7 @@ class _QuantPipeline:
         """Quantize with ``family`` and ``books`` from iteration t on."""
         self.family, self.books, self.hist = family, books, hist
         self.eps_q = variance_bound_eps(family, self.d)
-        self.n_q = code_length_bound(hist, family, self.d, self.cfg.protocol)
+        self.n_q = code_length_bound(hist, family, self.cfg.protocol)
         self.segments.append((t, self.eps_q, self.n_q))
 
     def observe(self, V):
@@ -324,8 +318,7 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         pipeline = _IdentityPipeline(d, K)
     else:
         pipeline = _QuantPipeline(quant, d, K, seed)
-    node_B = np.stack([op.B for op in problem.node_ops])
-    node_c = np.stack([op.c for op in problem.node_ops])
+    node_B, node_c = problem.node_B, problem.node_c
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     def oracle(x):

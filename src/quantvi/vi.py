@@ -1,9 +1,10 @@
 """Synthetic monotone variational-inequality problems and noise oracles.
 
 Operators are affine, A(x) = Bx + c, with B + B^T positive semidefinite so
-that A is monotone.  A problem instance carries one operator per simulated
-node whose average is the global operator, a noise model for the stochastic
-oracle, and a ball-shaped evaluation domain for the restricted gap
+that A is monotone.  A problem instance carries the global operator, the
+node split as data (one stacked (K, d, d) matrix and (K, d) offset whose
+means are the global B and c), a noise model for the stochastic oracle, and
+a ball-shaped evaluation domain for the restricted gap
 
     gap(x_hat) = sup over x in the ball of <A(x), x_hat - x>,
 
@@ -50,15 +51,13 @@ class AffineOperator:
     """A(x) = Bx + c with B + B^T required positive semidefinite.
 
     ``L`` is the spectral norm of B (``spectral_norm``: one eigensolve of
-    B^T B) unless a larger value is declared; it is computed on first read
-    and kept, and a declared value is checked against the norm here.  When
-    B + B^T is exactly zero every eigenvalue of the symmetric part is 0, so
-    the operator is skew and monotone without an eigensolve or a norm.  The
-    eigendecomposition of B + B^T that the gap of a non-skew operator needs
-    is likewise computed on first use and kept.
+    B^T B), computed here.  When B + B^T is exactly zero every eigenvalue of
+    the symmetric part is 0, so the operator is skew and monotone without a
+    second eigensolve.  The eigendecomposition of B + B^T that the gap of a
+    non-skew operator needs is computed on first use and kept.
     """
 
-    def __init__(self, B, c=None, L=None, beta=None, x_star=None):
+    def __init__(self, B, c=None, beta=None, x_star=None):
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise BadDimension("B must be square")
@@ -69,9 +68,10 @@ class AffineOperator:
         self.B = B
         self.c = c
         self.d = d
+        self.L = spectral_norm(B)
         sym = 0.5 * (B + B.T)
         if sym.any():
-            scale = max(1.0, self._op_norm)
+            scale = max(1.0, self.L)
             eigs = np.linalg.eigvalsh(sym)
             if eigs[0] < -_MONOTONE_TOL * scale:
                 raise ValueError(
@@ -82,24 +82,13 @@ class AffineOperator:
         else:
             self.sym_eig_max = 0.0
             self.is_skew = True
-        if L is not None and L < self._op_norm * (1 - 1e-9):
-            raise ValueError(f"declared L={L} below the operator norm {self._op_norm}")
-        self._L = None if L is None else float(L)
         self.beta = beta
         self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
-
-    @functools.cached_property
-    def _op_norm(self):
-        return spectral_norm(self.B)
 
     @functools.cached_property
     def _sym_eigh(self):
         """Eigenvalues (ascending) and eigenvectors of B + B^T, for the gap."""
         return np.linalg.eigh(self.B + self.B.T)
-
-    @property
-    def L(self):
-        return self._op_norm if self._L is None else self._L
 
     def apply(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -228,17 +217,23 @@ def restricted_gap(x_hat, op, dom):
 
 
 class ProblemInstance:
-    """A distributed VI test problem: global operator, node split, noise, domain."""
+    """A distributed VI test problem: global operator, node split, noise, domain.
 
-    def __init__(self, kind, op, node_ops, noise, domain, x1):
+    Node k's operator is A_k(x) = node_B[k] x + node_c[k]; ``node_B`` is
+    (K, d, d) and ``node_c`` is (K, d), and their means over k are the
+    global operator's B and c.  One matmul evaluates every node at x.
+    """
+
+    def __init__(self, kind, op, node_B, node_c, noise, domain, x1):
         self.kind = kind
         self.op = op
-        self.node_ops = node_ops
+        self.node_B = node_B
+        self.node_c = node_c
         self.noise = noise
         self.domain = domain
         self.x1 = np.asarray(x1, dtype=np.float64)
         self.d = op.d
-        self.K = len(node_ops)
+        self.K = node_B.shape[0]
         self.x_star = op.x_star
         self.L = op.L
         self.beta = op.beta
@@ -266,10 +261,11 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
     recording beta = 1 / lmax).  The solution defaults to a random unit
     vector; pass ``x_star`` explicitly (a vector or scalar) to override.
 
-    Node operators either share B exactly (``node_split="identical"``, the
-    default whenever the noise scales with the operator) or receive
-    zero-sum skew perturbations (``node_split="skew"``).  Unit-norm
-    matrices are divided by their ``spectral_norm``.
+    Every node matrix is either B itself, through a read-only (K, d, d)
+    view with no copy (``node_split="identical"``, the default whenever the
+    noise scales with the operator), or B plus one of K zero-sum skew
+    perturbations (``node_split="skew"``); every node has the offset c.
+    Unit-norm matrices are divided by their ``spectral_norm``.
     """
     if K < 1:
         raise ValueError("need at least one node")
@@ -316,19 +312,19 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
     if node_split is None:
         node_split = "identical" if is_relative(noise) else "skew"
     if node_split == "identical" or K == 1:
-        node_ops = [op] * K
+        node_B = np.broadcast_to(B, (K, d, d))
     elif node_split == "skew":
-        deltas = np.stack([0.25 * _unit_spectral(_random_skew(rng, d)) for _ in range(K)])
-        deltas -= deltas.mean(axis=0)
-        node_ops = [AffineOperator(B + deltas[k], c) for k in range(K)]
-        del deltas  # K d x d arrays, freed before the global norm's eigensolve
+        node_B = np.stack([0.25 * _unit_spectral(_random_skew(rng, d)) for _ in range(K)])
+        # Still exactly skew, so each node's B + B^T is B's up to rounding.
+        node_B -= node_B.mean(axis=0)
+        node_B += B
     else:
         raise ValueError(f"unknown node split {node_split!r}")
 
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))
     domain = TestDomain(xs, 2.0 * dist if dist > 0 else 1.0)
-    return ProblemInstance(kind, op, node_ops, noise, domain, x1)
+    return ProblemInstance(kind, op, node_B, np.broadcast_to(c, (K, d)), noise, domain, x1)
 
 
 def certify_monotone(op, rng, pairs=10000):

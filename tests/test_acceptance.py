@@ -249,7 +249,7 @@ def test_criterion_05_entropy_sandwich_and_length_bound():
             signs = np.where(idx > 0, rng.choice([-1, 1], size=d), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
             total += codec.encode(qv, books).nbits
-        bound = codec.code_length_bound(hist, fam, d, protocol)
+        bound = codec.code_length_bound(hist, fam, protocol)
         margins[protocol] = bound - total / n_msgs
     ok = sandwich_ok and all(m >= 0.0 for m in margins.values())
     _report(5, "entropy sandwich and length bound", ok,

@@ -481,7 +481,7 @@ def test_decode_rejects_bits_below_the_lowest_codeword():
     # first sorted codeword; it must not wrap around to the last one.
     fam = _fam_single()
     words = [(2, 0b01), (2, 0b10), (2, 0b11)]
-    books = Codebook(words, "main", "huffman", fam)
+    books = Codebook(words, "main", fam)
     assert decode(_payload_message("01" + "111"), books).level_idx.tolist() == [0, 2]
     for bits in ("0001", "01" + "00"):
         with pytest.raises(InvalidCodeword):
@@ -542,15 +542,15 @@ def test_code_length_bound_frozen_example():
     # protocols for a single-type family.
     fam = _fam_single()
     hist = LevelHistogram([np.array([0.25, 0.5, 0.25])])
-    assert code_length_bound(hist, fam, 2) == pytest.approx(38.5)
-    assert code_length_bound(hist, fam, 2, protocol="alternating") == pytest.approx(38.5)
+    assert code_length_bound(hist, fam) == pytest.approx(38.5)
+    assert code_length_bound(hist, fam, protocol="alternating") == pytest.approx(38.5)
 
 
 def test_code_length_bound_alternating_adds_type_entropy():
     fam = _fam_two(d=4)
     hist = _hist_for(fam)
-    main = code_length_bound(hist, fam, 4)
-    alt = code_length_bound(hist, fam, 4, protocol="alternating")
+    main = code_length_bound(hist, fam)
+    alt = code_length_bound(hist, fam, protocol="alternating")
     # Equal type proportions add exactly one bit per coordinate.
     assert alt == pytest.approx(main + 4.0)
 
@@ -574,4 +574,4 @@ def test_measured_bits_respect_bound():
             signs = np.where(idx > 0, rng.choice([-1, 1], size=32), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
             total += encode(qv, books).nbits
-        assert total / n <= code_length_bound(hist, fam, 32, protocol)
+        assert total / n <= code_length_bound(hist, fam, protocol)

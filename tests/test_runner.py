@@ -262,6 +262,21 @@ def test_mqv_study_layerwise_at_most_global():
     assert study["layerwise"] <= study["global"] + 1e-12
 
 
+def test_mqv_study_samples_the_runs_own_node_split(monkeypatch):
+    # A relative-noise run gives every node B itself and an absolute-noise
+    # run gives each node its own skew perturbation; the study's K rows per
+    # probe point must come from the split the run uses.
+    seen = []
+    weighted_cdf = runner.adapt.weighted_cdf
+    monkeypatch.setattr(runner.adapt, "weighted_cdf",
+                        lambda S, family: seen.append(S) or weighted_cdf(S, family))
+    for kind, identical in (("relative", True), ("absolute", False)):
+        cfg = _tiny("unused", extra={"noise": {"kind": kind}})
+        mqv_study(cfg, probes=4)
+        rows = seen[-1].reshape(4, cfg.K, cfg.d)
+        assert np.array_equal(rows[:, 0], rows[:, 1]) == identical
+
+
 def test_run_suite_halving(tmp_path):
     result = run_suite("halving", seed=0, out=str(tmp_path / "s"),
                        overrides={"run": {"T": "12"}, "problem": {"d": "6", "K": "2"}})
@@ -359,6 +374,21 @@ def test_cli_rejects_bad_input(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["run", "bilinear-abs", "--set", "run.T"]) == 1
     assert "section.key=value" in capsys.readouterr().err
+
+
+def test_cli_rejects_a_bad_level_list_naming_the_field(tmp_path, capsys):
+    # Every "|"-separated list must build a level sequence, whether or not
+    # levels are ever refreshed; the error names the field and the list.
+    out = str(tmp_path / "bad")
+    for levels, token in (("uniform:x|uniform:2", "uniform:x"),
+                          ("0,0.5,2|uniform:2", "0,0.5,2")):
+        for period in ("1000", "0"):
+            assert main(["run", "bilinear-abs", "--out", out, *_SMALL,
+                         "--set", f"quantization.levels={levels}",
+                         "--set", f"quantization.update_period={period}"]) == 1
+            err = capsys.readouterr().err
+            assert "[quantization] levels" in err and repr(token) in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_suite_with_overrides(tmp_path, capsys):

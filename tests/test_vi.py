@@ -32,12 +32,6 @@ def test_affine_operator_rejects_non_monotone():
         AffineOperator(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         AffineOperator(np.eye(2), c=np.zeros(3))
-    with pytest.raises(ValueError):
-        AffineOperator(np.eye(2), L=0.5)  # below the true operator norm
-    # Exactly skew B skips the eigensolve, but a declared L is still checked.
-    with pytest.raises(ValueError):
-        AffineOperator(np.array([[0.0, 2.0], [-2.0, 0.0]]), L=1.0)
-    assert AffineOperator(np.array([[0.0, 2.0], [-2.0, 0.0]]), L=3.0).L == 3.0
 
 
 def _count_factorizations(monkeypatch):
@@ -70,27 +64,37 @@ def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     K = 4
     p = make_problem("bilinear", d=8, K=K, seed=0, node_split="skew")
     # _unit_spectral of the saddle block and of each delta, and the global L;
-    # no SVD, and the exactly skew global and node operators need no
-    # eigensolve of B + B^T.
+    # no SVD, and the exactly skew global operator needs no eigensolve of
+    # B + B^T.  The node matrices are never factorized.
     assert counts == {"spectral_norm": 2 + K, "svd": 0, "eigvalsh": 2 + K}
-    assert all(op.is_skew and op.sym_eig_max == 0.0 for op in p.node_ops)
     _assert_is_norm(p.L, p.op.B)
 
 
-def test_operator_norm_is_computed_once_on_first_read(monkeypatch):
-    p = make_problem("bilinear", d=8, K=3, seed=1, node_split="skew")
-    skew_op = p.node_ops[1]
+@pytest.mark.parametrize("kind, skew_part", [("cocoercive", 0), ("strongly_monotone", 1)])
+def test_non_skew_split_factorizes_only_the_global_operator(monkeypatch, kind, skew_part):
     counts = _count_factorizations(monkeypatch)
-    # A node operator of a skew split has no norm until its L is read.
-    assert skew_op.L == skew_op.L
+    K = 4
+    p = make_problem(kind, d=40, K=K, seed=0, node_split="skew")
+    # _unit_spectral of each delta (and of strongly_monotone's skew part),
+    # then the global L and one eigensolve of B + B^T; none per node.
+    norms = K + skew_part + 1
+    assert counts == {"spectral_norm": norms, "svd": 0, "eigvalsh": norms + 1}
+    _assert_is_norm(p.L, p.op.B)
+
+
+def test_operator_norm_is_computed_once_at_construction(monkeypatch):
+    counts = _count_factorizations(monkeypatch)
+    skew = np.array([[0.0, 2.0], [-2.0, 0.0]])
+    skew_op = AffineOperator(skew)
+    # An exactly skew operator needs the norm but no eigensolve of B + B^T.
     assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 1}
-    # A non-skew operator needs the norm for its tolerances and shares it with L.
+    # A non-skew operator shares its norm with its monotonicity tolerance.
     B = np.array([[2.0, 1.0], [1.0, 3.0]])
     op = AffineOperator(B)
     assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
-    assert op.L == op.L
+    assert skew_op.L > 0 and op.L > 0  # reading L factorizes nothing
     assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
-    _assert_is_norm(skew_op.L, skew_op.B)
+    _assert_is_norm(skew_op.L, skew)
     _assert_is_norm(op.L, B)
 
 
@@ -208,9 +212,10 @@ def test_make_problem_bilinear_structure():
     assert p.d == 6 and p.K == 3
     assert p.op.is_skew
     assert p.L == pytest.approx(1.0)
-    # Node operators are a zero-sum split of the global operator.
-    assert np.allclose(np.mean([op.B for op in p.node_ops], axis=0), p.op.B)
-    assert np.allclose(np.mean([op.c for op in p.node_ops], axis=0), p.op.c)
+    # The node operators are a zero-sum split of the global operator.
+    assert p.node_B.shape == (3, 6, 6) and p.node_c.shape == (3, 6)
+    assert np.allclose(p.node_B.mean(axis=0), p.op.B, rtol=0.0, atol=1e-15)
+    assert np.array_equal(p.node_c, np.tile(p.op.c, (3, 1)))
     # The planted solution is a zero of the operator.
     assert np.allclose(p.op.apply(p.x_star), 0.0)
     with pytest.raises(BadDimension):
@@ -250,10 +255,30 @@ def test_make_problem_cocoercive():
 
 
 def test_node_split_identical_under_relative_noise():
+    # Every node's matrix is B itself: a view of op.B, no copy.
     p = make_problem("bilinear", d=4, K=3, seed=2, noise=RelativeNoise(0.5))
-    assert all(op is p.op for op in p.node_ops)
     q = make_problem("bilinear", d=4, K=3, seed=2, node_split="identical")
-    assert all(op is q.op for op in q.node_ops)
+    for r in (p, q):
+        assert r.node_B.shape == (3, 4, 4) and np.shares_memory(r.node_B, r.op.B)
+        assert all(np.array_equal(Bk, r.op.B) for Bk in r.node_B)
+    assert not np.shares_memory(make_problem("bilinear", d=4, K=3, seed=2).node_B, p.op.B)
+
+
+def test_bilinear_skew_split_is_exactly_antisymmetric():
+    p = make_problem("bilinear", d=8, K=4, seed=0, node_split="skew")
+    assert p.op.is_skew
+    for Bk in p.node_B:
+        assert np.array_equal(Bk, -Bk.T)
+        assert not np.array_equal(Bk, p.op.B)
+
+
+@pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
+def test_skew_split_nodes_are_monotone(kind):
+    # Skew deltas leave each node's symmetric part that of B, up to rounding.
+    for seed in range(3):
+        p = make_problem(kind, d=30, K=4, seed=seed, node_split="skew")
+        for Bk in p.node_B:
+            assert np.linalg.eigvalsh(Bk + Bk.T)[0] >= -1e-9 * p.L
 
 
 def test_explicit_solution_override():
