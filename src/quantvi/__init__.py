@@ -10,8 +10,8 @@ The package is organized bottom-up:
     Prefix coding (canonical Huffman / Elias omega) of quantized vectors
     under two transmission protocols, with code-length accounting.
 ``adapt``
-    Distribution estimation of normalized coordinates and level-placement
-    optimization by dynamic programming.
+    Distribution estimation of normalized coordinates, level placement by
+    dynamic programming, and the level probabilities Huffman books use.
 ``vi``
     Synthetic monotone variational-inequality problems, noise oracles, and
     the restricted gap, computed exactly.

@@ -16,15 +16,15 @@ conquer over the grid points, with every cost computed on the fly from
 prefix moments: O(alpha G log G) time and O(G) memory for alpha interior
 levels (Wu 1991, "Optimal quantization by matrix searching").
 
-All distribution objects expose the same two-method interface consumed by
-the optimizer and by codec.estimate_level_probs:
-
-``moments_below(x)``
-    (mass, first moment, second moment) of F restricted to [0, x).  ``x``
-    may be a scalar or an array; the result has shape ``x.shape + (3,)``,
-    one row per x.
-``total_moments()``
-    the same over the closed interval [0, 1].
+Every distribution object has one method, ``moments_below(x)``: the
+(mass, first moment, second moment) of F restricted to [0, x).  ``x`` may be
+a scalar or an array; the result has shape ``x.shape + (3,)``, one row per
+x.  An atom at 1 counts below every x >= 1, as the quantizer puts u = 1 in
+the last level interval, so ``moments_below(1.0)`` is the total and the
+moments of the intervals between the points of any increasing array ending
+at 1 are ``np.diff(cdf.moments_below(points), axis=0)``.  Only this module
+reads a distribution: the level placement, its cost, and the level
+probabilities the codec builds its Huffman books from.
 """
 
 import operator
@@ -35,6 +35,10 @@ import numpy as np
 from scipy import optimize, stats
 
 from .levels import LevelFamily, LevelSequence
+
+
+class InvalidCdf(ValueError):
+    """CDF is not a valid probability distribution on [0, 1]."""
 
 
 class AllZeroSamples(ValueError):
@@ -74,6 +78,9 @@ class StepCdf:
         merged /= total
         self.points = uniq
         self.weights = merged
+        # A point p counts below x when its key is < x.  The key of an atom
+        # at 1 is the float just below 1, so it counts from x = 1 on.
+        self._keys = np.minimum(uniq, np.nextafter(1.0, 0.0))
         cum = np.column_stack(
             [np.cumsum(merged), np.cumsum(merged * uniq), np.cumsum(merged * uniq**2)]
         )
@@ -81,11 +88,8 @@ class StepCdf:
         self._below = np.vstack([np.zeros(3), cum])
 
     def moments_below(self, x):
-        i = np.searchsorted(self.points, x, side="left")
+        i = np.searchsorted(self._keys, x, side="left")
         return np.take(self._below, i, axis=0)
-
-    def total_moments(self):
-        return self._below[-1].copy()
 
 
 class UniformCdf:
@@ -97,9 +101,6 @@ class UniformCdf:
         # power differs from it in the last bit for some x.
         rows = [(u, u**2 / 2.0, u**3 / 3.0) for u in x.ravel().tolist()]
         return np.array(rows, dtype=np.float64).reshape(x.shape + (3,))
-
-    def total_moments(self):
-        return np.array([1.0, 0.5, 1.0 / 3.0])
 
 
 class TruncNormCdf:
@@ -130,11 +131,8 @@ class TruncNormCdf:
         z = np.clip((np.asarray(x, dtype=np.float64) - self.mu) / self.sigma, self._a, self._b)
         return self._raw(z) / self._z
 
-    def total_moments(self):
-        return self._raw(self._b) / self._z
-
     def mean_var(self):
-        m = self.total_moments()
+        m = self.moments_below(1.0)
         return float(m[1]), float(m[2] - m[1] ** 2)
 
 
@@ -240,12 +238,44 @@ def fit_truncated_normal(samples, family):
 def quantization_cost(cdf, seq):
     """integral of (l_tau+1 - u)(u - l_tau) dF(u): the per-unit-norm variance."""
     ell = seq.levels if isinstance(seq, LevelSequence) else np.asarray(seq, float)
-    below = cdf.moments_below(ell)
-    m0, m1, m2 = (np.vstack([below[1:-1], cdf.total_moments()]) - below[:-1]).T
+    m0, m1, m2 = np.diff(cdf.moments_below(ell), axis=0).T
     terms = -m2 + (ell[:-1] + ell[1:]) * m1 - ell[:-1] * ell[1:] * m0
     # Summed left to right from 0.0, one interval at a time (Python's sum
     # compensates rounding from 3.12 on, which would change the last bits).
     return reduce(operator.add, terms.tolist(), 0.0)
+
+
+def estimate_level_probs(cdf, seq):
+    """Probability of each level index when quantizing draws from ``cdf``.
+
+    Mass in a level interval [l_j, l_j+1) is split between the two bracketing
+    levels in proportion to the expected rounding probabilities, which
+    reproduces exactly the symbol distribution the stochastic quantizer
+    induces.  Raises InvalidCdf unless ``cdf`` has total mass 1 and no
+    interval of negative mass.
+    """
+    ell = seq.levels
+    below = np.asarray(cdf.moments_below(ell), dtype=np.float64)
+    if abs(below[-1, 0] - 1.0) > 1e-9:
+        raise InvalidCdf(f"total mass {below[-1, 0]} is not 1")
+    m0, m1 = np.diff(below[:, :2], axis=0).T
+    if (m0 < -1e-12).any():
+        raise InvalidCdf("CDF is decreasing")
+    w_up = (m1 - ell[:-1] * m0) / np.diff(ell)
+    w_up = np.minimum(np.maximum(w_up, 0.0), np.maximum(m0, 0.0))
+    row = np.zeros(len(ell))
+    row[:-1] += m0 - w_up
+    row[1:] += w_up
+    np.clip(row, 0.0, None, out=row)
+    return row
+
+
+def level_histogram(family, cdfs):
+    """Level probability rows of ``family`` under per-type CDFs; uniform where None."""
+    return [
+        estimate_level_probs(UniformCdf() if c is None else c, seq)
+        for c, seq in zip(cdfs, family.sequences)
+    ]
 
 
 def optimize_levels(cdf, alpha, grid=512):
@@ -275,9 +305,7 @@ def optimize_levels(cdf, alpha, grid=512):
         raise BudgetTooLarge(f"{alpha} interior levels need a grid of > {alpha} points")
 
     xs = np.arange(grid + 1) / grid
-    below = np.array(cdf.moments_below(xs), dtype=np.float64)  # (G+1, 3)
-    below[grid] = cdf.total_moments()  # closed top interval includes u = 1
-    prefix = below.T.copy()  # rows b0, b1, b2
+    prefix = np.asarray(cdf.moments_below(xs), dtype=np.float64).T.copy()  # rows b0, b1, b2
 
     fprev = np.full(grid + 1, np.inf)
     fprev[0] = 0.0
@@ -351,19 +379,17 @@ def place_levels(family, cdfs, grid):
     return LevelFamily(seqs, family.assignment, q=family.q)
 
 
-def mqv_objective(family, cdf):
+def mqv_objective(family, cdfs):
     """Family-wide expected quantization variance per unit squared norm.
 
-    Sums the per-type rounding-variance integrals weighted by each type's
-    share of coordinates.  Types without an estimated CDF (no observed
-    coordinates) contribute nothing.
+    Sums the per-type rounding-variance integrals under ``cdfs``, one per
+    type, weighted by each type's share of coordinates.  Types without an
+    estimated CDF (None: no observed coordinates) contribute nothing.
     """
     total = 0.0
-    for m in range(family.num_types):
-        c = cdf.type_cdfs[m] if hasattr(cdf, "type_cdfs") else cdf
-        if c is None:
-            continue
-        total += family.proportions[m] * quantization_cost(c, family.sequences[m])
+    for m, (c, seq) in enumerate(zip(cdfs, family.sequences)):
+        if c is not None:
+            total += family.proportions[m] * quantization_cost(c, seq)
     return float(total)
 
 

@@ -9,14 +9,16 @@ level) pairs, so a codeword alone identifies both the type and the level.
 
 Two code constructions are supported: canonical Huffman built from a level
 histogram, and Elias omega codes indexed by level rank (no statistics
-needed).
+needed).  A level histogram is a plain list of probability rows, one per
+type, checked by ``validate_histogram``; ``adapt`` computes it.
 
 Every symbol is a flat (type, level) index in the order of
 ``LevelFamily.flat_levels``: a codebook is one list of codewords in that
-order, and a decoding scope (one per type, or one for all under the
-alternating protocol) holds the wire strings of a set of flat indices.
-Level j at coordinate i is flat index ``coord_start[i] + j`` on both sides
-of the wire, and the codebook is the codec's only context.
+order, and a decoding scope holds the wire strings of a range of flat
+indices.  ``build_codebook`` lays the scopes out once per protocol: one per
+type, or one for all under the alternating protocol.  Level j at coordinate
+i is flat index ``coord_start[i] + j`` on both sides of the wire, and the
+codebook is the codec's only context.
 
 Messages are built and read as strings of "0" and "1", from one table of
 signed wire strings per flat index: the codeword, then one sign bit when the
@@ -48,10 +50,6 @@ SCHEME_HUFFMAN = "huffman"
 SCHEME_ELIAS = "elias"
 
 
-class InvalidCdf(ValueError):
-    """CDF is not a valid probability distribution on [0, 1]."""
-
-
 class EmptyAlphabet(ValueError):
     """Codebook requested for an alphabet with no positive-mass symbol."""
 
@@ -80,59 +78,24 @@ class WireMismatch(RuntimeError):
     """A wire roundtrip disagrees with the rows sent or their counted bits."""
 
 
-class LevelHistogram:
-    """Per-type probability rows over level indices 0 .. alpha_m + 1."""
+def validate_histogram(rows, family):
+    """Check level probability rows against ``family``, raising on the first violation.
 
-    def __init__(self, rows):
-        self.rows = [np.asarray(r, dtype=np.float64) for r in rows]
-
-    def validate(self, family=None):
-        if family is not None:
-            if len(self.rows) != family.num_types:
-                raise InvalidHistogram(
-                    f"{len(self.rows)} rows for {family.num_types} types"
-                )
-            for m, row in enumerate(self.rows):
-                if row.size != family.sequences[m].alpha + 2:
-                    raise InvalidHistogram(f"row {m} has wrong length {row.size}")
-        for m, row in enumerate(self.rows):
-            if np.any(row < -1e-12):
-                raise InvalidHistogram(f"row {m} has a negative entry")
-            if abs(row.sum() - 1.0) > 1e-9:
-                raise InvalidHistogram(f"row {m} sums to {row.sum()}, not 1")
-        return self
-
-    def __repr__(self):
-        return f"LevelHistogram({[list(np.round(r, 4)) for r in self.rows]})"
-
-
-def estimate_level_probs(cdf, seq):
-    """Probability of each level index when quantizing draws from ``cdf``.
-
-    ``cdf`` must expose ``moments_below(x)`` returning, for an array of x,
-    one (mass, first moment, ...) row per x of the distribution restricted
-    to [0, x), and ``total_moments()`` for the closed interval [0, 1].
-    Mass in a level interval [l_j, l_j+1) is split between the two bracketing
-    levels in proportion to the expected rounding probabilities, which
-    reproduces exactly the symbol distribution the stochastic quantizer
-    induces.
+    ``rows`` holds one row per type, over level indices 0 .. alpha_m + 1.
+    Raises InvalidHistogram unless each row has its type's length, no
+    negative entry and sum 1.  Returns the rows as float arrays.
     """
-    ell = seq.levels
-    total = np.asarray(cdf.total_moments(), dtype=np.float64)
-    if abs(total[0] - 1.0) > 1e-9:
-        raise InvalidCdf(f"total mass {total[0]} is not 1")
-    below = np.asarray(cdf.moments_below(ell), dtype=np.float64)
-    # Moments of each level interval [l_j, l_j+1); the last one is closed.
-    m0, m1 = (np.vstack([below[1:-1], total]) - below[:-1])[:, :2].T
-    if (m0 < -1e-12).any():
-        raise InvalidCdf("CDF is decreasing")
-    w_up = (m1 - ell[:-1] * m0) / np.diff(ell)
-    w_up = np.minimum(np.maximum(w_up, 0.0), np.maximum(m0, 0.0))
-    row = np.zeros(len(ell))
-    row[:-1] += m0 - w_up
-    row[1:] += w_up
-    np.clip(row, 0.0, None, out=row)
-    return row
+    rows = [np.asarray(r, dtype=np.float64) for r in rows]
+    if len(rows) != family.num_types:
+        raise InvalidHistogram(f"{len(rows)} rows for {family.num_types} types")
+    for m, (row, seq) in enumerate(zip(rows, family.sequences)):
+        if row.size != seq.alpha + 2:
+            raise InvalidHistogram(f"row {m} has wrong length {row.size}")
+        if np.any(row < -1e-12):
+            raise InvalidHistogram(f"row {m} has a negative entry")
+        if abs(row.sum() - 1.0) > 1e-9:
+            raise InvalidHistogram(f"row {m} sums to {row.sum()}, not 1")
+    return rows
 
 
 def build_huffman(probs):
@@ -233,11 +196,12 @@ class Codebook:
     ``words[f]`` is the (length, code) of flat index f, as laid out by
     ``LevelFamily.flat_levels``, and ``_plus[f]``/``_minus[f]`` its signed
     wire strings, the one table both the encoder and the decoding scopes
-    read: one scope per type under the main protocol, one scope over all
-    flat indices under the alternating protocol.
+    read.  ``scopes`` are ranges of flat indices that partition them, each
+    prefix-free on its own; a coordinate decodes in the scope that holds its
+    type's levels.
     """
 
-    def __init__(self, words, protocol, family):
+    def __init__(self, words, scopes, family):
         self.words = list(words)
         self.family_id = family.fingerprint()
         self._assignment = family.assignment
@@ -250,18 +214,12 @@ class Codebook:
         self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
         self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
         self._wire_bits = np.array([len(w) for w in self._plus])
-        spans = [range(a, a + n) for a, n in zip(self._type_start, self._type_size)]
-        if protocol == PROTOCOL_MAIN:
-            self._scopes = [_Scope(span, self._plus, self._minus) for span in spans]
-            scope_of = self._scopes
-        else:
-            self._scopes = [_Scope(range(len(self.words)), self._plus, self._minus)]
-            scope_of = self._scopes * family.num_types
-        # Per coordinate: its scope and the flat range of its type's levels.
-        per_type = [
-            (sc.width, sc.padded, sc.entries, span.start, span.stop)
-            for sc, span in zip(scope_of, spans)
-        ]
+        self._scopes = [_Scope(span, self._plus, self._minus) for span in scopes]
+        # Per type: its scope and the flat range of its levels.
+        per_type = []
+        for a, n in zip(self._type_start.tolist(), self._type_size.tolist()):
+            sc = next(sc for sc, span in zip(self._scopes, scopes) if a in span)
+            per_type.append((sc.width, sc.padded, sc.entries, a, a + n))
         self._coord_scopes = [per_type[m] for m in family.assignment.tolist()]
         self._pad = "0" * max(sc.width for sc in self._scopes)
 
@@ -321,8 +279,10 @@ class Codebook:
 def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFFMAN):
     """Construct the codebook for a family under a protocol and scheme.
 
-    Huffman books need a LevelHistogram; Elias books depend only on level
-    ranks.  Under the alternating protocol the Huffman input is the joint
+    Huffman books need ``hist``, one level probability row per type; Elias
+    books depend only on level ranks.  Under the main protocol each type's
+    levels are one decoding scope with its own code.  Under the alternating
+    protocol all flat indices are one scope: the Huffman input is the joint
     distribution over (type, level) pairs, each type's row weighted by its
     share of coordinates, and Elias ranks follow the global level-value
     order, ties broken by type index.
@@ -334,20 +294,18 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     if scheme == SCHEME_HUFFMAN:
         if hist is None:
             raise ValueError("Huffman codebooks need a level histogram")
-        hist.validate(family)
+        hist = validate_histogram(hist, family)
+    starts, sizes = family.level_starts()
     if protocol == PROTOCOL_MAIN:
         words = []
-        for m, seq in enumerate(family.sequences):
-            if scheme == SCHEME_HUFFMAN:
-                words += build_huffman(hist.rows[m])
-            else:
-                words += build_elias(len(seq))
-        return Codebook(words, protocol, family)
+        for m, n in enumerate(sizes.tolist()):
+            words += build_huffman(hist[m]) if scheme == SCHEME_HUFFMAN else build_elias(n)
+        return Codebook(words, [range(a, a + n) for a, n in zip(starts, sizes)], family)
     values = family.flat_levels()[0]
-    flat_type = np.repeat(np.arange(family.num_types), family.level_starts()[1])
+    flat_type = np.repeat(np.arange(family.num_types), sizes)
     order = np.lexsort((flat_type, values))
     if scheme == SCHEME_HUFFMAN:
-        joint = (family.proportions[flat_type] * np.concatenate(hist.rows))[order]
+        joint = (family.proportions[flat_type] * np.concatenate(hist))[order]
         if joint.sum() <= 0:
             raise EmptyAlphabet("no (type, level) pair has positive mass")
         # Unused types carry zero mass overall; normalization keeps the
@@ -358,7 +316,7 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     words = [None] * order.size
     for rank, f in enumerate(order.tolist()):
         words[f] = code[rank]
-    return Codebook(words, protocol, family)
+    return Codebook(words, [range(order.size)], family)
 
 
 class EncodedMessage:
@@ -481,7 +439,9 @@ def _entropy(p):
 
 
 def code_length_bound(hist, family, protocol=PROTOCOL_MAIN):
-    """Expected-bits upper bound for one encoded message of the family's dimension d.
+    """Expected-bits upper bound for one message of the family's dimension d.
+
+    ``hist`` holds one level probability row per type.
 
     Main protocol: 32 + sum_m mu_m d (1 - p_0^m) sign bits plus
     sum_m mu_m d (H(row_m) + 1) codeword bits, where H is the Shannon
@@ -490,20 +450,13 @@ def code_length_bound(hist, family, protocol=PROTOCOL_MAIN):
     (type, level) pairs, which exceeds the main bound by d times the entropy
     of the type proportions.
     """
-    hist.validate(family)
+    rows = validate_histogram(hist, family)
     mu, d = family.proportions, family.dimension
-    sign_bits = d * float(
-        np.sum([mu[m] * (1.0 - hist.rows[m][0]) for m in range(family.num_types)])
-    )
+    sign_bits = d * float(np.sum([w * (1.0 - row[0]) for w, row in zip(mu, rows)]))
     if protocol == PROTOCOL_MAIN:
-        word_bits = d * float(
-            np.sum([mu[m] * (_entropy(hist.rows[m]) + 1.0) for m in range(family.num_types)])
-        )
+        word_bits = d * float(np.sum([w * (_entropy(row) + 1.0) for w, row in zip(mu, rows)]))
     elif protocol == PROTOCOL_ALTERNATING:
-        joint = np.concatenate(
-            [mu[m] * hist.rows[m] for m in range(family.num_types)]
-        )
-        word_bits = d * (_entropy(joint) + 1.0)
+        word_bits = d * (_entropy(np.concatenate([w * row for w, row in zip(mu, rows)])) + 1.0)
     else:
         raise ValueError(f"unknown protocol {protocol!r}")
     return 32.0 + sign_bits + word_bits

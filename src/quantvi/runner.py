@@ -35,7 +35,7 @@ import configparser
 import json
 import os
 import sys
-from dataclasses import make_dataclass, replace
+from dataclasses import make_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -121,7 +121,13 @@ def _parse_level_lists(where, text):
     return tokens
 
 
-_TEXT = _Kind(lambda where, text: text.strip(), str)
+def _parse_text(where, text):
+    if not text.strip():
+        raise ParseError(f"{where} must not be empty")
+    return text.strip()
+
+
+_TEXT = _Kind(_parse_text, str)
 _BOOL = _Kind(_parse_bool, lambda value: str(value).lower())
 _LEVEL_LISTS = _Kind(_parse_level_lists, " | ".join)
 
@@ -144,7 +150,7 @@ _SCHEMA = (
     _Key("problem", "preset", "preset", _TEXT, ""),
     _Key("problem", "d", "d", _integer(1), "20"),
     _Key("problem", "K", "K", _integer(1), "4", varies=True),
-    _Key("problem", "seed", "problem_seed", _integer(), "7"),
+    _Key("problem", "seed", "problem_seed", _integer(0), "7"),
     _Key("noise", "kind", "noise_kind", _choice("none", "absolute", "relative"), "absolute"),
     _Key("noise", "sigma", "sigma", _real(least=0.0), "0.1"),
     _Key("noise", "clip", "clip", _real(least=0.0), "0"),
@@ -168,7 +174,7 @@ _SCHEMA = (
     _Key("schedule", "q_hat", "q_hat", _real(), "0.25", varies=True),
     _Key("schedule", "c", "c", _real(), "0.5", varies=True),
     _Key("run", "T", "T", _integer(1), "10000"),
-    _Key("run", "seed", "seed", _integer(), "0", varies=True),
+    _Key("run", "seed", "seed", _integer(0), "0", varies=True),
     _Key("run", "out", "out", _TEXT, "run", varies=True),
     _Key("run", "algorithm", "algorithm", _choice("qoda", "extragradient"), "qoda", varies=True),
     _Key("run", "step", "step", _real(above=0.0), "0.3", varies=True),
@@ -177,8 +183,6 @@ _SCHEMA = (
 _NAMES = {(k.section, k.key) for k in _SCHEMA}
 _SECTIONS = {k.section for k in _SCHEMA}
 _ALTERNATIVES = {"budgets", "levels"}  # [quantization] keys that exclude each other
-
-_PROBLEM_KINDS = ("bilinear", "strongly_monotone", "cocoercive")
 
 ExperimentConfig = make_dataclass(
     "ExperimentConfig", [k.attr for k in _SCHEMA],
@@ -200,10 +204,12 @@ def config_from_dict(raw):
     v = {k.attr: k.kind.parse(k.where, str(raw.get(k.section, {}).get(k.key, k.default)))
          for k in _SCHEMA}
 
-    if not v["preset"]:
-        raise ParseError("[problem] preset is required")
-    if v["preset"].partition(":")[0] not in _PROBLEM_KINDS:
-        raise UnknownPreset(f"unknown problem preset {v['preset']!r}")
+    try:
+        vi.parse_kind(v["preset"])
+    except vi.UnknownKind:
+        raise UnknownPreset(f"unknown problem preset {v['preset']!r}") from None
+    except ValueError as exc:
+        raise ParseError(f"[problem] preset: {exc}") from None
     M, d = v["M"], v["d"]
     if v["levels"] and len(v["levels"]) != M:
         raise ParseError(f"[quantization] expected {M} level lists, got {len(v['levels'])}")
@@ -407,7 +413,7 @@ def mqv_study(cfg, probes=16):
     family = build_family(cfg)
     wcdf = adapt.weighted_cdf(samples, family)
     layer_family = adapt.place_levels(family, wcdf.type_cdfs, cfg.grid)
-    layer_val = adapt.mqv_objective(layer_family, wcdf)
+    layer_val = adapt.mqv_objective(layer_family, wcdf.type_cdfs)
 
     pooled = adapt.pooled_cdf(wcdf, family)
     global_budget = max(seq.alpha for seq in family.sequences)
@@ -508,33 +514,34 @@ def preset_config(name, overrides=None):
 SUITES = ("rate-suite", "k-sweep", "halving")
 
 
-def run_suite(name, seed=0, out="suite", overrides=None):
-    """Run a named collection of presets and write a suite-level JSON."""
+def run_suite(name, out="suite", overrides=None):
+    """Run a named collection of presets and write a suite-level JSON.
+
+    A run's config lays ``overrides``, then the run's own keys and its path
+    under ``out``, over the suite's keys.
+    """
     os.makedirs(out, exist_ok=True)
+
+    def config(preset, suite_keys, label, **run_keys):
+        run_keys["out"] = os.path.join(out, label)
+        return preset_config(preset, _overlay(_overlay(suite_keys, overrides), {"run": run_keys}))
+
     if name == "rate-suite":
         slopes = {}
         for preset in ("bilinear-abs", "cocoercive-rel"):
-            cfg = preset_config(preset, overrides)
-            cfg = replace(cfg, seed=seed, out=os.path.join(out, preset))
-            slopes[preset] = run_experiment(cfg)["slope"]
+            slopes[preset] = run_experiment(config(preset, {}, preset))["slope"]
         result = {"slopes": slopes}
     elif name == "k-sweep":
         cfgs, labels = [], []
         for K in (1, 4, 16):
-            ov = _overlay({"problem": {"K": str(K)},
-                           "noise": {"sigma": "0.5"},
-                           "run": {"T": "2000"}}, overrides)
-            cfg = preset_config("bilinear-abs", ov)
-            cfgs.append(replace(cfg, seed=seed, out=os.path.join(out, f"K{K}")))
+            keys = {"problem": {"K": K}, "noise": {"sigma": "0.5"}, "run": {"T": "2000"}}
+            cfgs.append(config("bilinear-abs", keys, f"K{K}"))
             labels.append(f"K={K}")
         result = compare(cfgs, labels)
     elif name == "halving":
-        ov = _overlay({"quantization": {"update_period": "0"},
-                       "run": {"T": "1000"}}, overrides)
-        cfg = preset_config("bilinear-abs", ov)
-        qoda = replace(cfg, seed=seed, out=os.path.join(out, "qoda"))
-        eg = replace(cfg, seed=seed, algorithm="extragradient",
-                     out=os.path.join(out, "extragradient"))
+        keys = {"quantization": {"update_period": "0"}, "run": {"T": "1000"}}
+        qoda = config("bilinear-abs", keys, "qoda")
+        eg = config("bilinear-abs", keys, "extragradient", algorithm="extragradient")
         result = compare([qoda, eg], ["qoda", "extragradient"])
     else:
         raise UnknownPreset(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
@@ -590,7 +597,7 @@ def main(argv=None):
 
     p_suite = sub.add_parser("suite", help="run a named preset collection")
     p_suite.add_argument("name", help=f"one of {sorted(SUITES)}")
-    p_suite.add_argument("--seed", type=int, default=0)
+    p_suite.add_argument("--seed", type=int, default=None)
     p_suite.add_argument("--out", default="suite")
     p_suite.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="SECTION.KEY=VALUE",
@@ -598,19 +605,15 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        # --seed, and run's --out, are config keys: laid over --set, checked alike.
+        opts = {"seed": args.seed, "out": args.out if args.command == "run" else None}
+        overrides = _overlay(_override_dict(args.overrides),
+                             {"run": {k: v for k, v in opts.items() if v is not None}})
         if args.command == "run":
-            cfg = _load_run_arg(args.config, _override_dict(args.overrides))
-            if args.seed is not None:
-                cfg = replace(cfg, seed=args.seed)
-            if args.out is not None:
-                cfg = replace(cfg, out=args.out)
-            summary = run_experiment(cfg)
+            summary = run_experiment(_load_run_arg(args.config, overrides))
             print(json.dumps(summary, indent=2, sort_keys=True))
         elif args.command == "compare":
-            overrides = _override_dict(args.overrides)
             cfgs = [load_config(p, overrides) for p in args.configs]
-            if args.seed is not None:
-                cfgs = [replace(c, seed=args.seed) for c in cfgs]
             result = compare(cfgs)
             parent = os.path.dirname(args.out)
             if parent:
@@ -620,8 +623,7 @@ def main(argv=None):
                 fh.write("\n")
             print(json.dumps(result, indent=2, sort_keys=True))
         else:
-            result = run_suite(args.name, seed=args.seed, out=args.out,
-                               overrides=_override_dict(args.overrides))
+            result = run_suite(args.name, out=args.out, overrides=overrides)
             print(json.dumps(result, indent=2, sort_keys=True))
     except Exception as exc:  # CLI boundary: report and exit nonzero
         print(f"error: {exc}", file=sys.stderr)

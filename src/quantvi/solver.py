@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adapt, codec
-from .codec import LevelHistogram, build_codebook, code_length_bound, estimate_level_probs
+from .codec import build_codebook, code_length_bound
 from .levels import LevelFamily, variance_bound_eps
 from .quantizer import NonFinite, quantize_batch, reconstruct_flat
 
@@ -150,14 +150,6 @@ class QuantizationConfig:
     samples_per_node: int = 16
 
 
-def _level_histogram(family, cdfs):
-    """Level histogram of ``family`` under per-type CDFs; uniform where None."""
-    return LevelHistogram([
-        estimate_level_probs(adapt.UniformCdf() if c is None else c, seq)
-        for c, seq in zip(cdfs, family.sequences)
-    ])
-
-
 def refresh_levels(samples, family, grid, estimator, protocol, scheme):
     """Re-estimate CDFs, re-place levels, and rebuild codebooks from samples.
 
@@ -169,7 +161,7 @@ def refresh_levels(samples, family, grid, estimator, protocol, scheme):
     else:
         cdf = adapt.weighted_cdf(samples, family)
     new_family = adapt.place_levels(family, cdf.type_cdfs, grid)
-    hist = _level_histogram(new_family, cdf.type_cdfs)
+    hist = adapt.level_histogram(new_family, cdf.type_cdfs)
     books = build_codebook(new_family, hist, protocol, scheme)
     return new_family, books, hist
 
@@ -184,11 +176,12 @@ class _QuantPipeline:
         self.d = d
         self.K = K
         self.segments = []
-        hist = _level_histogram(cfg.family, [None] * cfg.family.num_types)
+        hist = adapt.level_histogram(cfg.family, [None] * cfg.family.num_types)
         self._start_segment(
             1, cfg.family, build_codebook(cfg.family, hist, cfg.protocol, cfg.scheme), hist
         )
-        self.buffers = [deque(maxlen=cfg.samples_per_node) for _ in range(K)]
+        # The latest oracle blocks V (K, d); nothing writes to them later.
+        self.recent = deque(maxlen=cfg.samples_per_node)
         self.rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
 
@@ -200,22 +193,21 @@ class _QuantPipeline:
         self.segments.append((t, self.eps_q, self.n_q))
 
     def observe(self, V):
-        if self.cfg.update_period <= 0:
-            return
-        for k in range(self.K):
-            self.buffers[k].append(V[k].copy())
+        if self.cfg.update_period > 0:
+            self.recent.append(V)
 
     def maybe_update(self, t):
         """Refresh levels and codebooks when t is on the update schedule."""
         R = self.cfg.update_period
         if R <= 0 or t <= 1 or (t - 1) % R != 0:
             return
-        samples = [v for buf in self.buffers for v in buf]
-        if not samples:
+        if not self.recent:
             return
+        # Node by node, oldest first.
+        samples = np.stack(self.recent, axis=1).reshape(-1, self.d)
         try:
             refreshed = refresh_levels(
-                np.stack(samples), self.family, self.cfg.grid,
+                samples, self.family, self.cfg.grid,
                 self.cfg.estimator, self.cfg.protocol, self.cfg.scheme,
             )
         except adapt.AllZeroSamples:

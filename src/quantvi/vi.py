@@ -24,6 +24,40 @@ class BadDimension(ValueError):
     """Problem factory called with an unusable dimension."""
 
 
+class UnknownKind(ValueError):
+    """Problem kind string names no known problem."""
+
+
+# The default numbers after each problem kind's colon.
+_KIND_DEFAULTS = {"bilinear": (), "strongly_monotone": (0.1,), "cocoercive": (0.1, 1.0)}
+
+
+def parse_kind(kind):
+    """(base, numbers) of a problem kind such as ``cocoercive:0.1,1``.
+
+    No numbers give the defaults.  Raises UnknownKind for an unknown base,
+    and ValueError unless there are as many numbers as defaults, all finite
+    and in range: mu in (0, 1], 0 < lmin <= lmax.
+    """
+    base, _, arg = kind.partition(":")
+    if base not in _KIND_DEFAULTS:
+        raise UnknownKind(f"unknown problem kind {kind!r}; kinds: {', '.join(_KIND_DEFAULTS)}")
+    nums = defaults = _KIND_DEFAULTS[base]
+    if arg:
+        try:
+            nums = tuple(float(tok) for tok in arg.split(","))
+        except ValueError:
+            nums = (np.nan,)  # unreadable counts as not finite
+        if len(nums) != len(defaults) or not np.isfinite(nums).all():
+            raise ValueError(f"{base} takes {len(defaults)} finite numbers after ':', "
+                             f"got {arg!r}")
+    if base == "strongly_monotone" and not 0 < nums[0] <= 1:
+        raise ValueError("mu must lie in (0, 1]")
+    if base == "cocoercive" and not 0 < nums[0] <= nums[1]:
+        raise ValueError("need 0 < lmin <= lmax")
+    return base, nums
+
+
 _SKEW_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
 
@@ -252,26 +286,27 @@ def _unit_spectral(M):
     return M / norm if norm > 0 else M
 
 
-def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
+def make_problem(kind, d, K, seed, noise=None, x_star=None):
     """Build a seeded ProblemInstance.
 
-    Kinds: ``bilinear`` (skew B from a random saddle matrix, needs even d),
-    ``strongly_monotone:mu`` (mu I plus a skew part), and
-    ``cocoercive:lmin,lmax`` (symmetric PSD B with that eigenvalue range,
-    recording beta = 1 / lmax).  The solution defaults to a random unit
-    vector; pass ``x_star`` explicitly (a vector or scalar) to override.
+    Kinds (read by ``parse_kind``): ``bilinear`` (skew B from a random
+    saddle matrix, needs even d), ``strongly_monotone:mu`` (mu I plus a skew
+    part), and ``cocoercive:lmin,lmax`` (symmetric PSD B with that
+    eigenvalue range, recording beta = 1 / lmax).  The solution defaults to
+    a random unit vector; pass ``x_star`` explicitly (a vector or scalar) to
+    override.
 
-    Every node matrix is either B itself, through a read-only (K, d, d)
-    view with no copy (``node_split="identical"``, the default whenever the
-    noise scales with the operator), or B plus one of K zero-sum skew
-    perturbations (``node_split="skew"``); every node has the offset c.
-    Unit-norm matrices are divided by their ``spectral_norm``.
+    When the noise scales with the operator (``is_relative``), every node
+    matrix is B itself, through a read-only (K, d, d) view with no copy;
+    otherwise node k's is B plus the k-th of K zero-sum skew perturbations.
+    Every node has the offset c.  Unit-norm matrices are divided by their
+    ``spectral_norm``.
     """
     if K < 1:
         raise ValueError("need at least one node")
+    base, nums = parse_kind(kind)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
 
-    base, _, arg = kind.partition(":")
     if base == "bilinear":
         if d < 2 or d % 2 != 0:
             raise BadDimension("bilinear problems need even dimension >= 2")
@@ -282,24 +317,15 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
         B[h:, :h] = -M.T
         beta = None
     elif base == "strongly_monotone":
-        mu = float(arg) if arg else 0.1
-        if not 0 < mu <= 1:
-            raise ValueError("mu must lie in (0, 1]")
+        (mu,) = nums
         B = mu * np.eye(d) + (1.0 - mu) * _unit_spectral(_random_skew(rng, d))
         beta = None
-    elif base == "cocoercive":
-        if arg:
-            lmin, lmax = (float(tok) for tok in arg.split(","))
-        else:
-            lmin, lmax = 0.1, 1.0
-        if not 0 < lmin <= lmax:
-            raise ValueError("need 0 < lmin <= lmax")
+    else:
+        lmin, lmax = nums
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         B = Q @ np.diag(np.linspace(lmin, lmax, d)) @ Q.T
         B = 0.5 * (B + B.T)
         beta = 1.0 / lmax
-    else:
-        raise ValueError(f"unknown problem kind {kind!r}")
 
     if x_star is None:
         xs = rng.standard_normal(d)
@@ -309,17 +335,13 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None, node_split=None):
     c = -B @ xs
     op = AffineOperator(B, c, beta=beta, x_star=xs)
 
-    if node_split is None:
-        node_split = "identical" if is_relative(noise) else "skew"
-    if node_split == "identical" or K == 1:
+    if is_relative(noise) or K == 1:
         node_B = np.broadcast_to(B, (K, d, d))
-    elif node_split == "skew":
+    else:
         node_B = np.stack([0.25 * _unit_spectral(_random_skew(rng, d)) for _ in range(K)])
         # Still exactly skew, so each node's B + B^T is B's up to rounding.
         node_B -= node_B.mean(axis=0)
         node_B += B
-    else:
-        raise ValueError(f"unknown node split {node_split!r}")
 
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))

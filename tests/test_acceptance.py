@@ -24,7 +24,7 @@ from quantvi.adapt import (
     quantization_cost,
     weighted_cdf,
 )
-from quantvi.codec import LevelHistogram, build_codebook, build_huffman
+from quantvi.codec import build_codebook, build_huffman
 from quantvi.levels import LevelFamily, LevelSequence, variance_bound_eps
 from quantvi.quantizer import (
     QuantizedVector,
@@ -195,9 +195,7 @@ def test_criterion_04_codec_roundtrip():
         d = int(rng.integers(1, 41))
         M = int(rng.integers(1, 1 + min(3, d)))
         fam = _random_family(rng, d, 2, M)
-        hist = LevelHistogram(
-            [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
-        )
+        hist = [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
         scheme = "huffman" if f % 2 == 0 else "elias"
         books = {
             p: build_codebook(fam, hist, p, scheme) for p in ("main", "alternating")
@@ -233,10 +231,9 @@ def test_criterion_05_entropy_sandwich_and_length_bound():
     d = 64
     fam = _random_family(rng, d, 2, 2)
     rows = [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
-    hist = LevelHistogram(rows)
     margins = {}
     for protocol in ("main", "alternating"):
-        books = build_codebook(fam, hist, protocol)
+        books = build_codebook(fam, rows, protocol)
         total = 0
         n_msgs = 1000
         for _ in range(n_msgs):
@@ -249,7 +246,7 @@ def test_criterion_05_entropy_sandwich_and_length_bound():
             signs = np.where(idx > 0, rng.choice([-1, 1], size=d), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
             total += codec.encode(qv, books).nbits
-        bound = codec.code_length_bound(hist, fam, protocol)
+        bound = codec.code_length_bound(rows, fam, protocol)
         margins[protocol] = bound - total / n_msgs
     ok = sandwich_ok and all(m >= 0.0 for m in margins.values())
     _report(5, "entropy sandwich and length bound", ok,
@@ -277,7 +274,8 @@ def test_criterion_06_layerwise_dominates_pooled():
         pooled_fam = LevelFamily.from_layer_sizes(
             [shared] * M, fam.counts.tolist(), q=2
         )
-        gap = mqv_objective(layer_fam, wcdf) - mqv_objective(pooled_fam, wcdf)
+        gap = (mqv_objective(layer_fam, wcdf.type_cdfs)
+               - mqv_objective(pooled_fam, wcdf.type_cdfs))
         worst_gap = max(worst_gap, gap)
     ok = worst_gap <= 1e-12
     _report(6, "layer-wise dominance", ok,

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from quantvi import adapt, codec
+from quantvi import adapt
 from quantvi.adapt import (
     AllZeroSamples,
     BudgetTooLarge,
     DegenerateSample,
+    InvalidCdf,
     StepCdf,
     TruncNormCdf,
     UniformCdf,
+    estimate_level_probs,
     fit_truncated_normal,
     mqv_objective,
     optimize_levels,
@@ -32,20 +34,50 @@ def _fam_two(d=4, q=2):
 
 def test_uniform_cdf_moments():
     u = UniformCdf()
-    assert np.allclose(u.total_moments(), [1.0, 0.5, 1.0 / 3.0])
+    assert np.allclose(u.moments_below(1.0), [1.0, 0.5, 1.0 / 3.0])
     assert np.allclose(u.moments_below(0.5), [0.5, 0.125, 1.0 / 24.0])
     assert np.allclose(u.moments_below(-2.0), [0.0, 0.0, 0.0])
-    assert np.allclose(u.moments_below(5.0), u.total_moments())
+    assert np.allclose(u.moments_below(5.0), u.moments_below(1.0))
 
 
 def test_step_cdf_merges_duplicates_and_normalizes():
     c = StepCdf([0.2, 0.2, 0.8], [1.0, 1.0, 2.0])
     assert c.points.tolist() == [0.2, 0.8]
     assert np.allclose(c.weights, [0.5, 0.5])
-    assert np.allclose(c.total_moments(), [1.0, 0.5, 0.5 * 0.04 + 0.5 * 0.64])
+    assert np.allclose(c.moments_below(1.0), [1.0, 0.5, 0.5 * 0.04 + 0.5 * 0.64])
     # moments_below is exclusive of the query point itself
     assert np.allclose(c.moments_below(0.8), [0.5, 0.1, 0.02])
-    assert np.allclose(c.moments_below(0.81), c.total_moments())
+    assert np.allclose(c.moments_below(0.81), c.moments_below(1.0))
+
+
+def test_step_cdf_counts_an_atom_at_one_from_one_on():
+    # The quantizer puts u = 1 in the last level interval, so the atom at 1
+    # is below x = 1 but not below any smaller x.
+    c = StepCdf([0.5, 1.0], [1.0, 1.0])
+    assert c.moments_below(1.0).tolist() == [1.0, 0.75, 0.625]
+    assert c.moments_below(np.nextafter(1.0, 0.0)).tolist() == [0.5, 0.25, 0.125]
+    assert c.moments_below(np.array([1.0, 2.0])).tolist() == [[1.0, 0.75, 0.625]] * 2
+
+
+def test_estimate_level_probs_rejects_invalid_cdfs():
+    seq = LevelSequence([0.0, 0.5, 1.0])
+
+    class Scaled:
+        # Uniform moments times a factor: total mass 0.9.
+        def moments_below(self, x):
+            return 0.9 * UniformCdf().moments_below(x)
+
+    class Decreasing:
+        # Mass 1.5 below 0.5 but only 1 below 1.
+        def moments_below(self, x):
+            x = np.asarray(x, dtype=np.float64)
+            mass = np.where(x >= 1.0, 1.0, np.where(x >= 0.5, 1.5, x))
+            return np.stack([mass, mass / 2, mass / 3], axis=-1)
+
+    with pytest.raises(InvalidCdf, match="total mass"):
+        estimate_level_probs(Scaled(), seq)
+    with pytest.raises(InvalidCdf, match="decreasing"):
+        estimate_level_probs(Decreasing(), seq)
 
 
 def test_step_cdf_rejects_bad_input():
@@ -97,7 +129,7 @@ def test_weighted_cdf_zero_sample_row_is_ignored():
     assert np.allclose(w.lambdas, [1.0, 0.0])
     # each type still sees mass 1 from the surviving sample
     for c in w.type_cdfs:
-        assert c.total_moments()[0] == pytest.approx(1.0)
+        assert c.moments_below(1.0)[0] == pytest.approx(1.0)
 
 
 def test_weighted_cdf_dimension_check():
@@ -200,7 +232,7 @@ def _dense_optimize_levels(cdf, alpha, grid):
     """Reference: the level-placement DP over the dense (G+1)^2 cost matrix."""
     xs = np.arange(grid + 1) / grid
     below = np.stack([np.asarray(cdf.moments_below(x), dtype=np.float64) for x in xs])
-    below[grid] = cdf.total_moments()
+    below[grid] = cdf.moments_below(1.0)
     b0, b1, b2 = below[:, 0], below[:, 1], below[:, 2]
     m0 = b0[None, :] - b0[:, None]
     m1 = b1[None, :] - b1[:, None]
@@ -280,7 +312,7 @@ def test_interval_cost_is_monge():
     slack = 8 * np.finfo(np.float64).eps  # terms are O(1): mass 1 on [0, 1]
     for cdf in _random_step_cdfs(rng, grid, 60):
         below = cdf.moments_below(xs)
-        below[grid] = cdf.total_moments()
+        below[grid] = cdf.moments_below(1.0)
         m = below[None, :, :] - below[:, None, :]
         cost = -m[..., 2] + (xs[:, None] + xs[None, :]) * m[..., 1] - (
             xs[:, None] * xs[None, :]
@@ -321,10 +353,10 @@ def test_moments_below_takes_an_array_of_points():
 
 def test_mqv_objective_weights_types_by_proportion():
     fam = _fam_two(d=4)
-    val = mqv_objective(fam, type("W", (), {"type_cdfs": [UniformCdf(), UniformCdf()]}))
+    val = mqv_objective(fam, [UniformCdf(), UniformCdf()])
     assert val == pytest.approx(0.5 / 24 + 0.5 / 6)
-    # A bare CDF (no per-type structure) is applied to every type.
-    assert mqv_objective(fam, UniformCdf()) == pytest.approx(0.5 / 24 + 0.5 / 6)
+    # A type without a CDF contributes nothing.
+    assert mqv_objective(fam, [UniformCdf(), None]) == pytest.approx(0.5 / 24)
 
 
 def test_pooled_cdf_mixes_types_by_proportion():
@@ -332,7 +364,7 @@ def test_pooled_cdf_mixes_types_by_proportion():
     samples = np.array([[0.6, 0.6, 0.2, 0.2]])
     w = weighted_cdf(samples, fam)
     pooled = pooled_cdf(w, fam)
-    total = pooled.total_moments()
+    total = pooled.moments_below(1.0)
     assert total[0] == pytest.approx(1.0)
     # Support is the union of both types' normalized magnitudes.
     norm = np.linalg.norm(samples[0])
@@ -361,7 +393,7 @@ def test_layerwise_optimum_never_worse_than_pooled():
 
 def _loop_cost(cdf, ell):
     """Reference: the rounding-variance integral summed interval by interval."""
-    total, below = cdf.total_moments(), cdf.moments_below(ell)
+    total, below = cdf.moments_below(1.0), cdf.moments_below(ell)
     cost = 0.0
     for j in range(len(ell) - 1):
         m0, m1, m2 = (total if j == len(ell) - 2 else below[j + 1]) - below[j]
@@ -371,7 +403,7 @@ def _loop_cost(cdf, ell):
 
 def _loop_level_probs(cdf, ell):
     """Reference: each interval's mass split between its two levels, one at a time."""
-    total, below = cdf.total_moments(), cdf.moments_below(ell)
+    total, below = cdf.moments_below(1.0), cdf.moments_below(ell)
     row = np.zeros(len(ell))
     for j in range(len(ell) - 1):
         m0, m1, _ = (total if j == len(ell) - 2 else below[j + 1]) - below[j]
@@ -392,7 +424,7 @@ def test_vectorized_interval_sums_equal_the_loops_bit_for_bit():
         interior = np.sort(rng.random(rng.integers(0, 8)))
         seq = LevelSequence(np.unique(np.concatenate(([0.0], interior, [1.0]))))
         assert quantization_cost(cdf, seq) == _loop_cost(cdf, seq.levels)
-        got = codec.estimate_level_probs(cdf, seq)
+        got = adapt.estimate_level_probs(cdf, seq)
         assert got.tobytes() == _loop_level_probs(cdf, seq.levels).tobytes()
 
 

@@ -13,7 +13,6 @@ from quantvi.codec import (
     EmptyAlphabet,
     InvalidCodeword,
     InvalidHistogram,
-    LevelHistogram,
     MissingCodeword,
     TrailingBits,
     TruncatedMessage,
@@ -26,8 +25,9 @@ from quantvi.codec import (
     elias_omega,
     encode,
     encode_batch,
-    estimate_level_probs,
+    validate_histogram,
 )
+from quantvi.adapt import estimate_level_probs
 from quantvi.levels import LevelFamily, LevelSequence
 from quantvi.quantizer import QuantizedVector, quantize_batch, quantize_vector
 
@@ -109,9 +109,6 @@ def test_estimate_level_probs_uniform():
             x = np.asarray(x, dtype=np.float64)
             return np.stack([x, x ** 2 / 2, x ** 3 / 3], axis=-1)
 
-        def total_moments(self):
-            return np.array([1.0, 0.5, 1.0 / 3.0])
-
     row = estimate_level_probs(Uniform(), LevelSequence([0.0, 0.5, 1.0]))
     assert np.allclose(row, [0.25, 0.5, 0.25])
     assert row.sum() == pytest.approx(1.0)
@@ -119,15 +116,15 @@ def test_estimate_level_probs_uniform():
 
 def test_histogram_validation():
     fam = _fam_single()
-    LevelHistogram([np.array([0.25, 0.5, 0.25])]).validate(fam)
+    validate_histogram([np.array([0.25, 0.5, 0.25])], fam)
     with pytest.raises(InvalidHistogram):
-        LevelHistogram([np.array([0.5, 0.5])]).validate(fam)  # wrong length
+        validate_histogram([np.array([0.5, 0.5])], fam)  # wrong length
     with pytest.raises(InvalidHistogram):
-        LevelHistogram([np.array([0.7, 0.5, -0.2])]).validate(fam)
+        validate_histogram([np.array([0.7, 0.5, -0.2])], fam)
     with pytest.raises(InvalidHistogram):
-        LevelHistogram([np.array([0.3, 0.3, 0.3])]).validate(fam)
+        validate_histogram([np.array([0.3, 0.3, 0.3])], fam)
     with pytest.raises(InvalidHistogram):
-        LevelHistogram([np.ones(3) / 3, np.ones(3) / 3]).validate(fam)
+        validate_histogram([np.ones(3) / 3, np.ones(3) / 3], fam)
 
 
 def _fam_single(d=2):
@@ -141,10 +138,8 @@ def _fam_two(d=4):
     )
 
 
-def _hist_for(fam, rows=None):
-    if rows is None:
-        rows = [np.ones(s.alpha + 2) / (s.alpha + 2) for s in fam.sequences]
-    return LevelHistogram(rows)
+def _hist_for(fam):
+    return [np.ones(s.alpha + 2) / (s.alpha + 2) for s in fam.sequences]
 
 
 def test_build_codebook_requires_histogram_for_huffman():
@@ -192,7 +187,7 @@ def test_encode_frozen_wire_example():
     # level2 -> "11".  Payload for indices (1, 2), signs (+, -):
     # "0" + signbit 0, then "11" + signbit 1, padded to "00111000" = 0x38.
     fam = _fam_single()
-    books = build_codebook(fam, LevelHistogram([np.array([0.25, 0.5, 0.25])]))
+    books = build_codebook(fam, [np.array([0.25, 0.5, 0.25])])
     qv = QuantizedVector(5.0, [1, -1], [1, 2], fam.fingerprint())
     msg = encode(qv, books)
     assert msg.nbits == 37
@@ -264,7 +259,7 @@ def test_message_bits_match_encoded_lengths(protocol, scheme):
     rng = np.random.default_rng(5)
     fam = _fam_scattered()
     # Skewed histograms give codewords of several lengths.
-    hist = LevelHistogram([rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences])
+    hist = [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
     books = build_codebook(fam, hist, protocol, scheme)
     V = rng.standard_normal((12, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(12, 1))
     V[[2, 7]] = 0.0
@@ -300,7 +295,7 @@ _FROZEN_WIRE = {
 def test_wire_is_frozen(protocol, scheme):
     rng = np.random.default_rng(41)
     fam = _fam_scattered()
-    hist = LevelHistogram([rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences])
+    hist = [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
     books = build_codebook(fam, hist, protocol, scheme)
     h = hashlib.sha256()
     for rows in (16, 1, 5):
@@ -390,7 +385,7 @@ def test_decode_rejects_a_message_cut_before_a_sign_bit(protocol):
     fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, 10))], np.zeros(1, dtype=np.int64))
     probs = 0.5 ** np.arange(1, 11)
     probs[-1] = probs[-2]
-    books = build_codebook(fam, LevelHistogram([probs]), protocol)
+    books = build_codebook(fam, [probs], protocol)
     assert books.codeword(0, 7)[0] == 8
     qv = QuantizedVector(1.0, [-1], [7], fam.fingerprint())
     msg = encode(qv, books)
@@ -421,7 +416,7 @@ def _halving_hist(n):
     fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, n))], np.zeros(n, dtype=np.int64))
     probs = 0.5 ** np.arange(1, n + 1)
     probs[-1] = probs[-2]
-    return fam, LevelHistogram([probs])
+    return fam, [probs]
 
 
 @pytest.mark.parametrize("n", [24, 80])
@@ -481,7 +476,7 @@ def test_decode_rejects_bits_below_the_lowest_codeword():
     # first sorted codeword; it must not wrap around to the last one.
     fam = _fam_single()
     words = [(2, 0b01), (2, 0b10), (2, 0b11)]
-    books = Codebook(words, "main", fam)
+    books = Codebook(words, [range(3)], fam)
     assert decode(_payload_message("01" + "111"), books).level_idx.tolist() == [0, 2]
     for bits in ("0001", "01" + "00"):
         with pytest.raises(InvalidCodeword):
@@ -541,7 +536,7 @@ def test_code_length_bound_frozen_example():
     # + 2 * 0.75 sign bits = 32 + 5 + 1.5 = 38.5, identical under both
     # protocols for a single-type family.
     fam = _fam_single()
-    hist = LevelHistogram([np.array([0.25, 0.5, 0.25])])
+    hist = [np.array([0.25, 0.5, 0.25])]
     assert code_length_bound(hist, fam) == pytest.approx(38.5)
     assert code_length_bound(hist, fam, protocol="alternating") == pytest.approx(38.5)
 
@@ -559,9 +554,8 @@ def test_measured_bits_respect_bound():
     rng = np.random.default_rng(77)
     fam = _fam_two(d=32)
     rows = [rng.dirichlet(np.ones(s.alpha + 2)) for s in fam.sequences]
-    hist = LevelHistogram(rows)
     for protocol in ("main", "alternating"):
-        books = build_codebook(fam, hist, protocol)
+        books = build_codebook(fam, rows, protocol)
         total = 0
         n = 400
         for _ in range(n):
@@ -574,4 +568,4 @@ def test_measured_bits_respect_bound():
             signs = np.where(idx > 0, rng.choice([-1, 1], size=32), 1).astype(np.int8)
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
             total += encode(qv, books).nbits
-        assert total / n <= code_length_bound(hist, fam, protocol)
+        assert total / n <= code_length_bound(rows, fam, protocol)

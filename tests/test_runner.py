@@ -278,8 +278,8 @@ def test_mqv_study_samples_the_runs_own_node_split(monkeypatch):
 
 
 def test_run_suite_halving(tmp_path):
-    result = run_suite("halving", seed=0, out=str(tmp_path / "s"),
-                       overrides={"run": {"T": "12"}, "problem": {"d": "6", "K": "2"}})
+    result = run_suite("halving", out=str(tmp_path / "s"),
+                       overrides={"run": {"T": "12", "seed": "0"}, "problem": {"d": "6", "K": "2"}})
     assert result["labels"] == ["qoda", "extragradient"]
     ratio = result["vs_first"]["extragradient"]["oracle_ratio"]
     assert ratio == pytest.approx(2.0)
@@ -488,4 +488,62 @@ def test_cli_compare_set_resizes_derived_keys(tmp_path, capsys):
     out = str(tmp_path / "cmp")
     assert main(["compare", *paths, "--out", out, "--set", "problem.d=6"]) == 0
     assert len(json.load(open(out + ".json"))["summaries"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("preset", [
+    "bilinear:foo", "cocoercive:0.5", "cocoercive:1,2,3", "strongly_monotone:abc",
+    "strongly_monotone:2", "cocoercive:0.1,inf",
+])
+def test_cli_rejects_bad_problem_kind_numbers(tmp_path, capsys, preset):
+    # Numbers after the colon used to be ignored (bilinear) or to fail with
+    # an unpacking or float error that named no field.
+    out = str(tmp_path / "k")
+    argv = ["run", "bilinear-abs", "--out", out, *_SMALL, "--set", f"problem.preset={preset}"]
+    assert main(argv) == 1
+    assert "[problem] preset" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ParseError):
+        config_from_dict({"problem": {"preset": preset}})
+
+
+def test_problem_kind_defaults_and_numbers_resolve():
+    for preset in ("bilinear", "bilinear:", "strongly_monotone:0.5", "cocoercive:0.5,2"):
+        assert config_from_dict({"problem": {"preset": preset}}).preset == preset
+    assert vi.parse_kind("cocoercive") == ("cocoercive", (0.1, 1.0))
+    assert vi.parse_kind("strongly_monotone:0.5") == ("strongly_monotone", (0.5,))
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--set", "problem.seed=-1"], "[problem] seed"),
+    (["--set", "run.seed=-1"], "[run] seed"),
+    (["--seed", "-1"], "[run] seed"),
+    (["--set", "run.out=r", "--out", ""], "[run] out"),
+])
+def test_cli_run_rejects_negative_seeds_and_an_empty_out(tmp_path, monkeypatch, capsys,
+                                                          args, field):
+    # Negative seeds used to reach SeedSequence, and --seed and --out
+    # bypassed the parser; an empty out wrote hidden .csv/.json/.ini files.
+    monkeypatch.chdir(tmp_path)
+    out = [] if "--out" in args else ["--out", "r"]
+    assert main(["run", "bilinear-abs", *out, *_SMALL, *args]) == 1
+    assert field in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_seed_goes_through_the_parser_for_every_command(tmp_path, capsys):
+    paths = []
+    for i in (0, 1):
+        path = tmp_path / f"c{i}.ini"
+        path.write_text("[problem]\npreset = bilinear\nd = 6\nK = 2\n\n[run]\nT = 8\n")
+        paths.append(str(path))
+    out = str(tmp_path / "x")
+    assert main(["compare", *paths, "--out", out, "--seed", "-1"]) == 1
+    assert "[run] seed" in capsys.readouterr().err
+    assert main(["suite", "halving", "--out", out, "--seed", "-1"]) == 1
+    assert "[run] seed" in capsys.readouterr().err
+    # --seed wins over --set run.seed, as before.
+    assert main(["run", "bilinear-abs", "--out", out, *_SMALL,
+                 "--set", "run.seed=5", "--seed", "3"]) == 0
+    assert load_config(out + ".ini").seed == 3
     capsys.readouterr()

@@ -87,7 +87,7 @@ def test_refresh_levels_places_levels_and_books():
     assert new_fam.sequences[0].alpha == 2
     assert new_fam.fingerprint() != fam.fingerprint()
     assert books.family_id == new_fam.fingerprint()
-    hist.validate(new_fam)
+    codec.validate_histogram(hist, new_fam)
     with pytest.raises(adapt.AllZeroSamples):
         refresh_levels(np.zeros((3, 8)), fam, 64, "empirical", "main", "huffman")
 

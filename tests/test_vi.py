@@ -62,7 +62,7 @@ def _assert_is_norm(L, B):
 def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     counts = _count_factorizations(monkeypatch)
     K = 4
-    p = make_problem("bilinear", d=8, K=K, seed=0, node_split="skew")
+    p = make_problem("bilinear", d=8, K=K, seed=0)
     # _unit_spectral of the saddle block and of each delta, and the global L;
     # no SVD, and the exactly skew global operator needs no eigensolve of
     # B + B^T.  The node matrices are never factorized.
@@ -74,7 +74,7 @@ def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
 def test_non_skew_split_factorizes_only_the_global_operator(monkeypatch, kind, skew_part):
     counts = _count_factorizations(monkeypatch)
     K = 4
-    p = make_problem(kind, d=40, K=K, seed=0, node_split="skew")
+    p = make_problem(kind, d=40, K=K, seed=0)
     # _unit_spectral of each delta (and of strongly_monotone's skew part),
     # then the global L and one eigensolve of B + B^T; none per node.
     norms = K + skew_part + 1
@@ -255,9 +255,11 @@ def test_make_problem_cocoercive():
 
 
 def test_node_split_identical_under_relative_noise():
-    # Every node's matrix is B itself: a view of op.B, no copy.
+    # Every node's matrix is B itself: a view of op.B, no copy.  A clip
+    # around relative noise keeps it relative.
     p = make_problem("bilinear", d=4, K=3, seed=2, noise=RelativeNoise(0.5))
-    q = make_problem("bilinear", d=4, K=3, seed=2, node_split="identical")
+    q = make_problem("bilinear", d=4, K=3, seed=2,
+                     noise=AlmostSureClip(10.0, RelativeNoise(0.5)))
     for r in (p, q):
         assert r.node_B.shape == (3, 4, 4) and np.shares_memory(r.node_B, r.op.B)
         assert all(np.array_equal(Bk, r.op.B) for Bk in r.node_B)
@@ -265,7 +267,7 @@ def test_node_split_identical_under_relative_noise():
 
 
 def test_bilinear_skew_split_is_exactly_antisymmetric():
-    p = make_problem("bilinear", d=8, K=4, seed=0, node_split="skew")
+    p = make_problem("bilinear", d=8, K=4, seed=0)
     assert p.op.is_skew
     for Bk in p.node_B:
         assert np.array_equal(Bk, -Bk.T)
@@ -276,7 +278,7 @@ def test_bilinear_skew_split_is_exactly_antisymmetric():
 def test_skew_split_nodes_are_monotone(kind):
     # Skew deltas leave each node's symmetric part that of B, up to rounding.
     for seed in range(3):
-        p = make_problem(kind, d=30, K=4, seed=seed, node_split="skew")
+        p = make_problem(kind, d=30, K=4, seed=seed)
         for Bk in p.node_B:
             assert np.linalg.eigvalsh(Bk + Bk.T)[0] >= -1e-9 * p.L
 
