@@ -518,33 +518,35 @@ def run_suite(name, out="suite", overrides=None):
     """Run a named collection of presets and write a suite-level JSON.
 
     A run's config lays ``overrides``, then the run's own keys and its path
-    under ``out``, over the suite's keys.
+    under ``out``, over the suite's keys.  Every config is built before
+    ``out`` is created, so a rejected suite leaves no directory behind.
     """
-    os.makedirs(out, exist_ok=True)
-
     def config(preset, suite_keys, label, **run_keys):
         run_keys["out"] = os.path.join(out, label)
         return preset_config(preset, _overlay(_overlay(suite_keys, overrides), {"run": run_keys}))
 
     if name == "rate-suite":
-        slopes = {}
-        for preset in ("bilinear-abs", "cocoercive-rel"):
-            slopes[preset] = run_experiment(config(preset, {}, preset))["slope"]
-        result = {"slopes": slopes}
+        labels = ["bilinear-abs", "cocoercive-rel"]
+        cfgs = [config(preset, {}, preset) for preset in labels]
     elif name == "k-sweep":
         cfgs, labels = [], []
         for K in (1, 4, 16):
             keys = {"problem": {"K": K}, "noise": {"sigma": "0.5"}, "run": {"T": "2000"}}
             cfgs.append(config("bilinear-abs", keys, f"K{K}"))
             labels.append(f"K={K}")
-        result = compare(cfgs, labels)
     elif name == "halving":
         keys = {"quantization": {"update_period": "0"}, "run": {"T": "1000"}}
-        qoda = config("bilinear-abs", keys, "qoda")
-        eg = config("bilinear-abs", keys, "extragradient", algorithm="extragradient")
-        result = compare([qoda, eg], ["qoda", "extragradient"])
+        cfgs = [config("bilinear-abs", keys, "qoda"),
+                config("bilinear-abs", keys, "extragradient", algorithm="extragradient")]
+        labels = ["qoda", "extragradient"]
     else:
         raise UnknownPreset(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
+    os.makedirs(out, exist_ok=True)
+    if name == "rate-suite":
+        result = {"slopes": {label: run_experiment(cfg)["slope"]
+                             for label, cfg in zip(labels, cfgs)}}
+    else:
+        result = compare(cfgs, labels)
     path = os.path.join(out, f"{name}.json")
     with open(path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
@@ -605,6 +607,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if not args.out and args.command != "run":
+            raise ParseError(f"{args.command} --out must not be empty")
         # --seed, and run's --out, are config keys: laid over --set, checked alike.
         opts = {"seed": args.seed, "out": args.out if args.command == "run" else None}
         overrides = _overlay(_override_dict(args.overrides),

@@ -542,8 +542,28 @@ def test_cli_seed_goes_through_the_parser_for_every_command(tmp_path, capsys):
     assert "[run] seed" in capsys.readouterr().err
     assert main(["suite", "halving", "--out", out, "--seed", "-1"]) == 1
     assert "[run] seed" in capsys.readouterr().err
+    assert not os.path.exists(out)  # the suite's directory is made after its configs
     # --seed wins over --set run.seed, as before.
     assert main(["run", "bilinear-abs", "--out", out, *_SMALL,
                  "--set", "run.seed=5", "--seed", "3"]) == 0
     assert load_config(out + ".ini").seed == 3
     capsys.readouterr()
+
+
+def test_cli_compare_and_suite_reject_an_empty_out(tmp_path, monkeypatch, capsys):
+    # An empty compare --out used to run every config and write a hidden
+    # ".json"; an empty suite --out failed with "No such file or directory".
+    monkeypatch.chdir(tmp_path)
+    paths = []
+    for i in (0, 1):
+        path = tmp_path / f"c{i}.ini"
+        path.write_text("[problem]\npreset = bilinear\nd = 6\nK = 2\n\n[run]\nT = 8\n")
+        paths.append(str(path))
+    runs = []
+    monkeypatch.setattr(runner, "execute", lambda cfg: runs.append(cfg))
+    assert main(["compare", *paths, "--out", ""]) == 1
+    assert "--out must not be empty" in capsys.readouterr().err
+    assert main(["suite", "halving", "--out", ""]) == 1
+    assert "suite --out must not be empty" in capsys.readouterr().err
+    assert runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c0.ini", "c1.ini"]

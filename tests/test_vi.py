@@ -53,21 +53,26 @@ def _count_factorizations(monkeypatch):
     return counts
 
 
-def _assert_is_norm(L, B):
-    """L is spectral_norm(B) exactly, and the SVD's norm to within 8 eps."""
-    assert L == vi.spectral_norm(B)
+def _assert_is_norm(L, B, block=None):
+    """L is exactly spectral_norm(B), or spectral_norm(block) for a block
+    with B's norm, and the SVD's norm of B to within 8 eps."""
+    assert L == vi.spectral_norm(B if block is None else block)
     assert L == pytest.approx(np.linalg.norm(B, 2), rel=8 * np.finfo(float).eps, abs=0.0)
 
 
 def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     counts = _count_factorizations(monkeypatch)
-    K = 4
-    p = make_problem("bilinear", d=8, K=K, seed=0)
-    # _unit_spectral of the saddle block and of each delta, and the global L;
-    # no SVD, and the exactly skew global operator needs no eigensolve of
-    # B + B^T.  The node matrices are never factorized.
-    assert counts == {"spectral_norm": 2 + K, "svd": 0, "eigvalsh": 2 + K}
-    _assert_is_norm(p.L, p.op.B)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shapes.append(A.shape) or eigvalsh(A))
+    p = make_problem("bilinear", d=8, K=4, seed=0)
+    # _unit_spectral of the h x h saddle block, and the global L from the
+    # normalized block; no SVD, and the exactly skew global operator needs
+    # no eigensolve of B + B^T.  The deltas are scaled by their Frobenius
+    # norms, and the node matrices are never factorized.
+    assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 2}
+    assert shapes == [(4, 4), (4, 4)]
+    _assert_is_norm(p.L, p.op.B, block=p.op.B[:4, 4:])
 
 
 @pytest.mark.parametrize("kind, skew_part", [("cocoercive", 0), ("strongly_monotone", 1)])
@@ -75,9 +80,9 @@ def test_non_skew_split_factorizes_only_the_global_operator(monkeypatch, kind, s
     counts = _count_factorizations(monkeypatch)
     K = 4
     p = make_problem(kind, d=40, K=K, seed=0)
-    # _unit_spectral of each delta (and of strongly_monotone's skew part),
-    # then the global L and one eigensolve of B + B^T; none per node.
-    norms = K + skew_part + 1
+    # _unit_spectral of strongly_monotone's skew part, then the global L and
+    # one eigensolve of B + B^T; none per node or per delta.
+    norms = skew_part + 1
     assert counts == {"spectral_norm": norms, "svd": 0, "eigvalsh": norms + 1}
     _assert_is_norm(p.L, p.op.B)
 
@@ -272,6 +277,21 @@ def test_bilinear_skew_split_is_exactly_antisymmetric():
     for Bk in p.node_B:
         assert np.array_equal(Bk, -Bk.T)
         assert not np.array_equal(Bk, p.op.B)
+
+
+@pytest.mark.parametrize("d, spectral_median", [(20, 0.216), (200, 0.217)])
+def test_skew_delta_scale_matches_the_spectral_scale(d, spectral_median):
+    # Deltas are scaled by their Frobenius norms; the median spectral norm of
+    # the centred deltas stays within 10% of its value when each delta was
+    # scaled to spectral norm 0.25 (spectral_median, seeds 0-9, K = 4).
+    norms = []
+    for seed in range(10):
+        p = make_problem("bilinear", d=d, K=4, seed=seed)
+        for Bk in p.node_B:
+            delta = Bk - p.op.B
+            assert np.array_equal(delta, -delta.T)
+            norms.append(np.linalg.norm(delta, 2))
+    assert 0.9 * spectral_median <= np.median(norms) <= 1.1 * spectral_median
 
 
 @pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
