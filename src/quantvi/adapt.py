@@ -162,20 +162,13 @@ def _type_points(samples, norms, lam, family, m):
     return pts.ravel(), np.repeat(lam[keep] / cols.size, cols.size)
 
 
-class WeightedCdf:
-    """Per-type CDFs of normalized coordinates, with the sample weights behind them."""
-
-    def __init__(self, type_cdfs, lambdas):
-        self.type_cdfs = type_cdfs
-        self.lambdas = lambdas
-
-
 def weighted_cdf(samples, family):
-    """Estimate per-type CDFs of normalized coordinates from Z samples.
+    """Per-type step CDFs of normalized coordinates from Z samples, as a list.
 
     Sample z receives weight lambda_z proportional to its squared q-norm;
     within a type each of its coordinates carries an equal share of that
-    weight, so every type's CDF has total mass 1.
+    weight, so every type's CDF has total mass 1.  A type with no
+    coordinates or no weighted sample gets None.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     norms, lam = _sample_weights(samples, family)
@@ -183,7 +176,7 @@ def weighted_cdf(samples, family):
     for m in range(family.num_types):
         pts, wts = _type_points(samples, norms, lam, family, m)
         cdfs.append(None if pts is None else StepCdf(pts, wts))
-    return WeightedCdf(cdfs, lam)
+    return cdfs
 
 
 def _fit_one_truncnorm(mean, var):
@@ -204,11 +197,12 @@ def _fit_one_truncnorm(mean, var):
 
 
 def fit_truncated_normal(samples, family):
-    """Fit a truncated normal per type by matching weighted mean and variance.
+    """Per-type truncated normals fit by weighted mean and variance, as a list.
 
-    Types whose samples are degenerate (fewer than two distinct values) or
-    whose moments no truncated normal can reproduce fall back to the step
-    CDF, announced with a DegenerateSample warning.
+    Types are weighted and skipped (None) as in ``weighted_cdf``.  Types
+    whose samples are degenerate (fewer than two distinct values) or whose
+    moments no truncated normal can reproduce fall back to the step CDF,
+    announced with a DegenerateSample warning.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     norms, lam = _sample_weights(samples, family)
@@ -232,7 +226,7 @@ def fit_truncated_normal(samples, family):
             cdfs.append(StepCdf(pts, wts))
         else:
             cdfs.append(TruncNormCdf(*fitted))
-    return WeightedCdf(cdfs, lam)
+    return cdfs
 
 
 def quantization_cost(cdf, seq):
@@ -393,15 +387,14 @@ def mqv_objective(family, cdfs):
     return float(total)
 
 
-def pooled_cdf(wcdf, family):
+def pooled_cdf(cdfs, family):
     """Mixture of the per-type step CDFs weighted by coordinate proportions.
 
     This is the distribution a single shared level sequence would face; it
     is the comparison point for layer-wise versus global level placement.
     """
     pts, wts = [], []
-    for m in range(family.num_types):
-        c = wcdf.type_cdfs[m]
+    for m, c in enumerate(cdfs):
         if c is None or family.proportions[m] == 0.0:
             continue
         pts.append(c.points)

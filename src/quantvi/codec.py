@@ -205,11 +205,11 @@ class Codebook:
         self.words = list(words)
         self.family_id = family.fingerprint()
         self._assignment = family.assignment
-        self._type_start, self._type_size = family.level_starts()
+        type_start, type_size = family.level_starts()
         _, self._coord_start, self._coord_size = family.flat_levels()
         # Wire string per flat index: the codeword, then a sign bit (1 =
         # negative) when the level index is positive.
-        signed = [j > 0 for n in self._type_size for j in range(n)]
+        signed = [j > 0 for n in type_size for j in range(n)]
         strings = [format(c, f"0{l}b") for l, c in self.words]
         self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
         self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
@@ -217,27 +217,11 @@ class Codebook:
         self._scopes = [_Scope(span, self._plus, self._minus) for span in scopes]
         # Per type: its scope and the flat range of its levels.
         per_type = []
-        for a, n in zip(self._type_start.tolist(), self._type_size.tolist()):
+        for a, n in zip(type_start.tolist(), type_size.tolist()):
             sc = next(sc for sc, span in zip(self._scopes, scopes) if a in span)
             per_type.append((sc.width, sc.padded, sc.entries, a, a + n))
         self._coord_scopes = [per_type[m] for m in family.assignment.tolist()]
         self._pad = "0" * max(sc.width for sc in self._scopes)
-
-    def codeword(self, m, j):
-        if 0 <= m < len(self._type_size) and 0 <= j < self._type_size[m]:
-            return self.words[self._type_start[m] + j]
-        raise MissingCodeword(f"no codeword for type {m}, level {j}")
-
-    def message_bits(self, norms, level_idx):
-        """Exact wire length in bits of each row's message, without encoding.
-
-        Follows the wire format: a zero-norm row is its 32-bit header; any
-        other row adds, per coordinate, the codeword length of its level
-        plus one sign bit when the level index is positive.  Equals the
-        ``nbits`` of the messages ``encode_batch`` builds from the same rows,
-        and raises the same errors.
-        """
-        return self.flat_message_bits(norms, self.flat_indices(norms, level_idx))
 
     def flat_indices(self, norms, level_idx):
         """Flat indices of ``level_idx`` rows; a zero-norm row reads level 0.
@@ -263,17 +247,18 @@ class Codebook:
         return level_idx + self._coord_start
 
     def flat_message_bits(self, norms, flat):
-        """``message_bits`` at flat indices ``coord_start + level`` (no range check)."""
+        """Exact wire length in bits of each row's message, at ``flat_indices``.
+
+        A zero-norm row is its 32-bit header; any other row adds, per
+        coordinate, the codeword length of its level plus one sign bit when
+        its level index is positive.  Equals the ``nbits`` of the messages
+        ``encode_batch`` builds from the same rows; ``flat`` is not checked.
+        """
         bits = self._wire_bits[flat].sum(axis=1)
         norms = np.asarray(norms)
         if not norms.all():
             bits[norms == 0.0] = 0
         return bits + 32
-
-    def kraft_sums(self):
-        """Kraft sum per decoding scope (per type for main, global otherwise)."""
-        # Summed exactly: a codeword's two signed strings add up to its term.
-        return [math.fsum(2.0 ** -len(w) for w, _, _ in sc.entries) for sc in self._scopes]
 
 
 def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFFMAN):

@@ -166,13 +166,6 @@ class LevelFamily:
     def dimension(self):
         return self.assignment.size
 
-    @classmethod
-    def from_layer_sizes(cls, sequences, layer_sizes, q=2):
-        """Assign contiguous coordinate blocks of the given sizes to types 0..M-1."""
-        if len(layer_sizes) != len(sequences):
-            raise ValueError("need one layer size per sequence")
-        return cls(sequences, assignment_from_layer_sizes(layer_sizes), q=q)
-
     def type_coordinates(self, m):
         """Indices of the coordinates assigned to type m."""
         if self._type_cols is None:

@@ -70,24 +70,6 @@ class QuantizedVector:
         )
 
 
-def locate_level(u, seq):
-    """Return (tau, xi): the interval index of u and its relative position.
-
-    l_tau <= u < l_tau+1 with xi = (u - l_tau) / (l_tau+1 - l_tau); the top
-    endpoint u = 1 maps to (alpha, 1).  Values within 1e-12 outside [0, 1]
-    are clamped; anything further out raises OutOfRange.
-    """
-    if u < -_CLAMP_TOL or u > 1.0 + _CLAMP_TOL:
-        raise OutOfRange(f"normalized coordinate {u} outside [0, 1]")
-    u = min(max(float(u), 0.0), 1.0)
-    ell = seq.levels
-    tau = int(np.searchsorted(ell, u, side="right")) - 1
-    if tau == len(ell) - 1:  # u == 1.0
-        tau -= 1
-    xi = (u - ell[tau]) / (ell[tau + 1] - ell[tau])
-    return tau, float(xi)
-
-
 def _normalized_magnitudes(V, family):
     """q-norms and clamped normalized magnitudes for a batch of row vectors."""
     if family.q == 2:
@@ -135,8 +117,10 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     (n, d).  Norms are rounded to 32-bit floats, matching the wire format.
     ``uniforms`` may supply pre-drawn U(0,1) variates of shape (n, d) for
     callers that manage their own random streams (one per node, say);
-    otherwise they are drawn from ``rng``.
+    otherwise they are drawn from ``rng``.  One of the two must be given.
     """
+    if rng is None and uniforms is None:
+        raise ValueError("quantizing needs rng or uniforms; both are None")
     V = _check_batch(V, family)
     n, d = V.shape
     norms64, U = _normalized_magnitudes(V, family)
@@ -165,7 +149,7 @@ def quantize_batch(V, family, rng=None, uniforms=None):
 
 
 def quantize_vector(v, family, rng=None, uniforms=None):
-    """Quantize a single vector, returning a QuantizedVector."""
+    """Quantize a single vector, returning a QuantizedVector (see quantize_batch)."""
     if uniforms is not None:
         uniforms = np.asarray(uniforms, dtype=np.float64).reshape(1, -1)
     norms, signs, idx = quantize_batch(

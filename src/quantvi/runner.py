@@ -411,11 +411,11 @@ def mqv_study(cfg, probes=16):
     samples = np.concatenate([problem.node_B @ x + problem.node_c for x in xs])
 
     family = build_family(cfg)
-    wcdf = adapt.weighted_cdf(samples, family)
-    layer_family = adapt.place_levels(family, wcdf.type_cdfs, cfg.grid)
-    layer_val = adapt.mqv_objective(layer_family, wcdf.type_cdfs)
+    cdfs = adapt.weighted_cdf(samples, family)
+    layer_family = adapt.place_levels(family, cdfs, cfg.grid)
+    layer_val = adapt.mqv_objective(layer_family, cdfs)
 
-    pooled = adapt.pooled_cdf(wcdf, family)
+    pooled = adapt.pooled_cdf(cdfs, family)
     global_budget = max(seq.alpha for seq in family.sequences)
     global_seq = adapt.optimize_levels(pooled, global_budget, cfg.grid)
     global_val = adapt.quantization_cost(pooled, global_seq)

@@ -157,11 +157,11 @@ def refresh_levels(samples, family, grid, estimator, protocol, scheme):
     the samples carry no information (callers keep the old family).
     """
     if estimator == "truncated-normal":
-        cdf = adapt.fit_truncated_normal(samples, family)
+        cdfs = adapt.fit_truncated_normal(samples, family)
     else:
-        cdf = adapt.weighted_cdf(samples, family)
-    new_family = adapt.place_levels(family, cdf.type_cdfs, grid)
-    hist = adapt.level_histogram(new_family, cdf.type_cdfs)
+        cdfs = adapt.weighted_cdf(samples, family)
+    new_family = adapt.place_levels(family, cdfs, grid)
+    hist = adapt.level_histogram(new_family, cdfs)
     books = build_codebook(new_family, hist, protocol, scheme)
     return new_family, books, hist
 
@@ -187,7 +187,7 @@ class _QuantPipeline:
 
     def _start_segment(self, t, family, books, hist):
         """Quantize with ``family`` and ``books`` from iteration t on."""
-        self.family, self.books, self.hist = family, books, hist
+        self.family, self.books = family, books
         self.eps_q = variance_bound_eps(family, self.d)
         self.n_q = code_length_bound(hist, family, self.cfg.protocol)
         self.segments.append((t, self.eps_q, self.n_q))
@@ -261,10 +261,6 @@ class RunMetrics:
         self.summary = summary
         self.avg_iterate = avg_iterate
         self.iterates = iterates
-
-    def column(self, name):
-        i = METRIC_COLUMNS.index(name)
-        return np.array([row[i] for row in self.rows])
 
 
 def _segment_averages(segments, T):

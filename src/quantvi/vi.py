@@ -89,11 +89,14 @@ class AffineOperator:
     passes it in; otherwise it is ``spectral_norm(B)``, one eigensolve of
     B^T B.  When B + B^T is exactly zero every eigenvalue of the symmetric
     part is 0, so the operator is skew and monotone without a second
-    eigensolve.  The eigendecomposition of B + B^T that the gap of a
-    non-skew operator needs is computed on first use and kept.
+    eigensolve; otherwise one ``eigvalsh`` of the symmetric part checks that
+    its least eigenvalue is not negative.  The eigendecomposition of B + B^T
+    that the gap of a non-skew operator needs is computed on first use and
+    kept.  The solution a problem is built around is the problem's
+    (``ProblemInstance.x_star``), not the operator's.
     """
 
-    def __init__(self, B, c=None, beta=None, x_star=None, L=None):
+    def __init__(self, B, c=None, L=None):
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise BadDimension("B must be square")
@@ -113,24 +116,14 @@ class AffineOperator:
                 raise ValueError(
                     f"B + B^T has negative eigenvalue {eigs[0]}: operator not monotone"
                 )
-            self.sym_eig_max = float(eigs[-1])
             self.is_skew = float(np.abs(sym).max()) <= _SKEW_TOL * scale
         else:
-            self.sym_eig_max = 0.0
             self.is_skew = True
-        self.beta = beta
-        self.x_star = None if x_star is None else np.asarray(x_star, dtype=np.float64)
 
     @functools.cached_property
     def _sym_eigh(self):
         """Eigenvalues (ascending) and eigenvectors of B + B^T, for the gap."""
         return np.linalg.eigh(self.B + self.B.T)
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.d,):
-            raise DimensionMismatch(f"operator dimension {self.d}, got {x.shape}")
-        return self.B @ x + self.c
 
 
 class AbsoluteNoise:
@@ -258,9 +251,10 @@ class ProblemInstance:
     Node k's operator is A_k(x) = node_B[k] x + node_c[k]; ``node_B`` is
     (K, d, d) and ``node_c`` is (K, d), and their means over k are the
     global operator's B and c.  One matmul evaluates every node at x.
+    ``x_star`` is the solution the operator was built around.
     """
 
-    def __init__(self, kind, op, node_B, node_c, noise, domain, x1):
+    def __init__(self, kind, op, node_B, node_c, noise, domain, x1, x_star):
         self.kind = kind
         self.op = op
         self.node_B = node_B
@@ -270,9 +264,8 @@ class ProblemInstance:
         self.x1 = np.asarray(x1, dtype=np.float64)
         self.d = op.d
         self.K = node_B.shape[0]
-        self.x_star = op.x_star
+        self.x_star = np.asarray(x_star, dtype=np.float64)
         self.L = op.L
-        self.beta = op.beta
 
     def gap(self, x_hat):
         return restricted_gap(x_hat, self.op, self.domain)
@@ -301,9 +294,8 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     Kinds (read by ``parse_kind``): ``bilinear`` (skew B from a random
     saddle matrix, needs even d), ``strongly_monotone:mu`` (mu I plus a skew
     part), and ``cocoercive:lmin,lmax`` (symmetric PSD B with that
-    eigenvalue range, recording beta = 1 / lmax).  The solution defaults to
-    a random unit vector; pass ``x_star`` explicitly (a vector or scalar) to
-    override.
+    eigenvalue range).  The solution defaults to a random unit vector; pass
+    ``x_star`` explicitly (a vector or scalar) to override.
 
     When the noise scales with the operator (``is_relative``), every node
     matrix is B itself, through a read-only (K, d, d) view with no copy;
@@ -319,7 +311,7 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     base, nums = parse_kind(kind)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
 
-    L = beta = None  # L = None: AffineOperator takes spectral_norm(B)
+    L = None  # AffineOperator takes spectral_norm(B)
     if base == "bilinear":
         if d < 2 or d % 2 != 0:
             raise BadDimension("bilinear problems need even dimension >= 2")
@@ -337,7 +329,6 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
         B = Q @ np.diag(np.linspace(lmin, lmax, d)) @ Q.T
         B = 0.5 * (B + B.T)
-        beta = 1.0 / lmax
 
     if x_star is None:
         xs = rng.standard_normal(d)
@@ -345,7 +336,7 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     else:
         xs = np.broadcast_to(np.asarray(x_star, dtype=np.float64), (d,)).copy()
     c = -B @ xs
-    op = AffineOperator(B, c, beta=beta, x_star=xs, L=L)
+    op = AffineOperator(B, c, L=L)
 
     if is_relative(noise) or K == 1:
         node_B = np.broadcast_to(B, (K, d, d))
@@ -364,27 +355,4 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))
     domain = TestDomain(xs, 2.0 * dist if dist > 0 else 1.0)
-    return ProblemInstance(kind, op, node_B, np.broadcast_to(c, (K, d)), noise, domain, x1)
-
-
-def certify_monotone(op, rng, pairs=10000):
-    """Minimum of <A(x) - A(y), x - y> over random pairs (should be >= -1e-9)."""
-    worst = np.inf
-    for _ in range(pairs):
-        x = rng.standard_normal(op.d)
-        y = rng.standard_normal(op.d)
-        worst = min(worst, float((op.apply(x) - op.apply(y)) @ (x - y)))
-    return worst
-
-
-def certify_lipschitz(op, rng, pairs=10000):
-    """Maximum of ||A(x) - A(y)|| / ||x - y|| over random pairs."""
-    worst = 0.0
-    for _ in range(pairs):
-        x = rng.standard_normal(op.d)
-        y = rng.standard_normal(op.d)
-        nd = np.linalg.norm(x - y)
-        if nd == 0:
-            continue
-        worst = max(worst, float(np.linalg.norm(op.apply(x) - op.apply(y)) / nd))
-    return worst
+    return ProblemInstance(kind, op, node_B, np.broadcast_to(c, (K, d)), noise, domain, x1, xs)

@@ -25,16 +25,21 @@ from quantvi.adapt import (
     weighted_cdf,
 )
 from quantvi.codec import build_codebook, build_huffman
-from quantvi.levels import LevelFamily, LevelSequence, variance_bound_eps
+from quantvi.levels import (
+    LevelFamily,
+    LevelSequence,
+    assignment_from_layer_sizes,
+    variance_bound_eps,
+)
 from quantvi.quantizer import (
     QuantizedVector,
     dequantize_batch,
     exact_quantization_variance,
-    locate_level,
     quantize_batch,
     quantize_vector,
 )
 from quantvi.solver import AltRates, GeneralRates, run_qoda
+from reference import locate_level
 
 
 def _report(num, name, ok, detail):
@@ -54,7 +59,7 @@ def _random_family(rng, d, q, M):
             alpha + 1.0
         )
         seqs.append(LevelSequence(np.concatenate(([0.0], interior, [1.0]))))
-    return LevelFamily.from_layer_sizes(seqs, _near_equal_split(d, M), q=q)
+    return LevelFamily(seqs, assignment_from_layer_sizes(_near_equal_split(d, M)), q=q)
 
 
 def _lq_norm(v, q):
@@ -266,16 +271,13 @@ def test_criterion_06_layerwise_dominates_pooled():
         fam = _random_family(rng, d, 2, M)
         samples = np.abs(rng.standard_normal((int(rng.integers(3, 9)), d)))
         samples *= rng.uniform(0.2, 3.0, size=(samples.shape[0], 1))
-        wcdf = weighted_cdf(samples, fam)
+        cdfs = weighted_cdf(samples, fam)
         alpha = int(rng.integers(1, 4))
-        per_type = [optimize_levels(c, alpha, grid=128) for c in wcdf.type_cdfs]
-        layer_fam = LevelFamily.from_layer_sizes(per_type, fam.counts.tolist(), q=2)
-        shared = optimize_levels(pooled_cdf(wcdf, fam), alpha, grid=128)
-        pooled_fam = LevelFamily.from_layer_sizes(
-            [shared] * M, fam.counts.tolist(), q=2
-        )
-        gap = (mqv_objective(layer_fam, wcdf.type_cdfs)
-               - mqv_objective(pooled_fam, wcdf.type_cdfs))
+        per_type = [optimize_levels(c, alpha, grid=128) for c in cdfs]
+        layer_fam = LevelFamily(per_type, fam.assignment, q=2)
+        shared = optimize_levels(pooled_cdf(cdfs, fam), alpha, grid=128)
+        pooled_fam = LevelFamily([shared] * M, fam.assignment, q=2)
+        gap = mqv_objective(layer_fam, cdfs) - mqv_objective(pooled_fam, cdfs)
         worst_gap = max(worst_gap, gap)
     ok = worst_gap <= 1e-12
     _report(6, "layer-wise dominance", ok,

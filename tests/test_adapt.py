@@ -111,9 +111,8 @@ def test_truncnorm_moments_match_numerical_integration():
 def test_weighted_cdf_weights_by_squared_norm():
     fam = _fam_two(d=4)
     samples = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]])
-    w = weighted_cdf(samples, fam)
-    assert np.allclose(w.lambdas, [0.2, 0.8])
-    assert len(w.type_cdfs) == 2
+    assert np.allclose(adapt._sample_weights(samples, fam)[1], [0.2, 0.8])
+    assert len(weighted_cdf(samples, fam)) == 2
 
 
 def test_weighted_cdf_all_zero_raises():
@@ -125,10 +124,9 @@ def test_weighted_cdf_all_zero_raises():
 def test_weighted_cdf_zero_sample_row_is_ignored():
     fam = _fam_two(d=4)
     samples = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-    w = weighted_cdf(samples, fam)
-    assert np.allclose(w.lambdas, [1.0, 0.0])
+    assert np.allclose(adapt._sample_weights(samples, fam)[1], [1.0, 0.0])
     # each type still sees mass 1 from the surviving sample
-    for c in w.type_cdfs:
+    for c in weighted_cdf(samples, fam):
         assert c.moments_below(1.0)[0] == pytest.approx(1.0)
 
 
@@ -152,8 +150,7 @@ def test_fit_truncated_normal_recovers_moments():
     rng = np.random.default_rng(8)
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(400, dtype=np.int64))
     samples = np.abs(rng.normal(0.04, 0.015, size=(1, 400)))
-    fit = fit_truncated_normal(samples, fam)
-    c = fit.type_cdfs[0]
+    (c,) = fit_truncated_normal(samples, fam)
     assert isinstance(c, TruncNormCdf)
     mean, var = c.mean_var()
     u = np.abs(samples[0]) / np.linalg.norm(samples[0])
@@ -165,8 +162,8 @@ def test_fit_truncated_normal_degenerate_falls_back():
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(4, dtype=np.int64))
     samples = np.full((2, 4), 0.5)  # all normalized magnitudes identical
     with pytest.warns(DegenerateSample):
-        fit = fit_truncated_normal(samples, fam)
-    assert isinstance(fit.type_cdfs[0], StepCdf)
+        (c,) = fit_truncated_normal(samples, fam)
+    assert isinstance(c, StepCdf)
 
 
 def test_quantization_cost_uniform_frozen():
@@ -376,16 +373,16 @@ def test_layerwise_optimum_never_worse_than_pooled():
     for _ in range(5):
         fam = _fam_two(d=8)
         samples = rng.standard_normal((6, 8)) * np.array([3, 3, 3, 3, 1, 1, 1, 1])
-        w = weighted_cdf(samples, fam)
+        cdfs = weighted_cdf(samples, fam)
         budget = 2
-        per_type = [optimize_levels(w.type_cdfs[m], budget, 64) for m in range(2)]
+        per_type = [optimize_levels(cdfs[m], budget, 64) for m in range(2)]
         layer = sum(
-            fam.proportions[m] * quantization_cost(w.type_cdfs[m], per_type[m])
+            fam.proportions[m] * quantization_cost(cdfs[m], per_type[m])
             for m in range(2)
         )
-        shared = optimize_levels(pooled_cdf(w, fam), budget, 64)
+        shared = optimize_levels(pooled_cdf(cdfs, fam), budget, 64)
         pooled = sum(
-            fam.proportions[m] * quantization_cost(w.type_cdfs[m], shared)
+            fam.proportions[m] * quantization_cost(cdfs[m], shared)
             for m in range(2)
         )
         assert layer <= pooled + 1e-12
@@ -432,8 +429,7 @@ def test_weighted_cdf_points_follow_sample_then_coordinate_order():
     # Type 1 has no coordinates, and sample 1 has zero weight.
     fam = LevelFamily([LevelSequence([0.0, 1.0])] * 3, np.array([2, 0, 2, 0, 0]))
     S = np.array([[1.0, -2.0, 0.5, 0.0, 3.0], [0.0] * 5, [-1.0, 1.0, 1.0, 2.0, -0.5]])
-    w = weighted_cdf(S, fam)
-    assert w.type_cdfs[1] is None
+    assert weighted_cdf(S, fam)[1] is None
     norms, lam = adapt._sample_weights(S, fam)
     pts, wts = adapt._type_points(S, norms, lam, fam, 0)
     expect = [abs(S[z, i]) / norms[z] for z in (0, 2) for i in (1, 3, 4)]

@@ -36,6 +36,17 @@ def _bits(length, code):
     return format(code, "b").zfill(length) if length else ""
 
 
+def _message_bits(books, norms, level_idx):
+    """Counted wire bits per row, through the range check the encoder runs."""
+    return books.flat_message_bits(norms, books.flat_indices(norms, level_idx))
+
+
+def _kraft_sums(books):
+    """Kraft sum per decoding scope (per type for main, global otherwise)."""
+    # Summed exactly: a codeword's two signed strings add up to its term.
+    return [math.fsum(2.0 ** -len(w) for w, _, _ in sc.entries) for sc in books._scopes]
+
+
 def test_elias_omega_frozen_values():
     assert elias_omega(1) == (1, 0b0)
     assert elias_omega(2) == (3, 0b100)
@@ -160,13 +171,9 @@ def test_build_codebook_rejects_unknown_names():
 def test_codebook_covers_every_pair_and_kraft():
     fam = _fam_two()
     books = build_codebook(fam, _hist_for(fam))
-    for m in range(fam.num_types):
-        for j in range(fam.sequences[m].alpha + 2):
-            length, _ = books.codeword(m, j)
-            assert length >= 1
-    assert all(s == pytest.approx(1.0) for s in books.kraft_sums())
-    with pytest.raises(MissingCodeword):
-        books.codeword(0, 9)
+    assert len(books.words) == sum(s.alpha + 2 for s in fam.sequences)
+    assert all(length >= 1 for length, _ in books.words)
+    assert all(s == pytest.approx(1.0) for s in _kraft_sums(books))
 
 
 def test_alternating_codebook_is_globally_prefix_free():
@@ -178,7 +185,7 @@ def test_alternating_codebook_is_globally_prefix_free():
         for b in words[i + 1 :]:
             assert not a.startswith(b) and not b.startswith(a)
     # One shared scope, so the global Kraft sum is 1.
-    assert books.kraft_sums() == [pytest.approx(1.0)]
+    assert _kraft_sums(books) == [pytest.approx(1.0)]
 
 
 def test_encode_frozen_wire_example():
@@ -264,7 +271,7 @@ def test_message_bits_match_encoded_lengths(protocol, scheme):
     V = rng.standard_normal((12, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(12, 1))
     V[[2, 7]] = 0.0
     norms, signs, idx = quantize_batch(V, fam, rng=rng)
-    counted = books.message_bits(norms, idx)
+    counted = _message_bits(books, norms, idx)
     assert counted.tolist() == [m.nbits for m in encode_batch(norms, signs, idx, books)]
     assert counted[2] == counted[7] == 32
 
@@ -304,21 +311,21 @@ def test_wire_is_frozen(protocol, scheme):
         norms, signs, idx = quantize_batch(V, fam, rng=rng)
         for msg in encode_batch(norms, signs, idx, books):
             h.update(msg.data + msg.nbits.to_bytes(4, "big"))
-    words = [books.codeword(m, j) for m, s in enumerate(fam.sequences) for j in range(len(s))]
-    assert (h.hexdigest(), words) == _FROZEN_WIRE[(protocol, scheme)]
+    # ``words`` lists the codewords in (type, level) order.
+    assert (h.hexdigest(), books.words) == _FROZEN_WIRE[(protocol, scheme)]
 
 
 def test_message_bits_rejects_indices_outside_the_book():
     fam = _fam_two(d=4)  # two levels per type plus the endpoints: indices 0..2
     books = build_codebook(fam, _hist_for(fam))
     with pytest.raises(MissingCodeword):
-        books.message_bits([1.0], [[0, 3, 0, 0]])
+        _message_bits(books, [1.0], [[0, 3, 0, 0]])
     with pytest.raises(MissingCodeword):
-        books.message_bits([1.0], [[0, 0, -1, 0]])
+        _message_bits(books, [1.0], [[0, 0, -1, 0]])
     with pytest.raises(ValueError):
-        books.message_bits([1.0], [[0, 0, 0]])
+        _message_bits(books, [1.0], [[0, 0, 0]])
     # A zero-norm row is its bare header and unchecked, as in encode.
-    assert books.message_bits([0.0], [[0, 9, 0, 0]]).tolist() == [32]
+    assert _message_bits(books, [0.0], [[0, 9, 0, 0]]).tolist() == [32]
     qv = QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fam.fingerprint())
     assert encode(qv, books).nbits == 32
 
@@ -353,7 +360,7 @@ def test_verify_wire_checks_roundtrip_and_counted_bits():
     fam = _fam_scattered()
     books = build_codebook(fam, _hist_for(fam), "alternating")
     norms, signs, idx = quantize_batch(rng.standard_normal((4, 9)), fam, rng=rng)
-    bits = int(books.message_bits(norms, idx).sum())
+    bits = int(_message_bits(books, norms, idx).sum())
     codec.verify_wire(norms, signs, idx, books, bits)
     with pytest.raises(codec.WireMismatch):
         codec.verify_wire(norms, signs, idx, books, bits + 1)
@@ -386,7 +393,7 @@ def test_decode_rejects_a_message_cut_before_a_sign_bit(protocol):
     probs = 0.5 ** np.arange(1, 11)
     probs[-1] = probs[-2]
     books = build_codebook(fam, [probs], protocol)
-    assert books.codeword(0, 7)[0] == 8
+    assert books.words[7][0] == 8
     qv = QuantizedVector(1.0, [-1], [7], fam.fingerprint())
     msg = encode(qv, books)
     assert msg.nbits == 41
@@ -406,7 +413,7 @@ def test_kraft_sums_count_codewords_not_wire_strings(protocol, scheme):
     kraft = [sum(2.0 ** -l for l, _ in books.words[a:a + n]) for a, n in zip(starts, sizes)]
     if protocol == "alternating":
         kraft = [sum(kraft)]
-    assert books.kraft_sums() == kraft
+    assert _kraft_sums(books) == kraft
     strings = sum(len(scope.entries) for scope in books._scopes)
     assert strings == 2 * len(books.words) - fam.num_types
 
@@ -433,7 +440,7 @@ def test_roundtrip_with_long_codewords(protocol, n):
     qv = QuantizedVector(2.5, signs, idx, fam.fingerprint())
     msg = encode(qv, books)
     assert decode(msg, books) == qv
-    assert books.message_bits([qv.norm], [idx]).tolist() == [msg.nbits]
+    assert _message_bits(books, [qv.norm], [idx]).tolist() == [msg.nbits]
     with pytest.raises(TruncatedMessage):
         decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24), books)
 
@@ -464,7 +471,7 @@ def test_decode_rejects_bits_in_a_gap_of_an_elias_book():
     # payloads 101... and 111... match no codeword.
     fam = _fam_single()
     books = build_codebook(fam, scheme="elias")
-    assert books.kraft_sums() == [0.75]
+    assert _kraft_sums(books) == [0.75]
     assert decode(_payload_message("0" + "1000"), books).level_idx.tolist() == [0, 1]
     for bits in ("1010", "1110", "0" + "101"):
         with pytest.raises(InvalidCodeword):
@@ -521,7 +528,7 @@ def test_alternating_decode_rejects_wrong_type_codeword():
         np.array([0, 1]),
     )
     books = build_codebook(fam, _hist_for(fam), protocol="alternating")
-    l0, c0 = books.codeword(1, 1)  # type 1 codeword
+    l0, c0 = books.words[3 + 1]  # type 1, level 1: type 0 has three levels
     header = struct.unpack(">I", struct.pack(">f", 1.0))[0]
     nbits = 32 + l0
     acc = (header << l0) | c0

@@ -141,12 +141,13 @@ def test_family_flags_unused_types():
 
 
 def test_from_layer_sizes_matches_manual_assignment():
-    fam = LevelFamily.from_layer_sizes(
-        [LevelSequence([0.0, 0.5, 1.0]), LevelSequence([0.0, 1.0])], [2, 2]
+    fam = LevelFamily(
+        [LevelSequence([0.0, 0.5, 1.0]), LevelSequence([0.0, 1.0])],
+        assignment_from_layer_sizes([2, 2]),
     )
     assert fam.assignment.tolist() == [0, 0, 1, 1]
-    with pytest.raises(ValueError):
-        LevelFamily.from_layer_sizes([LevelSequence([0.0, 1.0])], [2, 2])
+    with pytest.raises(ValueError):  # two layers, one sequence
+        LevelFamily([LevelSequence([0.0, 1.0])], assignment_from_layer_sizes([2, 2]))
 
 
 def test_type_coordinates():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quantvi
 from quantvi.levels import LevelFamily, LevelSequence
 from quantvi.quantizer import (
     DimensionMismatch,
@@ -15,10 +16,10 @@ from quantvi.quantizer import (
     dequantize,
     dequantize_batch,
     exact_quantization_variance,
-    locate_level,
     quantize_batch,
     quantize_vector,
 )
+from reference import locate_level
 
 
 def _fam(levels=(0.0, 0.5, 1.0), d=2, q=2):
@@ -60,6 +61,18 @@ def test_quantize_pinned_uniforms():
     assert qv.level_idx.tolist() == [2, 1]
     assert qv.signs.tolist() == [1, -1]
     assert dequantize(qv, fam).tolist() == [5.0, -2.5]
+
+
+def test_quantize_without_randomness_names_both_sources():
+    # With neither rng nor uniforms there is nothing to round with.
+    fam = _fam()
+    with pytest.raises(ValueError, match="rng or uniforms"):
+        quantvi.quantize_vector([3.0, -4.0], fam)
+    with pytest.raises(ValueError, match="rng or uniforms"):
+        quantize_batch(np.ones((2, 2)), fam)
+    # The check comes first: a bad vector does not mask it.
+    with pytest.raises(ValueError, match="rng or uniforms"):
+        quantvi.quantize_vector([np.nan, 1.0, 2.0], fam)
 
 
 def test_quantize_norm_is_float32_rounded():

@@ -23,6 +23,10 @@ from quantvi.quantizer import dequantize_batch
 from quantvi.vi import AbsoluteNoise, make_problem
 
 
+def _column(metrics, name):
+    return np.array([row[METRIC_COLUMNS.index(name)] for row in metrics.rows])
+
+
 def _fam(d, alpha=3, q=2):
     seq = LevelSequence([j / (alpha + 1) for j in range(alpha + 2)])
     return LevelFamily([seq], np.zeros(d, dtype=np.int64), q=q)
@@ -103,7 +107,7 @@ def test_run_qoda_row_schema_and_counts():
     assert metrics.summary["oracle_calls_per_node"] == 40
     assert metrics.summary["T"] == 40
     assert metrics.summary["final_gap"] == metrics.rows[-1][1]
-    assert metrics.column("t").tolist() == [1, 2, 4, 8, 16, 32, 40]
+    assert _column(metrics, "t").tolist() == [1, 2, 4, 8, 16, 32, 40]
 
 
 def test_run_qoda_is_deterministic():
@@ -181,7 +185,7 @@ def _random_family(rng):
 def test_broadcast_matches_the_checked_public_functions():
     # The broadcast gathers Vhat and the bits at flat (type, level) indices
     # without a range check; with the same uniforms both must equal what
-    # dequantize_batch and message_bits return, bit for bit.  The rows cover
+    # dequantize_batch and the range-checked bit count return, bit for bit.  The rows cover
     # a zero vector, a norm that underflows float32, a lone nonzero
     # coordinate (u = 1 exactly) and scattered zeros.
     rng = np.random.default_rng(11)
@@ -208,7 +212,8 @@ def test_broadcast_matches_the_checked_public_functions():
         assert idx[2, lone] == len(fam.sequences[fam.assignment[lone]]) - 1
         expected = dequantize_batch(norms, signs, idx, fam)
         assert v_hat.tobytes() == expected.tobytes()
-        assert state.bits == int(pipe.books.message_bits(norms, idx).sum())
+        flat = pipe.books.flat_indices(norms, idx)
+        assert state.bits == int(pipe.books.flat_message_bits(norms, flat).sum())
 
 
 @pytest.mark.parametrize("estimator", ["empirical", "truncated-normal"])
@@ -292,7 +297,7 @@ def test_level_adaptation_updates_on_schedule():
     problem = make_problem("bilinear", d=6, K=2, seed=5, noise=AbsoluteNoise(0.3))
     quant = QuantizationConfig(family=_fam(6), update_period=5, samples_per_node=8)
     metrics = run_qoda(problem, GeneralRates(), 16, quant=quant, seed=0)
-    eps = metrics.column("eps_q")
+    eps = _column(metrics, "eps_q")
     # Updates fire at t = 6, 11, 16, so the bound changes between the t = 4
     # checkpoint and the final one.
     assert eps[0] == eps[1] == eps[2]
@@ -305,8 +310,8 @@ def test_refresh_on_a_large_grid_runs_in_bounded_memory():
     problem = make_problem("bilinear", d=20, K=2, seed=5, noise=AbsoluteNoise(0.3))
     quant = QuantizationConfig(family=_fam(20), update_period=1000, grid=20000)
     metrics = run_qoda(problem, GeneralRates(), 1002, quant=quant, seed=0)
-    eps = metrics.column("eps_q")
-    assert metrics.column("t")[-1] == 1002
+    eps = _column(metrics, "eps_q")
+    assert _column(metrics, "t")[-1] == 1002
     assert eps[-1] != eps[0]
 
 
@@ -328,9 +333,9 @@ def test_eta_never_exceeds_gamma_on_alt_schedule():
 def test_general_schedule_rates_never_increase():
     problem = make_problem("bilinear", d=6, K=2, seed=8, noise=AbsoluteNoise(0.2))
     metrics = run_qoda(problem, GeneralRates(), 50, quant=_quant(6), seed=2)
-    gammas = metrics.column("gamma")
+    gammas = _column(metrics, "gamma")
     assert np.all(np.diff(gammas) <= 1e-15)
-    assert np.all(metrics.column("gamma") == metrics.column("eta"))
+    assert np.all(_column(metrics, "gamma") == _column(metrics, "eta"))
 
 
 def test_extragradient_doubles_oracle_calls_and_bits():

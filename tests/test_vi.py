@@ -11,16 +11,13 @@ from quantvi.vi import (
     AlmostSureClip,
     BadDimension,
     RelativeNoise,
-    certify_lipschitz,
-    certify_monotone,
     is_relative,
     make_problem,
 )
 
 
-def test_affine_operator_apply():
+def test_affine_operator_skew_and_norm():
     op = AffineOperator(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([1.0, 2.0]))
-    assert op.apply(np.array([3.0, 4.0])).tolist() == [5.0, -1.0]
     assert op.is_skew
     assert op.L == pytest.approx(1.0)
 
@@ -110,7 +107,6 @@ def test_nearly_skew_operator_takes_the_eigensolve(monkeypatch):
     # One norm (one eigensolve of B^T B) and one eigensolve of B + B^T.
     assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 2}
     assert op.is_skew
-    assert op.sym_eig_max == pytest.approx(1e-13)
     with pytest.raises(ValueError):
         AffineOperator(-np.eye(3))
     assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 4}
@@ -222,7 +218,7 @@ def test_make_problem_bilinear_structure():
     assert np.allclose(p.node_B.mean(axis=0), p.op.B, rtol=0.0, atol=1e-15)
     assert np.array_equal(p.node_c, np.tile(p.op.c, (3, 1)))
     # The planted solution is a zero of the operator.
-    assert np.allclose(p.op.apply(p.x_star), 0.0)
+    assert np.allclose(p.op.B @ p.x_star + p.op.c, 0.0)
     with pytest.raises(BadDimension):
         make_problem("bilinear", d=5, K=2, seed=0)
 
@@ -241,7 +237,7 @@ def test_make_problem_strongly_monotone():
     worst = np.inf
     for _ in range(300):
         x, y = rng.standard_normal(6), rng.standard_normal(6)
-        gain = float((p.op.apply(x) - p.op.apply(y)) @ (x - y))
+        gain = float((p.op.B @ (x - y)) @ (x - y))
         worst = min(worst, gain / float((x - y) @ (x - y)))
     assert worst >= 0.5 - 1e-9
     with pytest.raises(ValueError):
@@ -250,7 +246,6 @@ def test_make_problem_strongly_monotone():
 
 def test_make_problem_cocoercive():
     p = make_problem("cocoercive:0.5,2.0", d=6, K=2, seed=1)
-    assert p.beta == pytest.approx(0.5)
     eigs = np.linalg.eigvalsh(p.op.B)
     assert eigs[0] == pytest.approx(0.5) and eigs[-1] == pytest.approx(2.0)
     with pytest.raises(ValueError):
@@ -307,7 +302,30 @@ def test_explicit_solution_override():
     target = np.full(4, 0.5)
     p = make_problem("strongly_monotone:0.3", d=4, K=1, seed=0, x_star=target)
     assert np.allclose(p.x_star, target)
-    assert np.allclose(p.op.apply(target), 0.0)
+    assert np.allclose(p.op.B @ target + p.op.c, 0.0)
+
+
+def certify_monotone(op, rng, pairs=10000):
+    """Minimum of <A(x) - A(y), x - y> over random pairs (should be >= -1e-9)."""
+    worst = np.inf
+    for _ in range(pairs):
+        x = rng.standard_normal(op.d)
+        y = rng.standard_normal(op.d)
+        worst = min(worst, float(((op.B @ x + op.c) - (op.B @ y + op.c)) @ (x - y)))
+    return worst
+
+
+def certify_lipschitz(op, rng, pairs=10000):
+    """Maximum of ||A(x) - A(y)|| / ||x - y|| over random pairs."""
+    worst = 0.0
+    for _ in range(pairs):
+        x = rng.standard_normal(op.d)
+        y = rng.standard_normal(op.d)
+        nd = np.linalg.norm(x - y)
+        if nd == 0:
+            continue
+        worst = max(worst, float(np.linalg.norm((op.B @ x + op.c) - (op.B @ y + op.c)) / nd))
+    return worst
 
 
 def test_certifiers_agree_with_construction():
@@ -353,7 +371,7 @@ def test_restricted_gap_dominates_inner_products():
         direction = rng.standard_normal(5)
         direction /= np.linalg.norm(direction)
         x = p.domain.center + p.domain.radius * rng.random() * direction
-        assert val >= float(p.op.apply(x) @ (x_hat - x)) - 1e-8
+        assert val >= float((p.op.B @ x + p.op.c) @ (x_hat - x)) - 1e-8
 
 
 def _ascent_gap(x_hat, op, dom, tol=1e-6, restarts=3, max_iter=20000):
@@ -369,7 +387,7 @@ def _ascent_gap(x_hat, op, dom, tol=1e-6, restarts=3, max_iter=20000):
     g = op.B.T @ x_hat - op.c
     const = float(op.c @ x_hat)
     S2 = op.B + op.B.T
-    step = 1.0 / max(op.sym_eig_max * 2.0, 1e-12)
+    step = 1.0 / max(np.linalg.eigvalsh(S2)[-1], 1e-12)
 
     def value(x):
         return float(x @ g) - float(x @ (S2 @ x)) / 2.0 + const
@@ -419,7 +437,7 @@ def test_restricted_gap_matches_projected_ascent(kind, d):
         gap = vi.restricted_gap(x_hat, p.op, dom)
         ref = _ascent_gap(x_hat, p.op, dom)
         _assert_matches_ascent(gap, ref)
-        h = p.op.B.T @ (x_hat - dom.center) - p.op.apply(dom.center)
+        h = p.op.B.T @ (x_hat - dom.center) - (p.op.B @ dom.center + p.op.c)
         boundary += np.linalg.norm(np.linalg.solve(H, h)) > dom.radius
     assert 5 <= boundary <= 25  # both kinds of maximum were checked
 
@@ -433,7 +451,7 @@ def test_restricted_gap_is_exact_for_a_scaled_identity():
     B = mu * np.eye(d) + (G - G.T)
     dom = vi.TestDomain(rng.standard_normal(d), r)
     op = AffineOperator(B, c=0.01 * rng.standard_normal(d) - B @ dom.center)
-    a0 = op.apply(dom.center)
+    a0 = op.B @ dom.center + op.c
     inside = 0
     for scale in np.geomspace(1e-3, 1e2, 30):
         x_hat = dom.center + scale * rng.standard_normal(d)
