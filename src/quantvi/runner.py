@@ -408,7 +408,9 @@ def mqv_study(cfg, probes=16):
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.problem_seed, spawn_key=(9,)))
     xs = problem.x1 + rng.standard_normal((probes, cfg.d))
-    samples = np.concatenate([problem.node_B @ x + problem.node_c for x in xs])
+    # One evaluation per probe: a stacked gemm would round unlike gemv.
+    with vi.node_evaluator(problem) as node_values:
+        samples = np.concatenate([node_values(x) for x in xs])
 
     family = build_family(cfg)
     cdfs = adapt.weighted_cdf(samples, family)

@@ -16,7 +16,7 @@ per broadcast.
 
 Both algorithms run in one driver (``_drive``).  It owns the state, the
 compression pipeline and the noise stream, and hands each algorithm's step
-one ``oracle(x)``: one matmul of the problem's stacked node split at x, the
+one ``oracle(x)``: every node's operator at x (``vi.node_evaluator``), the
 noise, the broadcast and decoding.  The driver refreshes levels on schedule,
 computes the gap and writes a row at each checkpoint, and builds the
 summary; a step only updates the iterates and its rates.
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adapt, codec
+from . import adapt, codec, vi
 from .codec import build_codebook, code_length_bound
 from .levels import LevelFamily, variance_bound_eps
 from .quantizer import NonFinite, quantize_batch, reconstruct_flat
@@ -306,11 +306,10 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         pipeline = _IdentityPipeline(d, K)
     else:
         pipeline = _QuantPipeline(quant, d, K, seed)
-    node_B, node_c = problem.node_B, problem.node_c
     noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
     def oracle(x):
-        V = node_B @ x + node_c
+        V = node_values(x)
         if problem.noise is not None:
             V = problem.noise.sample_batch(V, noise_rng)
         state.oracle_calls += 1
@@ -322,7 +321,8 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
     iterates = [] if record_iterates else None
     try:
         # A run diverges at its first overflow, not checkpoints later.
-        with np.errstate(over="raise", invalid="raise"):
+        with (vi.node_evaluator(problem) as node_values,
+              np.errstate(over="raise", invalid="raise")):
             for t in range(1, T + 1):
                 state.at_checkpoint = t in checkpoints
                 pipeline.maybe_update(t)

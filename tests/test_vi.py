@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -498,3 +500,43 @@ def test_gap_eigendecomposes_each_non_skew_operator_once(monkeypatch):
         for _ in range(3):
             vi.restricted_gap(rng.standard_normal(op.d), op, vi.TestDomain(np.zeros(op.d), 1.0))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("noise", [AbsoluteNoise(0.1), RelativeNoise(0.1)])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
+def test_node_evaluator_is_the_stacked_product_bit_for_bit(monkeypatch, K, noise, split):
+    # Three usable CPUs cut K = 4 and 5 into chunks of unequal sizes.  At
+    # d = 20 only a lowered threshold takes the concurrent path.
+    monkeypatch.setattr(vi, "_usable_cpus", lambda: 3)
+    if split:
+        monkeypatch.setattr(vi, "_SPLIT_BYTES", 0)
+    p = make_problem("bilinear", d=20, K=K, seed=K, noise=noise)
+    identical = K == 1 or is_relative(noise)
+    rng = np.random.default_rng(0)
+    before = threading.active_count()
+    with vi.node_evaluator(p) as node_values:
+        for _ in range(20):
+            x = rng.standard_normal(p.d)
+            assert np.array_equal(node_values(x), p.node_B @ x + p.node_c)
+        # Only a skew split on the concurrent path hands chunks to threads.
+        assert (threading.active_count() > before) == (split and not identical)
+    assert threading.active_count() == before
+
+
+def test_node_evaluator_under_thread_contention(monkeypatch):
+    # Eight chunks, more than the CPUs, and a short switch interval: each
+    # worker writes only its own rows, so every call is still exact.
+    monkeypatch.setattr(vi, "_SPLIT_BYTES", 0)
+    monkeypatch.setattr(vi, "_usable_cpus", lambda: 8)
+    p = make_problem("bilinear", d=20, K=8, seed=1, noise=AbsoluteNoise(0.1))
+    rng = np.random.default_rng(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with vi.node_evaluator(p) as node_values:
+            for _ in range(200):
+                x = rng.standard_normal(p.d)
+                assert np.array_equal(node_values(x), p.node_B @ x + p.node_c)
+    finally:
+        sys.setswitchinterval(interval)
