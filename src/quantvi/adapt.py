@@ -25,6 +25,12 @@ moments of the intervals between the points of any increasing array ending
 at 1 are ``np.diff(cdf.moments_below(points), axis=0)``.  Only this module
 reads a distribution: the level placement, its cost, and the level
 probabilities the codec builds its Huffman books from.
+
+scipy is imported only where the truncated-normal estimator runs:
+``TruncNormCdf`` loads ``scipy.stats`` and ``_fit_one_truncnorm`` loads
+``scipy.optimize``, each on first use.  A run with the default
+``empirical`` (step-CDF) estimator never loads scipy, which would otherwise
+be most of its import time and memory.
 """
 
 import operator
@@ -32,7 +38,6 @@ import warnings
 from functools import reduce
 
 import numpy as np
-from scipy import optimize, stats
 
 from .levels import LevelFamily, LevelSequence
 
@@ -109,18 +114,22 @@ class TruncNormCdf:
     def __init__(self, mu, sigma):
         if sigma <= 0:
             raise ValueError("sigma must be positive")
+        from scipy.stats import norm  # see the module docstring
+
         self.mu = float(mu)
         self.sigma = float(sigma)
         self._a = (0.0 - mu) / sigma
         self._b = (1.0 - mu) / sigma
-        self._z = stats.norm.cdf(self._b) - stats.norm.cdf(self._a)
+        self._z = norm.cdf(self._b) - norm.cdf(self._a)
         if self._z <= 0:
             raise ValueError("truncation interval carries no mass")
 
     def _raw(self, z):
         """Unnormalized (mass, m1, m2) of the parent normal over [.._a, z]."""
-        phi_a, phi_z = stats.norm.pdf(self._a), stats.norm.pdf(z)
-        cdf = stats.norm.cdf(z) - stats.norm.cdf(self._a)
+        from scipy.stats import norm
+
+        phi_a, phi_z = norm.pdf(self._a), norm.pdf(z)
+        cdf = norm.cdf(z) - norm.cdf(self._a)
         dphi = phi_z - phi_a
         mu, s = self.mu, self.sigma
         m1 = mu * cdf - s * dphi
@@ -181,6 +190,7 @@ def weighted_cdf(samples, family):
 
 def _fit_one_truncnorm(mean, var):
     """Method-of-moments parameters of a [0,1]-truncated normal, or None."""
+    from scipy import optimize  # see the module docstring
 
     def residual(theta):
         m, v = TruncNormCdf(theta[0], np.exp(theta[1])).mean_var()

@@ -210,7 +210,10 @@ class LevelFamily:
         """
         if self._interval_table is None:
             values = self.flat_levels()[0]
-            edges = np.unique(values)
+            # The sorted distinct levels.  np.unique gives the same array
+            # for finite levels, but it imports numpy.ma on first use.
+            edges = np.sort(values)
+            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
             width = edges.size + 1
             tau = np.zeros((self.num_types, width), dtype=np.int32)
             for m, s in enumerate(self.sequences):

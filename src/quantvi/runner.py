@@ -39,6 +39,7 @@ from dataclasses import make_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import adapt, codec, solver, vi
 from .levels import LevelFamily, assignment_from_layer_sizes, sequence_from_spec
@@ -405,8 +406,7 @@ def mqv_study(cfg, probes=16):
     if not cfg.quant_enabled:
         return None
     problem = build_problem(cfg)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.problem_seed, spawn_key=(9,)))
+    rng = default_rng(SeedSequence(entropy=cfg.problem_seed, spawn_key=(9,)))
     xs = problem.x1 + rng.standard_normal((probes, cfg.d))
     # One evaluation per probe: a stacked gemm would round unlike gemv.
     with vi.node_evaluator(problem) as node_values:

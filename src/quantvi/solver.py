@@ -47,6 +47,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from . import adapt, codec, vi
 from .codec import build_codebook, code_length_bound
@@ -182,8 +183,7 @@ class _QuantPipeline:
         )
         # The latest oracle blocks V (K, d); nothing writes to them later.
         self.recent = deque(maxlen=cfg.samples_per_node)
-        self.rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+        self.rng = default_rng(SeedSequence(entropy=seed, spawn_key=(2,)))
 
     def _start_segment(self, t, family, books, hist):
         """Quantize with ``family`` and ``books`` from iteration t on."""
@@ -306,7 +306,7 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         pipeline = _IdentityPipeline(d, K)
     else:
         pipeline = _QuantPipeline(quant, d, K, seed)
-    noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
+    noise_rng = default_rng(SeedSequence(entropy=seed, spawn_key=(1,)))
 
     def oracle(x):
         V = node_values(x)

@@ -16,9 +16,10 @@ eigendecomposition-based trust-region solve for the rest.
 import contextlib
 import functools
 import os
-from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .quantizer import DimensionMismatch
 
@@ -65,6 +66,11 @@ _SKEW_TOL = 1e-12
 _MONOTONE_TOL = 1e-9
 
 
+def _abs_max(M):
+    """max |M| (0 for an empty M), with no d x d temporary."""
+    return max(float(M.max(initial=0.0)), -float(M.min(initial=0.0)))
+
+
 def spectral_norm(M):
     """The spectral norm ||M||_2 of a real matrix.
 
@@ -76,7 +82,7 @@ def spectral_norm(M):
     underflow, whatever the magnitude of M.
     """
     M = np.asarray(M, dtype=np.float64)
-    peak = float(np.abs(M).max(initial=0.0))
+    peak = _abs_max(M)
     if peak == 0.0:
         return 0.0
     _, exp = np.frexp(peak)
@@ -111,7 +117,8 @@ class AffineOperator:
         self.c = c
         self.d = d
         self.L = spectral_norm(B) if L is None else float(L)
-        sym = 0.5 * (B + B.T)
+        sym = B + B.T
+        sym *= 0.5
         if sym.any():
             scale = max(1.0, self.L)
             eigs = np.linalg.eigvalsh(sym)
@@ -119,7 +126,7 @@ class AffineOperator:
                 raise ValueError(
                     f"B + B^T has negative eigenvalue {eigs[0]}: operator not monotone"
                 )
-            self.is_skew = float(np.abs(sym).max()) <= _SKEW_TOL * scale
+            self.is_skew = _abs_max(sym) <= _SKEW_TOL * scale
         else:
             self.is_skew = True
 
@@ -334,14 +341,39 @@ def node_evaluator(problem):
         try:
             np.matmul(node_B[first], x, out=out[first])
         finally:
-            futures.wait(jobs)
+            wait(jobs)
         for job in jobs:
             job.result()
         out += node_c
         return out
 
-    with futures.ThreadPoolExecutor(max_workers=chunks - 1) as pool:
+    with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
         yield node_values
+
+
+# Rows per block when a node split is built in place.  Temporaries are one
+# block (or one block of rows of every node) in place of a d x d matrix.
+_BLOCK = 128
+
+
+def _blocks(d):
+    return [slice(a, min(a + _BLOCK, d)) for a in range(0, d, _BLOCK)]
+
+
+def _subtract_transpose(G):
+    """G -= G.T in place, one block pair at a time, bit for bit.
+
+    ``G -= G.T`` would buffer a copy of the whole overlapping transpose.
+    The block below the diagonal is the negated one above it, exactly, as
+    a - b = -(b - a) in floating point.
+    """
+    blocks = _blocks(G.shape[0])
+    for i, I in enumerate(blocks):
+        G[I, I] -= G[I, I].T
+        for J in blocks[i + 1:]:
+            upper = G[I, J] - G[J, I].T
+            G[I, J] = upper
+            G[J, I] = -upper.T
 
 
 def _random_skew(rng, d):
@@ -373,16 +405,18 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     When the noise scales with the operator (``is_relative``), every node
     matrix is B itself, through a read-only (K, d, d) view with no copy;
     otherwise node k's is B plus the k-th of K zero-sum skew perturbations.
-    Every node has the offset c.  Each skew delta is scaled to Frobenius
-    norm ``_DELTA_FROB * sqrt(d)``, exact and O(d^2), where a spectral norm
-    would take a d x d eigensolve.  The other unit-norm matrices are divided
-    by their ``spectral_norm``, and a bilinear operator's L is that of its
-    h x h saddle block, as ||B||_2 = ||M||_2.
+    That split is built in place in the (K, d, d) array, block by block,
+    with no d x d temporary.  Every node has the offset c.  Each skew delta
+    is scaled to Frobenius norm ``_DELTA_FROB * sqrt(d)``, exact and O(d^2),
+    where a spectral norm would take a d x d eigensolve.  The other
+    unit-norm matrices are divided by their ``spectral_norm``, and a
+    bilinear operator's L is that of its h x h saddle block, as
+    ||B||_2 = ||M||_2.
     """
     if K < 1:
         raise ValueError("need at least one node")
     base, nums = parse_kind(kind)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+    rng = default_rng(SeedSequence(entropy=seed, spawn_key=(7,)))
 
     L = None  # AffineOperator takes spectral_norm(B)
     if base == "bilinear":
@@ -400,8 +434,11 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     else:
         lmin, lmax = nums
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        B = Q @ np.diag(np.linspace(lmin, lmax, d)) @ Q.T
-        B = 0.5 * (B + B.T)
+        # Q diag(v) Q^T, bit for bit: scaling Q's columns by v is the product
+        # with the diagonal, whose other terms are exact zeros.
+        B = (Q * np.linspace(lmin, lmax, d)) @ Q.T
+        B = B + B.T
+        B *= 0.5
 
     if x_star is None:
         xs = rng.standard_normal(d)
@@ -417,13 +454,16 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
         node_B = np.empty((K, d, d))
         for G in node_B:
             rng.standard_normal(out=G)
-            G -= G.T  # ufuncs buffer the overlapping transpose
+            _subtract_transpose(G)
             norm = np.linalg.norm(G)
             if norm > 0:
                 G *= _DELTA_FROB * np.sqrt(d) / norm
         # Still exactly skew, so each node's B + B^T is B's up to rounding.
-        node_B -= node_B.mean(axis=0)
-        node_B += B
+        # The mean over nodes adds them in node order, row block or not.
+        for rows in _blocks(d):
+            part = node_B[:, rows]
+            part -= part.mean(axis=0)
+            part += B[rows]
 
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))

@@ -1,4 +1,4 @@
-"""Scalar references that tests check the vectorized program against.
+"""References that tests check the vectorized and blocked program against.
 
 Not a test module: pytest collects only ``test_*.py``, and test modules
 import this one by name from the ``tests`` directory.
@@ -27,3 +27,24 @@ def locate_level(u, seq):
         tau -= 1
     xi = (u - ell[tau]) / (ell[tau + 1] - ell[tau])
     return tau, float(xi)
+
+
+def whole_matrix_skew_split(rng, B, K, frob):
+    """A skew node split (K, d, d) built with whole-matrix operations.
+
+    Draws each node's delta from ``rng``, makes it skew with ``G -= G.T``,
+    scales it to Frobenius norm ``frob * sqrt(d)``, centres the K deltas
+    with one mean over nodes and adds B: ``vi.make_problem``'s split before
+    it was built block by block.
+    """
+    d = B.shape[0]
+    node_B = np.empty((K, d, d))
+    for G in node_B:
+        rng.standard_normal(out=G)
+        G -= G.T
+        norm = np.linalg.norm(G)
+        if norm > 0:
+            G *= frob * np.sqrt(d) / norm
+    node_B -= node_B.mean(axis=0)
+    node_B += B
+    return node_B

@@ -179,6 +179,21 @@ def test_flat_levels_layout():
     assert not any(arr.flags.writeable for arr in (values, start, size))
 
 
+def test_interval_table_edges_are_the_distinct_sorted_levels():
+    # Random families whose types share some of their levels.
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 9)[1:-1]
+    for _ in range(100):
+        M = int(rng.integers(1, 5))
+        seqs = [
+            [0.0, *np.sort(rng.choice(grid, size=int(rng.integers(0, 6)), replace=False)), 1.0]
+            for _ in range(M)
+        ]
+        fam = LevelFamily(seqs, rng.integers(0, M, size=10))
+        edges = fam.interval_table()[0]
+        assert np.array_equal(edges, np.unique(fam.flat_levels()[0]))
+
+
 def test_fingerprint_distinguishes_structure():
     fam = _two_type_family()
     assert fam.fingerprint() == _two_type_family().fingerprint()

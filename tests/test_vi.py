@@ -16,6 +16,7 @@ from quantvi.vi import (
     is_relative,
     make_problem,
 )
+from reference import whole_matrix_skew_split
 
 
 def test_affine_operator_skew_and_norm():
@@ -289,6 +290,19 @@ def test_skew_delta_scale_matches_the_spectral_scale(d, spectral_median):
             assert np.array_equal(delta, -delta.T)
             norms.append(np.linalg.norm(delta, 2))
     assert 0.9 * spectral_median <= np.median(norms) <= 1.1 * spectral_median
+
+
+@pytest.mark.parametrize("K", [2, 4, 5])
+@pytest.mark.parametrize("d", [2, 20, 130, 256, 258, 1000])
+def test_skew_split_in_blocks_is_the_whole_matrix_split(d, K):
+    # Dimensions whose row blocks come out ragged and exact.  The reference
+    # draws from the generator where make_problem does, after the saddle
+    # block and the solution.
+    p = make_problem("bilinear", d=d, K=K, seed=d + K, noise=AbsoluteNoise(0.1))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=d + K, spawn_key=(7,)))
+    rng.standard_normal((d // 2, d // 2))
+    rng.standard_normal(d)
+    assert np.array_equal(p.node_B, whole_matrix_skew_split(rng, p.op.B, K, vi._DELTA_FROB))
 
 
 @pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
