@@ -13,8 +13,9 @@ two consecutive levels at grid points i < j satisfies the quadrangle
 (Monge) inequality, so the leftmost optimal predecessor of a grid point is
 non-decreasing in the point.  Each DP layer is therefore found by divide and
 conquer over the grid points, with every cost computed on the fly from
-prefix moments: O(alpha G log G) time and O(G) memory for alpha interior
-levels (Wu 1991, "Optimal quantization by matrix searching").
+prefix moments: O(alpha G log G) time for alpha interior levels (Wu 1991,
+"Optimal quantization by matrix searching"), and O(alpha G) memory for the
+predecessor table that the backtrack reads.
 
 Every distribution object has one method, ``moments_below(x)``: the
 (mass, first moment, second moment) of F restricted to [0, x).  ``x`` may be
@@ -293,8 +294,9 @@ def optimize_levels(cdf, alpha, grid=512):
 
     Each of the alpha + 1 layers is a row-minimum search over the
     (G+1) x (G+1) matrix fprev[i] + c(i, j), done by divide and conquer
-    (``_layer_min``) without building the matrix: O(alpha G log G) time and
-    O(G) memory.  Among equal-cost predecessors the leftmost is kept, as a
+    (``_layer_min``) without building the matrix: O(alpha G log G) time.
+    The alpha + 1 layers' predecessor arrays of G + 1 indices are kept for
+    the backtrack, so memory is O(alpha G).  Among equal-cost predecessors the leftmost is kept, as a
     dense argmin over each column would.  When the budget covers every
     interior support point of a step CDF, many placements cost zero and
     rounding decides which of them is returned.

@@ -409,8 +409,8 @@ def mqv_study(cfg, probes=16):
     rng = default_rng(SeedSequence(entropy=cfg.problem_seed, spawn_key=(9,)))
     xs = problem.x1 + rng.standard_normal((probes, cfg.d))
     # One evaluation per probe: a stacked gemm would round unlike gemv.
-    with vi.node_evaluator(problem) as node_values:
-        samples = np.concatenate([node_values(x) for x in xs])
+    node_values = vi.node_evaluator(problem)
+    samples = np.concatenate([node_values(x) for x in xs])
 
     family = build_family(cfg)
     cdfs = adapt.weighted_cdf(samples, family)

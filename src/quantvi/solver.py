@@ -316,13 +316,13 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         pipeline.observe(V)
         return pipeline.broadcast(V, state)
 
+    node_values = vi.node_evaluator(problem)
     checkpoints = set(_checkpoints(T))
     rows = []
     iterates = [] if record_iterates else None
     try:
         # A run diverges at its first overflow, not checkpoints later.
-        with (vi.node_evaluator(problem) as node_values,
-              np.errstate(over="raise", invalid="raise")):
+        with np.errstate(over="raise", invalid="raise"):
             for t in range(1, T + 1):
                 state.at_checkpoint = t in checkpoints
                 pipeline.maybe_update(t)

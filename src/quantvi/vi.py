@@ -2,9 +2,10 @@
 
 Operators are affine, A(x) = Bx + c, with B + B^T positive semidefinite so
 that A is monotone.  A problem instance carries the global operator, the
-node split as data (one stacked (K, d, d) matrix and (K, d) offset whose
-means are the global B and c), a noise model for the stochastic oracle, and
-a ball-shaped evaluation domain for the restricted gap
+node split (node k's operator is B + S_k with offset c, where the S_k are
+zero-sum skew deltas held as rank-r factors), a noise model for the
+stochastic oracle, and a ball-shaped evaluation domain for the restricted
+gap
 
     gap(x_hat) = sup over x in the ball of <A(x), x_hat - x>,
 
@@ -13,10 +14,7 @@ exact, not an estimate: a closed form for skew operators and an
 eigendecomposition-based trust-region solve for the rest.
 """
 
-import contextlib
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -93,9 +91,9 @@ def spectral_norm(M):
 class AffineOperator:
     """A(x) = Bx + c with B + B^T required positive semidefinite.
 
-    ``L`` is the spectral norm of B.  A caller that knows it from a smaller
-    matrix (``make_problem`` takes a bilinear B's from its saddle block)
-    passes it in; otherwise it is ``spectral_norm(B)``, one eigensolve of
+    ``L`` is the spectral norm of B.  A caller that knows it by construction
+    (``make_problem`` scales a bilinear B's saddle block to norm 1) passes it
+    in; otherwise it is ``spectral_norm(B)``, one eigensolve of
     B^T B.  When B + B^T is exactly zero every eigenvalue of the symmetric
     part is 0, so the operator is skew and monotone without a second
     eigensolve; otherwise one ``eigvalsh`` of the symmetric part checks that
@@ -258,122 +256,97 @@ def restricted_gap(x_hat, op, dom):
 class ProblemInstance:
     """A distributed VI test problem: global operator, node split, noise, domain.
 
-    Node k's operator is A_k(x) = node_B[k] x + node_c[k]; ``node_B`` is
-    (K, d, d) and ``node_c`` is (K, d), and their means over k are the
-    global operator's B and c.  ``node_evaluator`` evaluates every node at
-    x, bit for bit as ``node_B @ x + node_c``.  ``x_star`` is the solution
-    the operator was built around.
+    Node k's operator is A_k(x) = (B + S_k) x + c, with B and c the global
+    operator's.  ``factors`` is None when every node is the global operator
+    (an identical split), and otherwise a (K, d, 2r) array [U W] per node:
+    S_k is U_k W_k^T - W_k U_k^T less the mean of that over the K nodes, so
+    the S_k are skew, sum to zero and leave every node monotone.  ``saddle``
+    is a bilinear B's h x h block M, B = [[0, M], [-M^T, 0]], or None.
+    ``node_evaluator`` evaluates every node at x.  ``x_star`` is the
+    solution the operator was built around.
     """
 
-    def __init__(self, op, node_B, node_c, noise, domain, x1, x_star):
+    def __init__(self, op, factors, K, noise, domain, x1, x_star, saddle=None):
         self.op = op
-        self.node_B = node_B
-        self.node_c = node_c
+        self.factors = factors
+        self.K = K
         self.noise = noise
         self.domain = domain
         self.x1 = np.asarray(x1, dtype=np.float64)
         self.d = op.d
-        self.K = node_B.shape[0]
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.L = op.L
+        self.saddle = saddle
 
     def gap(self, x_hat):
         return restricted_gap(x_hat, self.op, self.domain)
 
+    def node_matrices(self):
+        """Every node's matrix, (K, d, d): B itself for an identical split.
 
-# Node matrices of at least this many bytes are multiplied in concurrent
-# chunks of nodes.  Below it, handing a chunk to a thread (about 100 us)
-# costs more than it saves.  With K = 4 on two CPUs and one BLAS thread,
-# serial against split: d = 300 (2.7 MiB) 113 against 146 us, d = 350
-# (3.7 MiB) 189 against 166 us, d = 400 (4.9 MiB) 224 against 224 us, and
-# d = 1000 (31 MiB) 1.87 against 0.93 ms.
-_SPLIT_BYTES = 4 << 20
-
-
-def _usable_cpus():
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-def _matmul_into(M, x, out, errors):
-    """out = M @ x under the floating-point error modes ``errors``."""
-    with np.errstate(**errors):
-        np.matmul(M, x, out=out)
+        Each G = U_k W_k^T gives S_k = G - G^T, exactly skew; centring over
+        the nodes keeps it so, and B is added last.
+        """
+        K, d, B = self.K, self.d, self.op.B
+        if self.factors is None:
+            return np.broadcast_to(B, (K, d, d))
+        r = self.factors.shape[2] // 2
+        S = self.factors[..., :r] @ np.swapaxes(self.factors[..., r:], 1, 2)
+        S -= np.swapaxes(S, 1, 2)
+        S -= S.mean(axis=0)
+        S += B
+        return S
 
 
-@contextlib.contextmanager
+# Node matrices below this many bytes are materialized and multiplied
+# stacked; at and above it the factors are.  The two cost the same near
+# 1.2-1.4 MiB for K from 2 to 8.  Bilinear, one BLAS thread on a 2-CPU x86
+# VM, dense against factored per call: K = 4, d = 20: 5.5 against 27.7 us;
+# d = 200 (1.22 MiB): 42.1 against 42.3 us; d = 250 (1.91 MiB): 90.9
+# against 50.3 us.  K = 2, d = 300 (1.37 MiB): 53.6 against 50.1 us.  K = 8,
+# d = 150 (1.37 MiB): 52.7 against 50.9 us.
+_DENSE_BYTES = 5 << 18
+
+
 def node_evaluator(problem):
-    """Yield ``node_values(x)``: every node's A_k(x), a (K, d) array.
+    """``node_values(x)``: every node's A_k(x), a (K, d) array.
 
-    The result is bit for bit ``problem.node_B @ x + problem.node_c``, and
-    the same floating-point errors are raised or warned.  When every node
-    has the same matrix (K = 1, or the no-copy view of an identical split)
-    one product is broadcast over the K rows.  A skew split whose node
-    matrices take at least ``_SPLIT_BYTES`` is cut into one contiguous chunk
-    of nodes per usable CPU, at most K chunks.  The calling thread
-    multiplies the first chunk and worker threads the others, into one
-    output; each node's product is the same BLAS call as in the stacked
-    product.  Workers run under the caller's ``np.errstate``, which numpy
-    does not pass to other threads, and every chunk finishes before the
-    first chunk's error in node order is re-raised, so no thread writes to
-    the output afterwards.  The workers are shut down when the block exits.
+    Node matrices that take under ``_DENSE_BYTES`` are multiplied as
+    ``problem.node_matrices()``, built once here, stacked; an identical
+    split multiplies B once, ``B @ x + c`` in every row.  Above that size
+    the global B is multiplied once, a bilinear B through its saddle block
+    as (M x_2, -M^T x_1), and each node adds its centred delta from its
+    factors, Z_k = [U_k W_k] ([W_k -U_k]^T x): O(K d r) work and no d x d
+    matrix per node.  The path is fixed by d and K alone.
     """
-    node_B, node_c = problem.node_B, problem.node_c
-    K, d = node_B.shape[:2]
-    if K == 1 or node_B.strides[0] == 0:
-        B = node_B[0]
-        yield lambda x: B @ x + node_c
-        return
-    chunks = min(K, _usable_cpus())
-    if chunks < 2 or node_B.nbytes < _SPLIT_BYTES:
-        yield lambda x: node_B @ x + node_c
-        return
-    bounds = [K * i // chunks for i in range(chunks + 1)]
-    first, *rest = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    op, K, d, F = problem.op, problem.K, problem.d, problem.factors
+    c = np.broadcast_to(op.c, (K, d))
+    if 8 * K * d * d < _DENSE_BYTES:
+        node_B = op.B if F is None else problem.node_matrices()
+        return lambda x: node_B @ x + c
+
+    M = problem.saddle
+    if M is None:
+        product = op.B.__matmul__
+    else:
+        h = M.shape[0]
+
+        def product(x):
+            return np.concatenate((M @ x[h:], -(M.T @ x[:h])))
+
+    if F is None:
+        return lambda x: product(x) + c
+    r = F.shape[2] // 2
+    # [W_k -U_k]^T of every node, stacked into one (2rK, d) matrix.
+    QT = np.concatenate((F[..., r:], -F[..., :r]), axis=2).transpose(0, 2, 1).reshape(-1, d)
 
     def node_values(x):
-        out = np.empty((K, d))
-        errors = np.geterr()
-        jobs = [pool.submit(_matmul_into, node_B[s], x, out[s], errors) for s in rest]
-        try:
-            np.matmul(node_B[first], x, out=out[first])
-        finally:
-            wait(jobs)
-        for job in jobs:
-            job.result()
-        out += node_c
-        return out
+        Z = (F @ (QT @ x).reshape(K, 2 * r, 1))[..., 0]
+        Z -= Z.mean(axis=0)
+        Z += product(x) + op.c
+        return Z
 
-    with ThreadPoolExecutor(max_workers=chunks - 1) as pool:
-        yield node_values
-
-
-# Rows per block when a node split is built in place.  Temporaries are one
-# block (or one block of rows of every node) in place of a d x d matrix.
-_BLOCK = 128
-
-
-def _blocks(d):
-    return [slice(a, min(a + _BLOCK, d)) for a in range(0, d, _BLOCK)]
-
-
-def _subtract_transpose(G):
-    """G -= G.T in place, one block pair at a time, bit for bit.
-
-    ``G -= G.T`` would buffer a copy of the whole overlapping transpose.
-    The block below the diagonal is the negated one above it, exactly, as
-    a - b = -(b - a) in floating point.
-    """
-    blocks = _blocks(G.shape[0])
-    for i, I in enumerate(blocks):
-        G[I, I] -= G[I, I].T
-        for J in blocks[i + 1:]:
-            upper = G[I, J] - G[J, I].T
-            G[I, J] = upper
-            G[J, I] = -upper.T
+    return node_values
 
 
 def _random_skew(rng, d):
@@ -386,11 +359,13 @@ def _unit_spectral(M):
     return M / norm if norm > 0 else M
 
 
-# A skew node delta's Frobenius norm over sqrt(d).  A random skew matrix's
-# spectral norm is near 2 ||.||_F / sqrt(d), a little less at small d.  With
-# this value, K = 4 centred deltas have median spectral norms within 7% of
-# 0.216 for d from 20 to 1000, as when each delta had spectral norm 0.25.
-_DELTA_FROB = 0.133
+# Rank of each node's skew delta, at most d // 2.
+_RANK = 16
+
+# Each node's skew delta, before centring, has this spectral norm.  With it,
+# K = 4 centred deltas have median spectral norms within 6% of 0.216 for d
+# from 20 to 1000 (0.225 at d = 20, 0.204 at d = 1000).
+_DELTA_NORM = 0.27
 
 
 def make_problem(kind, d, K, seed, noise=None, x_star=None):
@@ -402,29 +377,28 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     eigenvalue range).  The solution defaults to a random unit vector; pass
     ``x_star`` explicitly (a vector or scalar) to override.
 
-    When the noise scales with the operator (``is_relative``), every node
-    matrix is B itself, through a read-only (K, d, d) view with no copy;
-    otherwise node k's is B plus the k-th of K zero-sum skew perturbations.
-    That split is built in place in the (K, d, d) array, block by block,
-    with no d x d temporary.  Every node has the offset c.  Each skew delta
-    is scaled to Frobenius norm ``_DELTA_FROB * sqrt(d)``, exact and O(d^2),
-    where a spectral norm would take a d x d eigensolve.  The other
-    unit-norm matrices are divided by their ``spectral_norm``, and a
-    bilinear operator's L is that of its h x h saddle block, as
-    ||B||_2 = ||M||_2.
+    When the noise scales with the operator (``is_relative``), or K = 1,
+    every node is the global operator and there are no factors.  Otherwise
+    each node k draws a d x 2r Gaussian [U_k W_k], r = min(_RANK, d // 2),
+    and U_k is scaled so that U_k W_k^T - W_k U_k^T has spectral norm
+    ``_DELTA_NORM``.  That norm is exact and O(d r^2): with [U_k W_k] = QR
+    from one thin QR, the delta is Q (R_1 R_2^T - R_2 R_1^T) Q^T and has the
+    spectral norm of that 2r x 2r core.  No d x d matrix is built per node.
+    The other unit-norm matrices are divided by their ``spectral_norm``; a
+    bilinear B then has L = 1, its saddle block's norm, by construction.
     """
     if K < 1:
         raise ValueError("need at least one node")
     base, nums = parse_kind(kind)
     rng = default_rng(SeedSequence(entropy=seed, spawn_key=(7,)))
 
-    L = None  # AffineOperator takes spectral_norm(B)
+    L = M = None  # AffineOperator takes spectral_norm(B)
     if base == "bilinear":
         if d < 2 or d % 2 != 0:
             raise BadDimension("bilinear problems need even dimension >= 2")
         h = d // 2
         M = _unit_spectral(rng.standard_normal((h, h)))
-        L = spectral_norm(M)
+        L = 1.0
         B = np.zeros((d, d))
         B[:h, h:] = M
         B[h:, :h] = -M.T
@@ -448,24 +422,18 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     c = -B @ xs
     op = AffineOperator(B, c, L=L)
 
-    if is_relative(noise) or K == 1:
-        node_B = np.broadcast_to(B, (K, d, d))
-    else:
-        node_B = np.empty((K, d, d))
-        for G in node_B:
-            rng.standard_normal(out=G)
-            _subtract_transpose(G)
-            norm = np.linalg.norm(G)
-            if norm > 0:
-                G *= _DELTA_FROB * np.sqrt(d) / norm
-        # Still exactly skew, so each node's B + B^T is B's up to rounding.
-        # The mean over nodes adds them in node order, row block or not.
-        for rows in _blocks(d):
-            part = node_B[:, rows]
-            part -= part.mean(axis=0)
-            part += B[rows]
+    factors = None
+    if not (is_relative(noise) or K == 1):
+        r = min(_RANK, d // 2)
+        factors = rng.standard_normal((K, d, 2 * r))
+        R = np.linalg.qr(factors, mode="r")
+        core = R[..., :r] @ np.swapaxes(R[..., r:], 1, 2)
+        core -= np.swapaxes(core, 1, 2)
+        # ||C||^2 is the largest eigenvalue of C^T C: one stacked eigensolve.
+        norms = np.sqrt(np.linalg.eigvalsh(np.swapaxes(core, 1, 2) @ core)[:, -1])
+        factors[..., :r] *= (_DELTA_NORM / norms)[:, None, None]
 
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))
     domain = TestDomain(xs, 2.0 * dist if dist > 0 else 1.0)
-    return ProblemInstance(op, node_B, np.broadcast_to(c, (K, d)), noise, domain, x1, xs)
+    return ProblemInstance(op, factors, K, noise, domain, x1, xs, saddle=M)

@@ -29,22 +29,19 @@ def locate_level(u, seq):
     return tau, float(xi)
 
 
-def whole_matrix_skew_split(rng, B, K, frob):
+def factored_skew_split(rng, B, K, r, norm):
     """A skew node split (K, d, d) built with whole-matrix operations.
 
-    Draws each node's delta from ``rng``, makes it skew with ``G -= G.T``,
-    scales it to Frobenius norm ``frob * sqrt(d)``, centres the K deltas
-    with one mean over nodes and adds B: ``vi.make_problem``'s split before
-    it was built block by block.
+    Draws each node's d x 2r factors [U W] from ``rng``, forms the d x d
+    delta U W^T - W U^T, scales it to spectral norm ``norm`` by its SVD
+    norm, centres the K deltas with one mean over nodes and adds B:
+    ``vi.make_problem``'s split without the thin QR and the 2r x 2r core.
     """
-    d = B.shape[0]
-    node_B = np.empty((K, d, d))
-    for G in node_B:
-        rng.standard_normal(out=G)
-        G -= G.T
-        norm = np.linalg.norm(G)
-        if norm > 0:
-            G *= frob * np.sqrt(d) / norm
+    node_B = np.empty((K, B.shape[0], B.shape[0]))
+    for G, F in zip(node_B, rng.standard_normal((K, B.shape[0], 2 * r))):
+        U, W = F[:, :r], F[:, r:]
+        G[:] = U @ W.T - W @ U.T
+        G *= norm / np.linalg.norm(G, 2)
     node_B -= node_B.mean(axis=0)
     node_B += B
     return node_B

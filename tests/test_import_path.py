@@ -17,10 +17,9 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = r"""
 import json, os, sys, tempfile
 
-from quantvi import runner, vi
+from quantvi import runner
 
 loaded = set(sys.modules)
-vi._usable_cpus = lambda: 2  # the concurrent node products, on any machine
 
 def config(preset, **sections):
     return runner.preset_config(preset, {sec: dict(kv) for sec, kv in sections.items()})
@@ -29,7 +28,7 @@ def config(preset, **sections):
 runner.execute(config(
     "cocoercive-rel", problem={"d": "200"}, run={"T": "501"},
     quantization={"M": "4", "grid": "2048", "update_period": "500"}))
-# A skew split above vi._SPLIT_BYTES, evaluated in concurrent chunks.
+# A skew split above vi._DENSE_BYTES, evaluated through its factors.
 runner.execute(config(
     "bilinear-abs", problem={"d": "512", "K": "4"}, run={"T": "2", "algorithm": "extragradient"},
     quantization={"M": "4", "budgets": "2,3,5,7", "protocol": "alternating",
@@ -39,11 +38,13 @@ with tempfile.TemporaryDirectory() as tmp:
                                  quantization={"update_period": "100"}))
 added = sorted(set(sys.modules) - loaded)
 scipy_before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+futures = "concurrent.futures" in sys.modules
 
 runner.execute(config("bilinear-abs", run={"T": "300"},
                       quantization={"estimator": "truncated-normal", "update_period": "100"}))
 print(json.dumps({"added": added, "scipy_before": scipy_before,
-                  "stats_after": "scipy.stats" in sys.modules}))
+                  "stats_after": "scipy.stats" in sys.modules,
+                  "futures": futures}))
 """
 
 
@@ -57,3 +58,4 @@ def test_runs_load_no_module_and_scipy_only_for_the_truncated_normal_estimator()
     assert out["added"] == []
     assert out["scipy_before"] == []
     assert out["stats_after"]
+    assert not out["futures"]  # the node products start no thread pool

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import os
 import re
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -255,18 +254,6 @@ def test_compare_reports_deltas(tmp_path):
     assert vs["oracle_ratio"] == pytest.approx(1.0)
     assert vs["bits_ratio"] == pytest.approx(2.0, rel=0.05)
     assert result["mqv"]["layerwise"] <= result["mqv"]["global"] + 1e-12
-
-
-def test_compare_on_concurrent_node_products_is_unchanged(tmp_path, monkeypatch):
-    # Force the concurrent node products at d = 6 and check that every
-    # number matches the serial run and that no worker thread outlives it.
-    cfgs = [_tiny(str(tmp_path / "a"), T=20), _tiny(str(tmp_path / "b"), T=20, seed=1)]
-    serial = compare(cfgs)
-    monkeypatch.setattr(vi, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(vi, "_usable_cpus", lambda: 2)
-    before = threading.active_count()
-    assert json.dumps(compare(cfgs)) == json.dumps(serial)
-    assert threading.active_count() == before
 
 
 def test_mqv_study_layerwise_at_most_global():

@@ -1,6 +1,5 @@
 import copy
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -406,38 +405,22 @@ def test_unquantized_noiseless_run_matches_plain_recurrence():
     assert np.max(np.abs(metrics.avg_iterate - avg_sum / T)) <= 1e-12
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_overflow_in_a_worker_chunk_diverges_as_the_serial_product(monkeypatch, cpus):
-    # Four nodes at d = 512 take 8 MiB, above the split threshold.  With two
-    # CPUs nodes 2 and 3 are a worker thread's chunk, and only node 3
-    # overflows.  numpy's errstate does not reach other threads, so a worker
-    # that ignored the driver's would only warn and the run would fail later.
-    monkeypatch.setattr(vi, "_usable_cpus", lambda: cpus)
-    d, K = 512, 4
-    node_B = np.zeros((K, d, d))
-    node_B[3] = 1e308
-    assert node_B.nbytes >= vi._SPLIT_BYTES
-    problem = vi.ProblemInstance(vi.AffineOperator(np.zeros((d, d))), node_B, np.zeros((K, d)),
-                                 None, vi.TestDomain(np.zeros(d), 1.0), np.ones(d), np.zeros(d))
-    before = threading.active_count()
+@pytest.mark.parametrize("d", [20, 512])
+def test_overflow_in_one_node_factor_diverges_at_iteration_1(d):
+    # Node 3's first columns of U and W are all 1e308 and e_0, so its delta
+    # has a row and a column of -+1e308.  At d = 20 the node matrices are materialized and finite, and their
+    # product overflows; at d = 512 the factored product overflows in
+    # [W -U]^T x.  Either way the run stops at its first oracle call.
+    K = 4
+    r = min(vi._RANK, d // 2)
+    factors = np.zeros((K, d, 2 * r))
+    factors[3, :, 0] = 1e308
+    factors[3, 0, r] = 1.0
+    problem = vi.ProblemInstance(vi.AffineOperator(np.zeros((d, d))), factors, K, None,
+                                 vi.TestDomain(np.zeros(d), 1.0), np.ones(d), np.zeros(d))
+    assert (8 * K * d * d < vi._DENSE_BYTES) == (d == 20)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError) as err:
             run_qoda(problem, GeneralRates(), T=1)
     assert str(err.value) == "diverged at iteration 1: overflow encountered in matmul"
-    assert threading.active_count() == before
-
-
-def test_large_skew_split_runs_the_same_on_any_cpu_count(monkeypatch):
-    # d = 512 with four nodes is above the split threshold.
-    problem = make_problem("bilinear", d=512, K=4, seed=3, noise=AbsoluteNoise(0.1))
-    assert problem.node_B.nbytes >= vi._SPLIT_BYTES
-    runs = {}
-    for cpus in (1, 2, 3):
-        monkeypatch.setattr(vi, "_usable_cpus", lambda: cpus)
-        before = threading.active_count()
-        runs[cpus] = run_extragradient_baseline(problem, T=5, quant=_quant(512), seed=1)
-        assert threading.active_count() == before
-    for cpus in (2, 3):
-        assert runs[cpus].rows == runs[1].rows
-        assert runs[cpus].summary == runs[1].summary

@@ -1,5 +1,4 @@
-import sys
-import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +15,7 @@ from quantvi.vi import (
     is_relative,
     make_problem,
 )
-from reference import whole_matrix_skew_split
+from reference import factored_skew_split
 
 
 def test_affine_operator_skew_and_norm():
@@ -53,11 +52,23 @@ def _count_factorizations(monkeypatch):
     return counts
 
 
-def _assert_is_norm(L, B, block=None):
-    """L is exactly spectral_norm(B), or spectral_norm(block) for a block
-    with B's norm, and the SVD's norm of B to within 8 eps."""
-    assert L == vi.spectral_norm(B if block is None else block)
+def _assert_is_norm(L, B):
+    """L is exactly spectral_norm(B), and the SVD's norm of B to within 8 eps."""
+    assert L == vi.spectral_norm(B)
     assert L == pytest.approx(np.linalg.norm(B, 2), rel=8 * np.finfo(float).eps, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 20, 200, 1000])
+def test_bilinear_L_is_one_by_construction(d):
+    # The saddle block is divided by its spectral norm, so ||B||_2 = 1.  A
+    # second eigensolve would only add its own rounding: the computed norms
+    # of B and of the scaled block stray from 1 by up to 14 eps at d = 1000.
+    eps = np.finfo(float).eps
+    for seed in range(3):
+        p = make_problem("bilinear", d=d, K=2, seed=seed)
+        assert p.L == p.op.L == 1.0
+        assert abs(p.L - vi.spectral_norm(p.op.B)) <= 16 * eps
+        assert abs(p.L - np.linalg.norm(p.saddle, 2)) <= 16 * eps
 
 
 def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
@@ -66,13 +77,13 @@ def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shapes.append(A.shape) or eigvalsh(A))
     p = make_problem("bilinear", d=8, K=4, seed=0)
-    # _unit_spectral of the h x h saddle block, and the global L from the
-    # normalized block; no SVD, and the exactly skew global operator needs
-    # no eigensolve of B + B^T.  The deltas are scaled by their Frobenius
-    # norms, and the node matrices are never factorized.
-    assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 2}
-    assert shapes == [(4, 4), (4, 4)]
-    _assert_is_norm(p.L, p.op.B, block=p.op.B[:4, 4:])
+    # _unit_spectral of the h x h saddle block, which makes L = 1, and one
+    # stacked eigensolve of the K 2r x 2r cores of the deltas; no SVD, no
+    # d x d eigensolve, and the exactly skew global operator needs no
+    # eigensolve of B + B^T.
+    assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 2}
+    assert shapes == [(4, 4), (4, 8, 8)]
+    assert p.L == 1.0
 
 
 @pytest.mark.parametrize("kind, skew_part", [("cocoercive", 0), ("strongly_monotone", 1)])
@@ -81,9 +92,10 @@ def test_non_skew_split_factorizes_only_the_global_operator(monkeypatch, kind, s
     K = 4
     p = make_problem(kind, d=40, K=K, seed=0)
     # _unit_spectral of strongly_monotone's skew part, then the global L and
-    # one eigensolve of B + B^T; none per node or per delta.
+    # one eigensolve of B + B^T, plus one stacked eigensolve of the deltas'
+    # 2r x 2r cores; none of a d x d matrix per node.
     norms = skew_part + 1
-    assert counts == {"spectral_norm": norms, "svd": 0, "eigvalsh": norms + 1}
+    assert counts == {"spectral_norm": norms, "svd": 0, "eigvalsh": norms + 2}
     _assert_is_norm(p.L, p.op.B)
 
 
@@ -216,10 +228,13 @@ def test_make_problem_bilinear_structure():
     assert p.d == 6 and p.K == 3
     assert p.op.is_skew
     assert p.L == pytest.approx(1.0)
-    # The node operators are a zero-sum split of the global operator.
-    assert p.node_B.shape == (3, 6, 6) and p.node_c.shape == (3, 6)
-    assert np.allclose(p.node_B.mean(axis=0), p.op.B, rtol=0.0, atol=1e-15)
-    assert np.array_equal(p.node_c, np.tile(p.op.c, (3, 1)))
+    # The node operators are a zero-sum split of the global operator, from
+    # rank-3 factors [U W] per node.
+    assert p.factors.shape == (3, 6, 6)
+    node_B = p.node_matrices()
+    assert node_B.shape == (3, 6, 6)
+    assert np.allclose(node_B.mean(axis=0), p.op.B, rtol=0.0, atol=1e-15)
+    assert np.array_equal(p.saddle, p.op.B[:3, 3:])
     # The planted solution is a zero of the operator.
     assert np.allclose(p.op.B @ p.x_star + p.op.c, 0.0)
     with pytest.raises(BadDimension):
@@ -258,34 +273,39 @@ def test_make_problem_cocoercive():
 
 
 def test_node_split_identical_under_relative_noise():
-    # Every node's matrix is B itself: a view of op.B, no copy.  A clip
-    # around relative noise keeps it relative.
+    # No factors, and every node's matrix is B itself: a view of op.B, no
+    # copy.  A clip around relative noise keeps it relative.
     p = make_problem("bilinear", d=4, K=3, seed=2, noise=RelativeNoise(0.5))
     q = make_problem("bilinear", d=4, K=3, seed=2,
                      noise=AlmostSureClip(10.0, RelativeNoise(0.5)))
     for r in (p, q):
-        assert r.node_B.shape == (3, 4, 4) and np.shares_memory(r.node_B, r.op.B)
-        assert all(np.array_equal(Bk, r.op.B) for Bk in r.node_B)
-    assert not np.shares_memory(make_problem("bilinear", d=4, K=3, seed=2).node_B, p.op.B)
+        node_B = r.node_matrices()
+        assert r.factors is None
+        assert node_B.shape == (3, 4, 4) and np.shares_memory(node_B, r.op.B)
+        assert all(np.array_equal(Bk, r.op.B) for Bk in node_B)
+    skew = make_problem("bilinear", d=4, K=3, seed=2)
+    assert skew.factors is not None
+    assert not np.shares_memory(skew.node_matrices(), p.op.B)
 
 
 def test_bilinear_skew_split_is_exactly_antisymmetric():
     p = make_problem("bilinear", d=8, K=4, seed=0)
     assert p.op.is_skew
-    for Bk in p.node_B:
+    for Bk in p.node_matrices():
         assert np.array_equal(Bk, -Bk.T)
         assert not np.array_equal(Bk, p.op.B)
 
 
-@pytest.mark.parametrize("d, spectral_median", [(20, 0.216), (200, 0.217)])
+@pytest.mark.parametrize("d, spectral_median", [(20, 0.216), (200, 0.217), (1000, 0.216)])
 def test_skew_delta_scale_matches_the_spectral_scale(d, spectral_median):
-    # Deltas are scaled by their Frobenius norms; the median spectral norm of
-    # the centred deltas stays within 10% of its value when each delta was
-    # scaled to spectral norm 0.25 (spectral_median, seeds 0-9, K = 4).
+    # Each rank-2r delta is scaled to spectral norm _DELTA_NORM before
+    # centring; the median spectral norm of the centred deltas stays within
+    # 10% of its value when each dense delta was scaled to spectral norm 0.25
+    # (spectral_median, seeds 0-9, K = 4; two seeds at d = 1000).
     norms = []
-    for seed in range(10):
+    for seed in range(10 if d < 1000 else 2):
         p = make_problem("bilinear", d=d, K=4, seed=seed)
-        for Bk in p.node_B:
+        for Bk in p.node_matrices():
             delta = Bk - p.op.B
             assert np.array_equal(delta, -delta.T)
             norms.append(np.linalg.norm(delta, 2))
@@ -295,14 +315,19 @@ def test_skew_delta_scale_matches_the_spectral_scale(d, spectral_median):
 @pytest.mark.parametrize("K", [2, 4, 5])
 @pytest.mark.parametrize("d", [2, 20, 130, 256, 258, 1000])
 def test_skew_split_in_blocks_is_the_whole_matrix_split(d, K):
-    # Dimensions whose row blocks come out ragged and exact.  The reference
-    # draws from the generator where make_problem does, after the saddle
-    # block and the solution.
+    # The split is built from d x 2r factor blocks and scaled through a
+    # 2r x 2r core; the reference builds each d x d delta and scales it by
+    # its SVD norm.  It draws from the generator where make_problem does,
+    # after the saddle block and the solution.
     p = make_problem("bilinear", d=d, K=K, seed=d + K, noise=AbsoluteNoise(0.1))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=d + K, spawn_key=(7,)))
     rng.standard_normal((d // 2, d // 2))
     rng.standard_normal(d)
-    assert np.array_equal(p.node_B, whole_matrix_skew_split(rng, p.op.B, K, vi._DELTA_FROB))
+    ref = factored_skew_split(rng, p.op.B, K, min(vi._RANK, d // 2), vi._DELTA_NORM)
+    assert np.abs(p.node_matrices() - ref).max() <= 1e-14
+    node_values = vi.node_evaluator(p)
+    x = np.random.default_rng(d).standard_normal(d)
+    assert np.abs(node_values(x) - (ref @ x + p.op.c)).max() <= 1e-13 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
@@ -310,7 +335,7 @@ def test_skew_split_nodes_are_monotone(kind):
     # Skew deltas leave each node's symmetric part that of B, up to rounding.
     for seed in range(3):
         p = make_problem(kind, d=30, K=4, seed=seed)
-        for Bk in p.node_B:
+        for Bk in p.node_matrices():
             assert np.linalg.eigvalsh(Bk + Bk.T)[0] >= -1e-9 * p.L
 
 
@@ -520,37 +545,90 @@ def test_gap_eigendecomposes_each_non_skew_operator_once(monkeypatch):
 @pytest.mark.parametrize("noise", [AbsoluteNoise(0.1), RelativeNoise(0.1)])
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5])
 def test_node_evaluator_is_the_stacked_product_bit_for_bit(monkeypatch, K, noise, split):
-    # Three usable CPUs cut K = 4 and 5 into chunks of unequal sizes.  At
-    # d = 20 only a lowered threshold takes the concurrent path.
-    monkeypatch.setattr(vi, "_usable_cpus", lambda: 3)
-    if split:
-        monkeypatch.setattr(vi, "_SPLIT_BYTES", 0)
+    # At d = 20 the node matrices are materialized and multiplied stacked;
+    # with the size threshold lowered to 0 the split is evaluated through its
+    # factors, as a stacked product of [U W] and [W -U]^T x and the saddle
+    # block.  Either way the result is the written-out product bit for bit,
+    # and the two agree to rounding.
     p = make_problem("bilinear", d=20, K=K, seed=K, noise=noise)
-    identical = K == 1 or is_relative(noise)
+    assert (p.factors is None) == (K == 1 or is_relative(noise))
+    node_B = p.node_matrices()
+    if split:
+        monkeypatch.setattr(vi, "_DENSE_BYTES", 0)
+    node_values = vi.node_evaluator(p)
+    M, c = p.saddle, p.op.c
     rng = np.random.default_rng(0)
-    before = threading.active_count()
-    with vi.node_evaluator(p) as node_values:
-        for _ in range(20):
-            x = rng.standard_normal(p.d)
-            assert np.array_equal(node_values(x), p.node_B @ x + p.node_c)
-        # Only a skew split on the concurrent path hands chunks to threads.
-        assert (threading.active_count() > before) == (split and not identical)
-    assert threading.active_count() == before
+    for _ in range(20):
+        x = rng.standard_normal(p.d)
+        got = node_values(x)
+        dense = node_B @ x + c
+        if not split:
+            assert np.array_equal(got, dense)
+            continue
+        Bx = np.concatenate((M @ x[10:], -(M.T @ x[:10])))
+        if p.factors is None:
+            want = np.tile(Bx + c, (K, 1))
+        else:
+            F, r = p.factors, p.factors.shape[2] // 2
+            QT = np.swapaxes(np.concatenate((F[..., r:], -F[..., :r]), axis=2), 1, 2)
+            Z = (F @ (QT.reshape(-1, p.d) @ x).reshape(K, -1, 1))[..., 0]
+            Z -= Z.mean(axis=0)
+            want = Z + (Bx + c)
+        assert np.array_equal(got, want)
+        assert np.abs(got - dense).max() <= 1e-14 * np.linalg.norm(x)
 
 
-def test_node_evaluator_under_thread_contention(monkeypatch):
-    # Eight chunks, more than the CPUs, and a short switch interval: each
-    # worker writes only its own rows, so every call is still exact.
-    monkeypatch.setattr(vi, "_SPLIT_BYTES", 0)
-    monkeypatch.setattr(vi, "_usable_cpus", lambda: 8)
-    p = make_problem("bilinear", d=20, K=8, seed=1, noise=AbsoluteNoise(0.1))
-    rng = np.random.default_rng(1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+@pytest.mark.parametrize("K", [2, 4, 5])
+@pytest.mark.parametrize("d", [2, 20, 200, 512, 1000])
+def test_factored_split_is_a_zero_sum_skew_split(d, K):
+    # Every node matrix minus B is exactly skew, so every node of a bilinear
+    # problem is monotone, and the nodes average to the global operator.
+    p = make_problem("bilinear", d=d, K=K, seed=d * K, noise=AbsoluteNoise(0.1))
+    for Bk in p.node_matrices():
+        delta = Bk - p.op.B
+        assert np.array_equal(delta, -delta.T)
+    node_values = vi.node_evaluator(p)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x = rng.standard_normal(d)
+        scale = np.linalg.norm(x) + np.linalg.norm(p.op.c)
+        err = node_values(x).mean(axis=0) - (p.op.B @ x + p.op.c)
+        assert np.abs(err).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("kind", ["cocoercive", "strongly_monotone"])
+@pytest.mark.parametrize("d, K", [(2, 5), (20, 4), (200, 2), (512, 4), (1000, 5)])
+def test_factored_split_nodes_of_a_non_skew_operator_are_monotone(kind, d, K):
+    p = make_problem(kind, d=d, K=K, seed=d + K, noise=AbsoluteNoise(0.1))
+    lmin = np.linalg.eigvalsh(p.op.B + p.op.B.T)[0]
+    for Bk in p.node_matrices():
+        assert np.linalg.eigvalsh(Bk + Bk.T)[0] >= lmin - 1e-12
+
+
+@pytest.mark.parametrize("d", [200, 512])
+def test_factored_and_materialized_evaluators_agree(monkeypatch, d):
+    # d = 200, K = 4 is materialized and d = 512 factored; each is evaluated
+    # both ways.
+    p = make_problem("bilinear", d=d, K=4, seed=d, noise=AbsoluteNoise(0.1))
+    assert (8 * 4 * d * d < vi._DENSE_BYTES) == (d == 200)
+    monkeypatch.setattr(vi, "_DENSE_BYTES", 0)
+    factored = vi.node_evaluator(p)
+    monkeypatch.setattr(vi, "_DENSE_BYTES", np.inf)
+    materialized = vi.node_evaluator(p)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x = 10 ** rng.uniform(-3, 3) * rng.standard_normal(d)
+        scale = np.linalg.norm(x) + np.linalg.norm(p.op.c)
+        assert np.abs(factored(x) - materialized(x)).max() <= 1e-13 * scale
+
+
+def test_make_problem_builds_no_node_matrix():
+    # The factors of a d = 1000, K = 4 split take 1 MiB; four node matrices
+    # would take 30.5 MiB.
+    tracemalloc.start()
     try:
-        with vi.node_evaluator(p) as node_values:
-            for _ in range(200):
-                x = rng.standard_normal(p.d)
-                assert np.array_equal(node_values(x), p.node_B @ x + p.node_c)
+        make_problem("bilinear", 1000, 4, 0, AbsoluteNoise(0.1))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        sys.setswitchinterval(interval)
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
