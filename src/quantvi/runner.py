@@ -179,7 +179,6 @@ _SCHEMA = (
     _Key("run", "out", "out", _TEXT, "run", varies=True),
     _Key("run", "algorithm", "algorithm", _choice("qoda", "extragradient"), "qoda", varies=True),
     _Key("run", "step", "step", _real(above=0.0), "0.3", varies=True),
-    _Key("run", "checkpoints", "checkpoints", _choice("pow2"), "pow2"),
 )
 _NAMES = {(k.section, k.key) for k in _SCHEMA}
 _SECTIONS = {k.section for k in _SCHEMA}

@@ -12,6 +12,11 @@ gap
 which is zero exactly at solutions when the ball contains one.  The gap is
 exact, not an estimate: a closed form for skew operators and an
 eigendecomposition-based trust-region solve for the rest.
+
+``make_problem`` builds every operator with its structure known and hands
+that structure over: a bilinear operator is held as its saddle block, and a
+``cocoercive`` or ``strongly_monotone`` one carries its norm and the
+eigenpairs of B + B^T, so no eigensolve rediscovers them.
 """
 
 import functools
@@ -85,25 +90,36 @@ def spectral_norm(M):
         return 0.0
     _, exp = np.frexp(peak)
     S = np.ldexp(M, -exp)
-    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(S.T @ S)[-1]), exp))
+    S = S.T @ S  # the scaled copy is freed before the eigensolve
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(S)[-1]), exp))
 
 
 class AffineOperator:
     """A(x) = Bx + c with B + B^T required positive semidefinite.
 
-    ``L`` is the spectral norm of B.  A caller that knows it by construction
-    (``make_problem`` scales a bilinear B's saddle block to norm 1) passes it
-    in; otherwise it is ``spectral_norm(B)``, one eigensolve of
+    Built from B alone, the operator learns what it needs from it.  ``L``,
+    the spectral norm of B, is ``spectral_norm(B)``, one eigensolve of
     B^T B.  When B + B^T is exactly zero every eigenvalue of the symmetric
     part is 0, so the operator is skew and monotone without a second
     eigensolve; otherwise one ``eigvalsh`` of the symmetric part checks that
-    its least eigenvalue is not negative.  The eigendecomposition of B + B^T
-    that the gap of a non-skew operator needs is computed on first use and
-    kept.  The solution a problem is built around is the problem's
+    its least eigenvalue is not negative, and the operator counts as skew
+    when the largest entry of that part is at most 1e-12 max(1, L).  The
+    eigendecomposition of B + B^T that the gap of a non-skew operator needs
+    is computed on first use and kept.
+
+    A caller that built B knows these and passes them in: ``L``, and
+    ``sym_eigh``, the eigenvalues of B + B^T in ascending order with their
+    eigenvectors, or None for eigenvectors when B + B^T is a multiple of
+    the identity.  The least eigenvalue is then the monotonicity
+    certificate, the operator counts as skew when the spectral norm of the
+    symmetric part is at most 1e-12 max(1, L), and nothing is factorized.
+
+    ``product(x)`` is Bx and ``transpose_product(x)`` is B^T x; ``matrix()``
+    is B.  The solution a problem is built around is the problem's
     (``ProblemInstance.x_star``), not the operator's.
     """
 
-    def __init__(self, B, c=None, L=None):
+    def __init__(self, B, c=None, L=None, sym_eigh=None):
         B = np.asarray(B, dtype=np.float64)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise BadDimension("B must be square")
@@ -115,23 +131,71 @@ class AffineOperator:
         self.c = c
         self.d = d
         self.L = spectral_norm(B) if L is None else float(L)
-        sym = B + B.T
-        sym *= 0.5
-        if sym.any():
-            scale = max(1.0, self.L)
-            eigs = np.linalg.eigvalsh(sym)
-            if eigs[0] < -_MONOTONE_TOL * scale:
-                raise ValueError(
-                    f"B + B^T has negative eigenvalue {eigs[0]}: operator not monotone"
-                )
-            self.is_skew = _abs_max(sym) <= _SKEW_TOL * scale
+        if sym_eigh is None:
+            sym = B + B.T
+            sym *= 0.5
+            least = np.linalg.eigvalsh(sym)[0] if sym.any() else 0.0
+            peak = _abs_max(sym)
         else:
-            self.is_skew = True
+            self._sym_eigh = sym_eigh
+            lam = sym_eigh[0]  # those of B + B^T, twice the symmetric part's
+            least, peak = 0.5 * lam[0], 0.5 * max(-lam[0], lam[-1])
+        scale = max(1.0, self.L)
+        if least < -_MONOTONE_TOL * scale:
+            raise ValueError(f"B + B^T has negative eigenvalue {least}: operator not monotone")
+        self.is_skew = peak <= _SKEW_TOL * scale
 
     @functools.cached_property
     def _sym_eigh(self):
         """Eigenvalues (ascending) and eigenvectors of B + B^T, for the gap."""
         return np.linalg.eigh(self.B + self.B.T)
+
+    def matrix(self):
+        return self.B
+
+    def product(self, x):
+        return self.B @ x
+
+    def transpose_product(self, x):
+        return self.B.T @ x
+
+
+def _saddle_product(M, x):
+    """Bx for B = [[0, M], [-M^T, 0]]: (M x_2, -M^T x_1)."""
+    h = M.shape[0]
+    return np.concatenate((M @ x[h:], -(M.T @ x[:h])))
+
+
+class SaddleOperator:
+    """A(x) = Bx + c for B = [[0, M], [-M^T, 0]], held as its h x h block M.
+
+    It has the attributes and methods of ``AffineOperator`` that the gap and
+    the node evaluator use.  B is skew by its structure, so B^T x = -Bx
+    exactly and no B + B^T is formed or checked; ``L``, the norm of M and
+    of B, is given.  Only ``matrix()`` assembles the d x d B, in a new array
+    on every call.
+    """
+
+    is_skew = True
+
+    def __init__(self, M, c, L):
+        self.M = M
+        self.c = c
+        self.d = 2 * M.shape[0]
+        self.L = float(L)
+
+    def matrix(self):
+        h, M = self.M.shape[0], self.M
+        B = np.zeros((self.d, self.d))
+        B[:h, h:] = M
+        B[h:, :h] = -M.T
+        return B
+
+    def product(self, x):
+        return _saddle_product(self.M, x)
+
+    def transpose_product(self, x):
+        return -_saddle_product(self.M, x)
 
 
 class AbsoluteNoise:
@@ -212,7 +276,8 @@ def restricted_gap(x_hat, op, dom):
     form.  Otherwise, with x = center + z and H = B + B^T, the objective is
     <A(center), x_hat - center> + h.z - z.Hz/2 over ||z|| <= r: a
     trust-region subproblem (More & Sorensen 1983).  With lam the
-    eigenvalues of H (cached per operator) and h in its eigenbasis, the dual
+    eigenvalues of H (the operator's, given or cached) and h in its
+    eigenbasis (h itself when H is a multiple of the identity), the dual
     value
 
         <A(center), x_hat - center> + (sum_i h_i^2 / (lam_i + mu) + mu r^2) / 2
@@ -230,15 +295,17 @@ def restricted_gap(x_hat, op, dom):
     if not np.all(np.isfinite(x_hat)):
         raise ValueError("gap requested at a non-finite point")
     if op.is_skew:
-        g = op.B.T @ x_hat - op.c
+        g = op.transpose_product(x_hat) - op.c
         const = float(op.c @ x_hat)
         return float(dom.center @ g) + dom.radius * float(np.linalg.norm(g)) + const
 
     lam, Q = op._sym_eigh
     mu = max(0.0, -float(lam[0]))  # least shift that makes H + mu I semidefinite
     dx = x_hat - dom.center
-    a0 = op.B @ dom.center + op.c  # A at the ball centre
-    h = Q.T @ (op.B.T @ dx - a0)  # objective gradient at the centre, rotated
+    a0 = op.product(dom.center) + op.c  # A at the ball centre
+    h = op.transpose_product(dx) - a0  # objective gradient at the centre
+    if Q is not None:
+        h = Q.T @ h
     keep = h != 0.0
     lam, sq = lam[keep], h[keep] ** 2
     r2 = dom.radius ** 2
@@ -260,13 +327,12 @@ class ProblemInstance:
     operator's.  ``factors`` is None when every node is the global operator
     (an identical split), and otherwise a (K, d, 2r) array [U W] per node:
     S_k is U_k W_k^T - W_k U_k^T less the mean of that over the K nodes, so
-    the S_k are skew, sum to zero and leave every node monotone.  ``saddle``
-    is a bilinear B's h x h block M, B = [[0, M], [-M^T, 0]], or None.
+    the S_k are skew, sum to zero and leave every node monotone.
     ``node_evaluator`` evaluates every node at x.  ``x_star`` is the
     solution the operator was built around.
     """
 
-    def __init__(self, op, factors, K, noise, domain, x1, x_star, saddle=None):
+    def __init__(self, op, factors, K, noise, domain, x1, x_star):
         self.op = op
         self.factors = factors
         self.K = K
@@ -276,7 +342,6 @@ class ProblemInstance:
         self.d = op.d
         self.x_star = np.asarray(x_star, dtype=np.float64)
         self.L = op.L
-        self.saddle = saddle
 
     def gap(self, x_hat):
         return restricted_gap(x_hat, self.op, self.domain)
@@ -285,9 +350,9 @@ class ProblemInstance:
         """Every node's matrix, (K, d, d): B itself for an identical split.
 
         Each G = U_k W_k^T gives S_k = G - G^T, exactly skew; centring over
-        the nodes keeps it so, and B is added last.
+        the nodes keeps it so, and B, ``op.matrix()``, is added last.
         """
-        K, d, B = self.K, self.d, self.op.B
+        K, d, B = self.K, self.d, self.op.matrix()
         if self.factors is None:
             return np.broadcast_to(B, (K, d, d))
         r = self.factors.shape[2] // 2
@@ -313,27 +378,19 @@ def node_evaluator(problem):
 
     Node matrices that take under ``_DENSE_BYTES`` are multiplied as
     ``problem.node_matrices()``, built once here, stacked; an identical
-    split multiplies B once, ``B @ x + c`` in every row.  Above that size
-    the global B is multiplied once, a bilinear B through its saddle block
-    as (M x_2, -M^T x_1), and each node adds its centred delta from its
-    factors, Z_k = [U_k W_k] ([W_k -U_k]^T x): O(K d r) work and no d x d
-    matrix per node.  The path is fixed by d and K alone.
+    split multiplies B, ``op.matrix()``, once, ``B @ x + c`` in every row.
+    Above that size the global operator's ``product`` is taken once, a
+    bilinear B's through its saddle block, and each node adds its centred
+    delta from its factors, Z_k = [U_k W_k] ([W_k -U_k]^T x): O(K d r) work
+    and no d x d matrix.  The path is fixed by d and K alone.
     """
     op, K, d, F = problem.op, problem.K, problem.d, problem.factors
     c = np.broadcast_to(op.c, (K, d))
     if 8 * K * d * d < _DENSE_BYTES:
-        node_B = op.B if F is None else problem.node_matrices()
+        node_B = op.matrix() if F is None else problem.node_matrices()
         return lambda x: node_B @ x + c
 
-    M = problem.saddle
-    if M is None:
-        product = op.B.__matmul__
-    else:
-        h = M.shape[0]
-
-        def product(x):
-            return np.concatenate((M @ x[h:], -(M.T @ x[:h])))
-
+    product = op.product
     if F is None:
         return lambda x: product(x) + c
     r = F.shape[2] // 2
@@ -351,12 +408,17 @@ def node_evaluator(problem):
 
 def _random_skew(rng, d):
     G = rng.standard_normal((d, d))
-    return 0.5 * (G - G.T)
+    S = G - G.T
+    S *= 0.5
+    return S
 
 
 def _unit_spectral(M):
+    """M divided in place by its spectral norm; a zero M is left as it is."""
     norm = spectral_norm(M)
-    return M / norm if norm > 0 else M
+    if norm > 0:
+        M /= norm
+    return M
 
 
 # Rank of each node's skew delta, at most d // 2.
@@ -384,43 +446,55 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     ``_DELTA_NORM``.  That norm is exact and O(d r^2): with [U_k W_k] = QR
     from one thin QR, the delta is Q (R_1 R_2^T - R_2 R_1^T) Q^T and has the
     spectral norm of that 2r x 2r core.  No d x d matrix is built per node.
-    The other unit-norm matrices are divided by their ``spectral_norm``; a
-    bilinear B then has L = 1, its saddle block's norm, by construction.
+
+    The operator keeps what the construction knows (``AffineOperator``).  A
+    bilinear one is a ``SaddleOperator``: its h x h block M is divided by its
+    ``spectral_norm``, so L = 1, and B is never formed.  A ``cocoercive`` B
+    is Q diag(v) Q^T, so L = lmax and B + B^T has the eigenpairs (2v, Q).  A
+    ``strongly_monotone`` B is mu I plus (1 - mu) times a skew part of
+    spectral norm 1 (its one ``spectral_norm``); the skew part is exactly
+    antisymmetric with a zero diagonal, so B + B^T is exactly 2 mu I, and B,
+    a normal matrix, has L = sqrt(mu^2 + (1 - mu)^2).
     """
     if K < 1:
         raise ValueError("need at least one node")
     base, nums = parse_kind(kind)
     rng = default_rng(SeedSequence(entropy=seed, spawn_key=(7,)))
 
-    L = M = None  # AffineOperator takes spectral_norm(B)
+    M = None
     if base == "bilinear":
         if d < 2 or d % 2 != 0:
             raise BadDimension("bilinear problems need even dimension >= 2")
-        h = d // 2
-        M = _unit_spectral(rng.standard_normal((h, h)))
-        L = 1.0
-        B = np.zeros((d, d))
-        B[:h, h:] = M
-        B[h:, :h] = -M.T
+        M = _unit_spectral(rng.standard_normal((d // 2, d // 2)))
     elif base == "strongly_monotone":
         (mu,) = nums
-        B = mu * np.eye(d) + (1.0 - mu) * _unit_spectral(_random_skew(rng, d))
+        B = _unit_spectral(_random_skew(rng, d))
+        B *= 1.0 - mu
+        B.flat[:: d + 1] += mu  # onto the skew part's diagonal of exact zeros
+        # At d = 1 the skew part is zero, not of norm 1.
+        L = np.sqrt(mu * mu + (1.0 - mu) ** 2) if d > 1 else mu
+        sym_eigh = (np.full(d, 2.0 * mu), None)
     else:
         lmin, lmax = nums
         Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        v = np.linspace(lmin, lmax, d)
         # Q diag(v) Q^T, bit for bit: scaling Q's columns by v is the product
         # with the diagonal, whose other terms are exact zeros.
-        B = (Q * np.linspace(lmin, lmax, d)) @ Q.T
+        B = (Q * v) @ Q.T
         B = B + B.T
         B *= 0.5
+        L, sym_eigh = v[-1], (2.0 * v, Q)
 
     if x_star is None:
         xs = rng.standard_normal(d)
         xs /= np.linalg.norm(xs)
     else:
         xs = np.broadcast_to(np.asarray(x_star, dtype=np.float64), (d,)).copy()
-    c = -B @ xs
-    op = AffineOperator(B, c, L=L)
+    # c makes x_star a zero of the operator.
+    if M is None:
+        op = AffineOperator(B, -(B @ xs), L, sym_eigh)
+    else:
+        op = SaddleOperator(M, -_saddle_product(M, xs), L=1.0)
 
     factors = None
     if not (is_relative(noise) or K == 1):
@@ -436,4 +510,4 @@ def make_problem(kind, d, K, seed, noise=None, x_star=None):
     x1 = np.zeros(d)
     dist = float(np.linalg.norm(x1 - xs))
     domain = TestDomain(xs, 2.0 * dist if dist > 0 else 1.0)
-    return ProblemInstance(op, factors, K, noise, domain, x1, xs, saddle=M)
+    return ProblemInstance(op, factors, K, noise, domain, x1, xs)

@@ -105,8 +105,6 @@ def test_run_section_validation():
         config_from_dict({"problem": {"preset": "bilinear"}, "run": {"T": "0"}})
     with pytest.raises(ParseError):
         config_from_dict({"problem": {"preset": "bilinear"}, "run": {"algorithm": "sgd"}})
-    with pytest.raises(ParseError):
-        config_from_dict({"problem": {"preset": "bilinear"}, "run": {"checkpoints": "all"}})
 
 
 def test_explicit_levels_round_through_family():

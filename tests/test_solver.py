@@ -384,7 +384,7 @@ def test_unquantized_noiseless_run_matches_plain_recurrence():
     metrics = run_qoda(problem, GeneralRates(), T, quant=None, seed=0,
                        record_iterates=True)
 
-    B, c = problem.op.B, problem.op.c
+    B, c = problem.op.matrix(), problem.op.c
     x1 = problem.x1.copy()
     x = x1.copy()
     y = np.zeros_like(x1)

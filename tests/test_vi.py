@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from quantvi import vi
+from quantvi import solver, vi
 from quantvi.quantizer import DimensionMismatch
 from quantvi.vi import (
     AbsoluteNoise,
@@ -53,9 +53,10 @@ def _count_factorizations(monkeypatch):
 
 
 def _assert_is_norm(L, B):
-    """L is exactly spectral_norm(B), and the SVD's norm of B to within 8 eps."""
-    assert L == vi.spectral_norm(B)
-    assert L == pytest.approx(np.linalg.norm(B, 2), rel=8 * np.finfo(float).eps, abs=0.0)
+    """L is spectral_norm(B) to within 16 eps, and the SVD's norm of B to within 8 eps."""
+    eps = np.finfo(float).eps
+    assert L == pytest.approx(vi.spectral_norm(B), rel=16 * eps, abs=0.0)
+    assert L == pytest.approx(np.linalg.norm(B, 2), rel=8 * eps, abs=0.0)
 
 
 @pytest.mark.parametrize("d", [2, 20, 200, 1000])
@@ -67,8 +68,8 @@ def test_bilinear_L_is_one_by_construction(d):
     for seed in range(3):
         p = make_problem("bilinear", d=d, K=2, seed=seed)
         assert p.L == p.op.L == 1.0
-        assert abs(p.L - vi.spectral_norm(p.op.B)) <= 16 * eps
-        assert abs(p.L - np.linalg.norm(p.saddle, 2)) <= 16 * eps
+        assert abs(p.L - vi.spectral_norm(p.op.matrix())) <= 16 * eps
+        assert abs(p.L - np.linalg.norm(p.op.M, 2)) <= 16 * eps
 
 
 def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
@@ -79,23 +80,33 @@ def test_skew_split_factorizes_only_what_the_problem_uses(monkeypatch):
     p = make_problem("bilinear", d=8, K=4, seed=0)
     # _unit_spectral of the h x h saddle block, which makes L = 1, and one
     # stacked eigensolve of the K 2r x 2r cores of the deltas; no SVD, no
-    # d x d eigensolve, and the exactly skew global operator needs no
-    # eigensolve of B + B^T.
+    # d x d eigensolve, and the operator, skew by its structure, forms no
+    # B + B^T and has no d x d B at all.
     assert counts == {"spectral_norm": 1, "svd": 0, "eigvalsh": 2}
     assert shapes == [(4, 4), (4, 8, 8)]
+    assert isinstance(p.op, vi.SaddleOperator) and p.op.M.shape == (4, 4)
+    assert not hasattr(p.op, "B")
     assert p.L == 1.0
 
 
 @pytest.mark.parametrize("kind, skew_part", [("cocoercive", 0), ("strongly_monotone", 1)])
 def test_non_skew_split_factorizes_only_the_global_operator(monkeypatch, kind, skew_part):
     counts = _count_factorizations(monkeypatch)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda A: eighs.append(A.shape) or eigh(A))
     K = 4
     p = make_problem(kind, d=40, K=K, seed=0)
-    # _unit_spectral of strongly_monotone's skew part, then the global L and
-    # one eigensolve of B + B^T, plus one stacked eigensolve of the deltas'
-    # 2r x 2r cores; none of a d x d matrix per node.
-    norms = skew_part + 1
-    assert counts == {"spectral_norm": norms, "svd": 0, "eigvalsh": norms + 2}
+    p.gap(p.x_star + 1.0)
+    # _unit_spectral of strongly_monotone's skew part, plus one stacked
+    # eigensolve of the deltas' 2r x 2r cores.  L, the monotonicity
+    # certificate and the gap's eigenpairs come from the construction: no
+    # norm of B, no eigensolve of B + B^T and no eigh, at set-up or at the
+    # first gap.
+    assert counts == {"spectral_norm": skew_part, "svd": 0, "eigvalsh": skew_part + 1}
+    assert eighs == []
+    # lmax = 1 by default; mu = 0.1 plus a unit skew part times 0.9.
+    assert p.L == (np.sqrt(0.1**2 + 0.9**2) if skew_part else 1.0)
     _assert_is_norm(p.L, p.op.B)
 
 
@@ -111,6 +122,7 @@ def test_operator_norm_is_computed_once_at_construction(monkeypatch):
     assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
     assert skew_op.L > 0 and op.L > 0  # reading L factorizes nothing
     assert counts == {"spectral_norm": 2, "svd": 0, "eigvalsh": 3}
+    assert skew_op.L == vi.spectral_norm(skew) and op.L == vi.spectral_norm(B)
     _assert_is_norm(skew_op.L, skew)
     _assert_is_norm(op.L, B)
 
@@ -233,10 +245,12 @@ def test_make_problem_bilinear_structure():
     assert p.factors.shape == (3, 6, 6)
     node_B = p.node_matrices()
     assert node_B.shape == (3, 6, 6)
-    assert np.allclose(node_B.mean(axis=0), p.op.B, rtol=0.0, atol=1e-15)
-    assert np.array_equal(p.saddle, p.op.B[:3, 3:])
+    B = p.op.matrix()
+    assert np.allclose(node_B.mean(axis=0), B, rtol=0.0, atol=1e-15)
+    assert np.array_equal(B[:3, 3:], p.op.M) and np.array_equal(B[3:, :3], -p.op.M.T)
+    assert not B[:3, :3].any() and not B[3:, 3:].any()
     # The planted solution is a zero of the operator.
-    assert np.allclose(p.op.B @ p.x_star + p.op.c, 0.0)
+    assert np.allclose(B @ p.x_star + p.op.c, 0.0)
     with pytest.raises(BadDimension):
         make_problem("bilinear", d=5, K=2, seed=0)
 
@@ -245,8 +259,8 @@ def test_make_problem_is_deterministic():
     a = make_problem("bilinear", d=6, K=2, seed=9)
     b = make_problem("bilinear", d=6, K=2, seed=9)
     c = make_problem("bilinear", d=6, K=2, seed=10)
-    assert np.array_equal(a.op.B, b.op.B)
-    assert not np.array_equal(a.op.B, c.op.B)
+    assert np.array_equal(a.op.M, b.op.M)
+    assert not np.array_equal(a.op.M, c.op.M)
 
 
 def test_make_problem_strongly_monotone():
@@ -273,19 +287,22 @@ def test_make_problem_cocoercive():
 
 
 def test_node_split_identical_under_relative_noise():
-    # No factors, and every node's matrix is B itself: a view of op.B, no
-    # copy.  A clip around relative noise keeps it relative.
+    # No factors, and every node's matrix is B itself: one B, broadcast over
+    # the nodes with no copy.  A clip around relative noise keeps it
+    # relative.
     p = make_problem("bilinear", d=4, K=3, seed=2, noise=RelativeNoise(0.5))
     q = make_problem("bilinear", d=4, K=3, seed=2,
                      noise=AlmostSureClip(10.0, RelativeNoise(0.5)))
     for r in (p, q):
         node_B = r.node_matrices()
         assert r.factors is None
-        assert node_B.shape == (3, 4, 4) and np.shares_memory(node_B, r.op.B)
-        assert all(np.array_equal(Bk, r.op.B) for Bk in node_B)
+        assert node_B.shape == (3, 4, 4) and node_B.strides[0] == 0
+        assert all(np.array_equal(Bk, r.op.matrix()) for Bk in node_B)
+    coco = make_problem("cocoercive", d=4, K=3, seed=2, noise=RelativeNoise(0.5))
+    assert np.shares_memory(coco.node_matrices(), coco.op.B)
     skew = make_problem("bilinear", d=4, K=3, seed=2)
     assert skew.factors is not None
-    assert not np.shares_memory(skew.node_matrices(), p.op.B)
+    assert skew.node_matrices().strides[0] != 0
 
 
 def test_bilinear_skew_split_is_exactly_antisymmetric():
@@ -293,7 +310,7 @@ def test_bilinear_skew_split_is_exactly_antisymmetric():
     assert p.op.is_skew
     for Bk in p.node_matrices():
         assert np.array_equal(Bk, -Bk.T)
-        assert not np.array_equal(Bk, p.op.B)
+        assert not np.array_equal(Bk, p.op.matrix())
 
 
 @pytest.mark.parametrize("d, spectral_median", [(20, 0.216), (200, 0.217), (1000, 0.216)])
@@ -305,8 +322,9 @@ def test_skew_delta_scale_matches_the_spectral_scale(d, spectral_median):
     norms = []
     for seed in range(10 if d < 1000 else 2):
         p = make_problem("bilinear", d=d, K=4, seed=seed)
+        B = p.op.matrix()
         for Bk in p.node_matrices():
-            delta = Bk - p.op.B
+            delta = Bk - B
             assert np.array_equal(delta, -delta.T)
             norms.append(np.linalg.norm(delta, 2))
     assert 0.9 * spectral_median <= np.median(norms) <= 1.1 * spectral_median
@@ -323,7 +341,7 @@ def test_skew_split_in_blocks_is_the_whole_matrix_split(d, K):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=d + K, spawn_key=(7,)))
     rng.standard_normal((d // 2, d // 2))
     rng.standard_normal(d)
-    ref = factored_skew_split(rng, p.op.B, K, min(vi._RANK, d // 2), vi._DELTA_NORM)
+    ref = factored_skew_split(rng, p.op.matrix(), K, min(vi._RANK, d // 2), vi._DELTA_NORM)
     assert np.abs(p.node_matrices() - ref).max() <= 1e-14
     node_values = vi.node_evaluator(p)
     x = np.random.default_rng(d).standard_normal(d)
@@ -352,7 +370,7 @@ def certify_monotone(op, rng, pairs=10000):
     for _ in range(pairs):
         x = rng.standard_normal(op.d)
         y = rng.standard_normal(op.d)
-        worst = min(worst, float(((op.B @ x + op.c) - (op.B @ y + op.c)) @ (x - y)))
+        worst = min(worst, float(((op.product(x) + op.c) - (op.product(y) + op.c)) @ (x - y)))
     return worst
 
 
@@ -365,7 +383,8 @@ def certify_lipschitz(op, rng, pairs=10000):
         nd = np.linalg.norm(x - y)
         if nd == 0:
             continue
-        worst = max(worst, float(np.linalg.norm((op.B @ x + op.c) - (op.B @ y + op.c)) / nd))
+        gain = np.linalg.norm((op.product(x) + op.c) - (op.product(y) + op.c))
+        worst = max(worst, float(gain / nd))
     return worst
 
 
@@ -389,7 +408,7 @@ def test_gap_linear_closed_form_for_skew():
     # has a closed form we can recompute directly.
     p = make_problem("bilinear", d=4, K=1, seed=6)
     x_hat = p.x_star + np.array([0.3, -0.2, 0.1, 0.4])
-    g = p.op.B.T @ x_hat - p.op.c
+    g = p.op.matrix().T @ x_hat - p.op.c
     expect = float(p.domain.center @ g) + p.domain.radius * float(np.linalg.norm(g))
     expect += float(p.op.c @ x_hat)
     assert p.gap(x_hat) == pytest.approx(expect, rel=1e-12)
@@ -530,8 +549,12 @@ def test_gap_eigendecomposes_each_non_skew_operator_once(monkeypatch):
     rng = np.random.default_rng(0)
     for kind in ("cocoercive", "strongly_monotone:0.3"):
         p = make_problem(kind, d=6, K=2, seed=1)
+        by_hand = AffineOperator(p.op.B, p.op.c)
         for _ in range(4):
-            p.gap(p.x_star + rng.standard_normal(6))
+            x_hat = p.x_star + rng.standard_normal(6)
+            # A built problem has its eigenpairs from the construction.
+            want = vi.restricted_gap(x_hat, by_hand, p.domain)
+            assert p.gap(x_hat) == pytest.approx(want, rel=1e-13, abs=0.0)
     assert calls == [(6, 6), (6, 6)]
     near_skew = AffineOperator(np.array([[0.0, 1.0], [-1.0, 1e-13]]))
     for op in (make_problem("bilinear", d=6, K=1, seed=1).op, near_skew):
@@ -556,7 +579,7 @@ def test_node_evaluator_is_the_stacked_product_bit_for_bit(monkeypatch, K, noise
     if split:
         monkeypatch.setattr(vi, "_DENSE_BYTES", 0)
     node_values = vi.node_evaluator(p)
-    M, c = p.saddle, p.op.c
+    M, c = p.op.M, p.op.c
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.standard_normal(p.d)
@@ -584,15 +607,16 @@ def test_factored_split_is_a_zero_sum_skew_split(d, K):
     # Every node matrix minus B is exactly skew, so every node of a bilinear
     # problem is monotone, and the nodes average to the global operator.
     p = make_problem("bilinear", d=d, K=K, seed=d * K, noise=AbsoluteNoise(0.1))
+    B = p.op.matrix()
     for Bk in p.node_matrices():
-        delta = Bk - p.op.B
+        delta = Bk - B
         assert np.array_equal(delta, -delta.T)
     node_values = vi.node_evaluator(p)
     rng = np.random.default_rng(d)
     for _ in range(5):
         x = rng.standard_normal(d)
         scale = np.linalg.norm(x) + np.linalg.norm(p.op.c)
-        err = node_values(x).mean(axis=0) - (p.op.B @ x + p.op.c)
+        err = node_values(x).mean(axis=0) - (B @ x + p.op.c)
         assert np.abs(err).max() <= 1e-14 * scale
 
 
@@ -632,3 +656,50 @@ def test_make_problem_builds_no_node_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_bilinear_run_allocates_no_dense_matrix():
+    # Below one d x d float64 array, 7.6 MiB at d = 1000: the saddle block
+    # takes 1.9 MiB and the factors 1 MiB, and neither set-up nor the solve
+    # assembles B or any other d x d array.
+    limit = 8 * 1000 * 1000
+    tracemalloc.start()
+    try:
+        p = make_problem("bilinear", 1000, 4, 0, AbsoluteNoise(0.1))
+        setup_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solver.run_extragradient_baseline(p, 2)
+        solve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert setup_peak < limit
+    assert solve_peak < limit
+
+
+@pytest.mark.parametrize("d", [2, 20, 200, 1000])
+@pytest.mark.parametrize("kind", ["bilinear", "strongly_monotone", "cocoercive"])
+def test_built_operator_agrees_with_the_operator_built_by_hand(kind, d):
+    # make_problem hands the operator its L, its skewness and the
+    # eigenpairs of B + B^T; an AffineOperator built on the same dense B
+    # and c computes each of them.  They agree to rounding.
+    eps = np.finfo(float).eps
+    p = make_problem(kind, d=d, K=1, seed=d)
+    by_hand = AffineOperator(p.op.matrix(), p.op.c)
+    assert abs(p.L - by_hand.L) <= 16 * eps * by_hand.L
+    assert p.op.is_skew == by_hand.is_skew == (kind == "bilinear")
+    rng = np.random.default_rng(d)
+    for scale in np.geomspace(1e-3, 1e3, 13):
+        x_hat = scale * rng.standard_normal(d) / np.sqrt(d)
+        want = vi.restricted_gap(x_hat, by_hand, p.domain)
+        assert p.gap(x_hat) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 200, 1000])
+def test_strongly_monotone_symmetric_part_is_exactly_mu_identity(d):
+    mu = 0.3
+    p = make_problem(f"strongly_monotone:{mu}", d=d, K=1, seed=d)
+    assert np.array_equal(p.op.B + p.op.B.T, 2 * mu * np.eye(d))
+    lam, Q = p.op._sym_eigh
+    assert Q is None and np.array_equal(lam, np.full(d, 2 * mu))
+    # At d = 1 there is no skew part, and B is mu itself.
+    assert p.L == (mu if d == 1 else np.sqrt(mu**2 + (1 - mu) ** 2))
