@@ -20,16 +20,23 @@ type, or one for all under the alternating protocol.  Level j at coordinate
 i is flat index ``coord_start[i] + j`` on both sides of the wire, and the
 codebook is the codec's only context.
 
-Messages are built and read as strings of "0" and "1", from one table of
-signed wire strings per flat index: the codeword, then one sign bit when the
-level index is positive.  Splitting a codeword into its two signed strings
-keeps a code prefix-free and its Kraft sum unchanged, so the decoder reads
-the encoder's own strings.  Zero-padded to the longest length in its scope,
-the wire strings sort in the order of the disjoint ranges of windows they
-begin, so the decoder bisects them on the next window of the stream for the
-one string that can match, and reads a coordinate's level and sign at once
+Messages are built and read with array operations on one table of signed
+wire strings per flat index: the codeword, then one sign bit when the level
+index is positive.  Splitting a codeword into its two signed strings keeps a
+code prefix-free and its Kraft sum unchanged, so the decoder reads the
+encoder's own strings.  The encoder takes a batch's strings from the table's
+bits in one ragged gather and packs the byte-aligned messages in one call.
+Zero-padded to the longest length in its scope, the wire strings sort in the
+order of the disjoint ranges of windows they begin, so a search of the sorted
+strings on the window at a bit finds the one string that can start there
 (Moffat & Turpin 1997, "On the implementation of minimum redundancy prefix
-codes").  Both sides take time linear in the message length.
+codes").  The decoder makes that search, as 57-bit integer digits, at every
+bit where a coordinate can start (Klein & Wiseman 2003, "Parallel Huffman
+decoding with applications to JPEG files"), links each bit to the bit after
+its string, and follows the links from the first payload bit by pointer
+doubling.  A batch of messages of b bits in all costs O(b log d) array work
+in O(log d) numpy calls per run of coordinates that share a scope, and no
+table grows with the codeword length beyond one digit per 57 bits.
 
 Wire format, most significant bit first: a 32-bit IEEE-754 big-endian norm,
 then, only when the norm is nonzero, for each coordinate in ascending order
@@ -38,9 +45,6 @@ positive.  The last byte is padded with zero bits.
 """
 
 import heapq
-import math
-import struct
-from bisect import bisect_right
 
 import numpy as np
 
@@ -48,6 +52,8 @@ PROTOCOL_MAIN = "main"
 PROTOCOL_ALTERNATING = "alternating"
 SCHEME_HUFFMAN = "huffman"
 SCHEME_ELIAS = "elias"
+
+_BIT_IN_BYTE = np.arange(8, dtype=np.uint64)
 
 
 class EmptyAlphabet(ValueError):
@@ -168,37 +174,103 @@ def build_elias(alphabet_size):
     return [elias_omega(k) for k in range(1, alphabet_size + 1)]
 
 
-class _Scope:
-    """One prefix-free decoding scope: the wire strings of its flat indices.
+class _WireStrings:
+    """The signed wire strings of every decoding scope, in one table sorted for search.
 
-    A flat index has one wire string per sign it can carry: ``plus[f]`` and
-    ``minus[f]``, which coincide at level 0.  Zero-padded on the right to
-    ``width``, the longest wire string in the scope, the strings of a prefix
-    code sort in the order of the disjoint ranges of ``width``-bit strings
-    they begin.  ``padded`` holds the padded strings in that order and
-    ``entries`` each one's (wire string, flat index, sign), so the only
-    string that can begin a ``width``-bit window of the stream is the last
-    one whose padded string is <= the window.
+    A flat index has one wire string per sign it can carry, which coincide
+    at level 0.  Zero-padded on the right to whole ``digit``-bit digits, the
+    strings of a prefix code sort in the order of the disjoint ranges of
+    windows they begin, so the only string that can begin a window of the
+    stream is the last one whose padded value is <= the window (Moffat &
+    Turpin 1997).  The table sorts by scope, then padded value, and the
+    first digit carries the scope in its bits above ``digit``, so one search
+    serves every scope.  String s has digit j ``digits[j, s]``, of which it
+    covers the bits ``masks[j, s]``, and its ``scope``, ``lengths``,
+    ``flat`` index and ``sign`` (+1 or -1).
     """
 
-    def __init__(self, flat, plus, minus):
-        # Level 0 sends no sign bit: its one string decodes with sign +1.
-        table = {minus[f]: (f, -1) for f in flat} | {plus[f]: (f, 1) for f in flat}
-        self.width = max(map(len, table))
-        rows = sorted((w.ljust(self.width, "0"), w, f, g) for w, (f, g) in table.items())
-        self.padded = [r[0] for r in rows]
-        self.entries = [r[1:] for r in rows]
+    def __init__(self, scopes, words, signed):
+        strings = []  # (scope, length, value, flat index, sign bit) per wire string
+        for sc, span in enumerate(scopes):
+            for f in span:
+                length, code = words[f]
+                g = int(signed[f])
+                strings += [(sc, length + g, (code << g) | n, f, n) for n in range(g + 1)]
+        # At most 57 bits, the least an 8-byte load at any bit offset holds,
+        # and room above them for the scope.
+        self.digit = digit = min(57, 64 - (len(scopes) - 1).bit_length())
+        total = -(-max(t[1] for t in strings) // digit) * digit
+        strings.sort(key=lambda t: (t[0], t[2] << (total - t[1]), t[1]))
+        ones = (1 << digit) - 1
+        self.digits = np.array(
+            [[(v << (total - n)) >> (total - digit * (j + 1)) & ones for _, n, v, _, _ in strings]
+             for j in range(total // digit)],
+            dtype=np.uint64,
+        )
+        self.masks = np.array(
+            [[ones ^ (ones >> min(max(n - digit * j, 0), digit)) for _, n, _, _, _ in strings]
+             for j in range(total // digit)],
+            dtype=np.uint64,
+        )
+        self.scope = np.array([t[0] for t in strings])
+        self.digits[0] |= self.scope.astype(np.uint64) << np.uint64(digit)
+        self.masks[0] |= np.uint64(((1 << 64) - 1) ^ ones)
+        self.lengths = np.array([t[1] for t in strings])
+        self.flat = np.array([t[3] for t in strings])
+        self.sign = np.array([1 - 2 * t[4] for t in strings], dtype=np.int8)
+
+    def search(self, windows, bit, key):
+        """Per bit position: (the one string that can start there, whether it does).
+
+        ``windows[p]`` is the ``digit``-bit window of the stream at bit p and
+        ``key`` the scope of each position, shifted above the digit.  The
+        candidate is found digit by digit; a later digit is read only where
+        several strings share every digit so far, which only strings longer
+        than one digit can.  A window below every string gets candidate -1,
+        which names the last, largest string: it cannot match then.
+        """
+        w = windows[bit] | key
+        hi = self.digits[0].searchsorted(w, "right")
+        if self.digits.shape[0] > 1:
+            lo = self.digits[0].searchsorted(w, "left")
+            for j, keys in enumerate(self.digits[1:], 1):
+                tie = np.flatnonzero(hi - lo > 1)
+                if not tie.size:
+                    break
+                wj = windows[bit[tie] + self.digit * j]
+                lo[tie] = _insertion(keys, wj, lo[tie], hi[tie], right=False)
+                hi[tie] = _insertion(keys, wj, lo[tie], hi[tie], right=True)
+        cand = hi - 1
+        match = (w & self.masks[0][cand]) == self.digits[0][cand]
+        for j in range(1, self.digits.shape[0]):
+            wj = windows[bit + self.digit * j]
+            match &= (wj & self.masks[j][cand]) == self.digits[j][cand]
+        return cand, match
+
+
+def _insertion(keys, x, lo, hi, right):
+    """Vectorized bisection: insertion points of ``x`` in ``keys[lo:hi]``, each range sorted."""
+    for _ in range(int((hi - lo).max()).bit_length()):
+        active = lo < hi
+        mid = (lo + hi) >> 1
+        k = keys[np.minimum(mid, keys.size - 1)]
+        below = active & ((k <= x) if right else (k < x))
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(active & ~below, mid, hi)
+    return lo
 
 
 class Codebook:
     """Codewords in the family's flat (type, level) order plus decoding scopes.
 
     ``words[f]`` is the (length, code) of flat index f, as laid out by
-    ``LevelFamily.flat_levels``, and ``_plus[f]``/``_minus[f]`` its signed
-    wire strings, the one table both the encoder and the decoding scopes
-    read.  ``scopes`` are ranges of flat indices that partition them, each
-    prefix-free on its own; a coordinate decodes in the scope that holds its
-    type's levels.
+    ``LevelFamily.flat_levels``.  Its signed wire strings, the codeword then
+    one sign bit (1 = negative) when the level index is positive, are the
+    one source both sides read: the encoder gathers their bits from one flat
+    table, and the decoder searches them in ``scopes``, ranges of flat
+    indices that partition them, each prefix-free on its own.  A coordinate
+    decodes in the scope that holds its type's levels, and consecutive
+    coordinates that share a scope form a run.
     """
 
     def __init__(self, words, scopes, family):
@@ -207,21 +279,44 @@ class Codebook:
         self._assignment = family.assignment
         type_start, type_size = family.level_starts()
         _, self._coord_start, self._coord_size = family.flat_levels()
-        # Wire string per flat index: the codeword, then a sign bit (1 =
-        # negative) when the level index is positive.
-        signed = [j > 0 for n in type_size for j in range(n)]
-        strings = [format(c, f"0{l}b") for l, c in self.words]
-        self._plus = np.array([w + "0" * g for w, g in zip(strings, signed)], dtype=object)
-        self._minus = np.array([w + "1" * g for w, g in zip(strings, signed)], dtype=object)
-        self._wire_bits = np.array([len(w) for w in self._plus])
-        self._scopes = [_Scope(span, self._plus, self._minus) for span in scopes]
-        # Per type: its scope and the flat range of its levels.
-        per_type = []
-        for a, n in zip(type_start.tolist(), type_size.tolist()):
-            sc = next(sc for sc, span in zip(self._scopes, scopes) if a in span)
-            per_type.append((sc.width, sc.padded, sc.entries, a, a + n))
-        self._coord_scopes = [per_type[m] for m in family.assignment.tolist()]
-        self._pad = "0" * max(sc.width for sc in self._scopes)
+        signed = np.concatenate([np.arange(n) > 0 for n in type_size])
+        self._wire_bits = np.array([l for l, _ in self.words]) + signed
+        # The bits of wire string 2f + n, flat index f with sign bit n, start
+        # at _starts[2f + n] in _bits.
+        strings = []
+        for (l, c), g in zip(self.words, signed.tolist()):
+            w = format(c, f"0{l}b")
+            strings += [w + "0" * g, w + "1" * g]
+        self._bits = np.frombuffer("".join(strings).encode(), dtype=np.uint8) - ord("0")
+        lengths = np.repeat(self._wire_bits, 2)
+        self._starts = np.cumsum(lengths) - lengths
+        self._strings = tab = _WireStrings(scopes, self.words, signed)
+        self._pad_bytes = -(-int(tab.lengths.max()) // 8)
+        self._scope_keys = np.arange(len(scopes), dtype=np.uint64) << np.uint64(tab.digit)
+        # Runs of coordinates in one scope, _runs[r] = (scope, length).
+        # Coordinate i is step t of run r, at _coord_slot[i] = r * _max_run + t.
+        type_scope = [next(s for s, span in enumerate(scopes) if a in span) for a in type_start]
+        coord_scope = np.array(type_scope)[family.assignment]
+        run_start = np.flatnonzero(np.diff(coord_scope, prepend=-1))
+        run_len = np.diff(run_start, append=coord_scope.size)
+        run_scope = coord_scope[run_start]
+        self._runs = list(zip(run_scope.tolist(), run_len.tolist()))
+        self._max_run = int(run_len.max())
+        self._coord_slot = np.arange(coord_scope.size) + np.repeat(
+            np.arange(run_start.size) * self._max_run - run_start, run_len)
+        # The bits a scope's runs can occupy, from a message's first payload
+        # bit: a run starts after the earlier runs' shortest strings and ends
+        # by their and its own longest.  A scope with no run gets no bits.
+        shortest = np.full(len(scopes), tab.lengths.max())
+        longest = np.zeros(len(scopes), dtype=np.int64)
+        np.minimum.at(shortest, tab.scope, tab.lengths)
+        np.maximum.at(longest, tab.scope, tab.lengths)
+        run_hi = np.cumsum(run_len * longest[run_scope])
+        run_lo = np.cumsum(run_len * shortest[run_scope]) - run_len * shortest[run_scope]
+        self._block_lo = np.full(len(scopes), run_hi[-1])
+        self._block_hi = np.full(len(scopes), -1)
+        np.minimum.at(self._block_lo, run_scope, run_lo)
+        np.maximum.at(self._block_hi, run_scope, run_hi)
 
     def flat_indices(self, norms, level_idx):
         """Flat indices of ``level_idx`` rows; a zero-norm row reads level 0.
@@ -237,7 +332,9 @@ class Codebook:
                 f"dimension {level_idx.shape[1]} != codebook dimension "
                 f"{self._coord_start.size}"
             )
-        level_idx = np.where((np.asarray(norms) == 0.0)[:, None], 0, level_idx)
+        norms = np.asarray(norms)
+        if not norms.all():
+            level_idx = np.where((norms == 0.0)[:, None], 0, level_idx)
         bad = (level_idx < 0) | (level_idx >= self._coord_size)
         if bad.any():
             k, i = np.argwhere(bad)[0]
@@ -325,58 +422,163 @@ def encode(qv, books):
 
 
 def encode_batch(norms, signs, level_idx, books):
-    """Encode quantize_batch output row by row into a list of messages."""
+    """Encode quantize_batch output into a list of messages, one per row.
+
+    Each row is one ragged gather: its 32-bit header, each coordinate's
+    signed wire string from the codebook's bit table, and zero bits up to a
+    whole byte; a zero-norm row is its bare header.  The byte-aligned rows
+    are packed in one call.
+    """
     flat = books.flat_indices(norms, level_idx)
-    rows = np.where(np.asarray(signs) < 0, books._minus[flat], books._plus[flat])
-    msgs = []
-    for norm, row in zip(np.asarray(norms).tolist(), rows):
-        if norm == 0.0:
-            msgs.append(EncodedMessage(bytes(4), 32))
-            continue
-        header = struct.unpack(">I", struct.pack(">f", norm))[0]
-        bits = format(header, "032b") + "".join(row)
-        pad = -len(bits) % 8
-        data = int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
-        msgs.append(EncodedMessage(data, len(bits)))
-    return msgs
+    norms = np.asarray(norms, dtype=np.float64)
+    if (np.abs(norms[np.isfinite(norms)]) >= 2.0**128 - 2.0**103).any():
+        raise OverflowError("norm is finite but rounds to infinity in the 32-bit header")
+    K = flat.shape[0]
+    live = norms != 0.0
+    lens = books._wire_bits[flat]
+    if not live.all():
+        lens[~live] = 0
+    nbits = 32 + lens.sum(axis=1)
+    pad = -nbits % 8
+    # The header bits and 7 padding zeros follow the table in the gather's
+    # source; a zero norm, -0.0 included, is sent as +0.0.
+    header = np.unpackbits(np.where(live, norms, 0.0).astype(">f4").view(np.uint8))
+    src = np.concatenate((books._bits, header, np.zeros(7, dtype=np.uint8)))
+    at = books._bits.size
+    starts = np.concatenate((
+        (at + 32 * np.arange(K))[:, None],
+        books._starts[2 * flat + (np.asarray(signs) < 0)],
+        np.full((K, 1), at + 32 * K),
+    ), axis=1).ravel()
+    lens = np.concatenate((np.full((K, 1), 32), lens, pad[:, None]), axis=1).ravel()
+    ends = np.cumsum(lens)
+    gather = np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if K else 0)
+    data = np.packbits(src[gather]).tobytes()
+    cuts = np.cumsum(nbits + pad).tolist()
+    return [EncodedMessage(data[a // 8:b // 8], n)
+            for a, b, n in zip([0] + cuts, cuts, nbits.tolist())]
 
 
-def _decode_core(data, books):
-    """Decode one message into (norm, level index list, sign list)."""
-    d = len(books._coord_scopes)
-    total_bits = len(data) * 8
-    if total_bits < 32:
-        raise TruncatedMessage("message shorter than the 32-bit norm header")
-    norm = struct.unpack(">f", data[:4])[0]
-    if not math.isfinite(norm) or norm < 0:
-        raise InvalidCodeword(f"norm header decodes to {norm}")
-    if norm == 0.0:
-        if total_bits != 32:
-            raise TrailingBits("zero-norm message carries payload bits")
-        return norm, [0] * d, [1] * d
-    # Zero bits past the end make every window full width.
-    bits = format(int.from_bytes(data, "big"), f"0{total_bits}b") + books._pad
-    pos = 32
-    idx = [0] * d
-    signs = [1] * d
-    for i, (width, padded, entries, lo, hi) in enumerate(books._coord_scopes):
-        if pos >= total_bits:
-            raise TruncatedMessage("bit stream ended inside a wire string")
-        # A window below every string picks entry -1; the stream cannot
-        # start with that last, largest string then, so it is rejected.
-        word, sym, sign = entries[bisect_right(padded, bits[pos:pos + width]) - 1]
-        if not bits.startswith(word, pos):
-            raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
-        pos += len(word)
-        if pos > total_bits:
-            raise TruncatedMessage("bit stream ended inside a wire string")
-        if not lo <= sym < hi:
-            raise InvalidCodeword(f"coordinate {i} got a codeword of another type")
-        idx[i] = sym - lo
-        signs[i] = sign
-    if total_bits - pos >= 8 or "1" in bits[pos:total_bits]:
-        raise TrailingBits(f"{total_bits - pos} bits past the last symbol")
-    return norm, idx, signs
+def _windows(buf, digit):
+    """The ``digit``-bit window of ``buf`` at every bit offset, as unsigned integers.
+
+    Bit p's window is bits p .. p + digit - 1, read from the big-endian
+    8-byte word at byte p // 8 shifted left by p % 8; ``buf`` ends with 8
+    zero bytes.
+    """
+    words = np.ndarray((len(buf) - 8,), dtype=">u8", buffer=buf, strides=(1,))
+    return ((words.astype(np.uint64)[:, None] << _BIT_IN_BYTE) >> np.uint64(64 - digit)).ravel()
+
+
+def _paths(books, windows, start, end):
+    """Follow each message's wire strings from bit ``start`` through every run.
+
+    Returns (x, final, bit, ok, cand, match): ``x[k, i]`` indexes the
+    position of coordinate i of message k in the searched positions, whose
+    stream bit, link validity, candidate string and match are ``bit``,
+    ``ok``, ``cand`` and ``match``; ``final`` is the bit after the last
+    coordinate.  Each scope is searched over the block of bits its runs can
+    occupy in each message, and one more block, a single position, is the
+    sink.  A position links to the bit after its string, or to the sink
+    when nothing matches or the string leaves its block.  Pointer doubling
+    follows the links: run by run for the runs' ends, then for every step of
+    every run at once, in a table of (messages x runs x longest run) entries.
+    """
+    tab = books._strings
+    scopes = books._scope_keys.size
+    lo = np.append((start[:, None] + books._block_lo).ravel(), -1)
+    hi = np.append(np.minimum(start[:, None] + books._block_hi, end[:, None]).ravel(), -1)
+    width = np.maximum(hi - lo + 1, 0)
+    off = np.cumsum(width) - width
+    sink = int(off[-1])
+    local = np.arange(sink + 1)
+    bit = np.repeat(lo - off, width) + local
+    cand, match = tab.search(windows, bit, np.repeat(np.resize(books._scope_keys, width.size), width))
+    step = local + tab.lengths.take(cand)
+    del local
+    ok = match & (step <= np.repeat(off + width - 1, width))
+    step[~ok] = sink
+    jumps = [step]
+    for _ in range(1, books._max_run.bit_length()):
+        jumps.append(jumps[-1].take(jumps[-1]))
+    lo, hi, off = (a[:-1].reshape(-1, scopes) for a in (lo, hi, off))
+    # Step t of run r of message k is y[k, r, t], every run padded to the
+    # longest: steps 2^j .. 2^(j+1) - 1 are 2^j steps after steps 0 .. 2^j - 1.
+    y = np.empty((start.size, len(books._runs), books._max_run), dtype=np.int64)
+    final = start
+    for r, (sc, n) in enumerate(books._runs):
+        inside = (final >= lo[:, sc]) & (final <= hi[:, sc])
+        x = y[:, r, 0] = np.where(inside, final - lo[:, sc] + off[:, sc], sink)
+        for j in range(n.bit_length()):
+            if n >> j & 1:
+                x = jumps[j].take(x)
+        final = bit.take(x)
+    for j in range((books._max_run - 1).bit_length()):
+        h = 1 << j
+        y[:, :, h:2 * h] = jumps[j].take(y[:, :, :min(h, books._max_run - h)])
+    return y.reshape(start.size, -1).take(books._coord_slot, axis=1), final, bit, ok, cand, match
+
+
+def _decode_rows(datas, books):
+    """Decode messages into (norms, signs, level_idx), raising the first message's error.
+
+    The messages are laid end to end, each followed by zero bytes as wide as
+    the longest wire string, so that every window is full width, and
+    ``_paths`` finds every coordinate's string in O(log d) array operations
+    over the bits.  A message fails at its first failing coordinate, checked
+    for truncation, then a codeword, then an overrun, then its type; then on
+    trailing bits.
+    """
+    K, d = len(datas), books._coord_start.size
+    norms = np.zeros(K)
+    signs = np.ones((K, d), dtype=np.int8)
+    idx = np.zeros((K, d), dtype=np.int32)
+    if not K:
+        return norms, signs, idx
+    sizes = np.array([len(x) for x in datas])
+    gap = bytes(books._pad_bytes)
+    buf = gap.join(datas) + gap + bytes(8)
+    base = 8 * (np.cumsum(sizes + len(gap)) - sizes - len(gap))
+    end = base + 8 * sizes
+    head = np.frombuffer(buf, dtype=np.uint8)[(base // 8)[:, None] + np.arange(4)]
+    norms[:] = head.view(">f4")[:, 0]
+    errors = {}
+    for k, (size, norm) in enumerate(zip(sizes.tolist(), norms.tolist())):
+        if size < 4:
+            errors[k] = TruncatedMessage("message shorter than the 32-bit norm header")
+        elif not np.isfinite(norm) or norm < 0:
+            errors[k] = InvalidCodeword(f"norm header decodes to {norm}")
+        elif norm == 0.0 and size != 4:
+            errors[k] = TrailingBits("zero-norm message carries payload bits")
+    rows = np.array([k for k in range(K) if k not in errors and norms[k] != 0.0], dtype=np.int64)
+    if rows.size:
+        tab = books._strings
+        windows = _windows(buf, tab.digit)
+        x, final, bit, ok, cand, match = _paths(books, windows, base[rows] + 32, end[rows])
+        s = cand[x]
+        level = tab.flat[s] - books._coord_start
+        good = ok[x] & (level >= 0) & (level < books._coord_size)
+        idx[rows] = level
+        signs[rows] = tab.sign[s]
+        rest = end[rows] - final
+        tail = windows[final] >> (tab.digit - np.minimum(rest, 7)).astype(np.uint64)
+        for r in np.flatnonzero(~good.all(axis=1) | (rest >= 8) | (tail > 0)).tolist():
+            k = rows[r]
+            if good[r].all():
+                errors[k] = TrailingBits(f"{rest[r]} bits past the last symbol")
+                continue
+            i = int(good[r].argmin())
+            p = int(bit[x[r, i]])
+            m = match[x[r, i]]
+            if p >= end[k] or (m and p + tab.lengths[s[r, i]] > end[k]):
+                errors[k] = TruncatedMessage("bit stream ended inside a wire string")
+            elif not m:
+                errors[k] = InvalidCodeword(f"no codeword matches bits at offset {p - base[k]}")
+            else:
+                errors[k] = InvalidCodeword(f"coordinate {i} got a codeword of another type")
+    if errors:
+        raise errors[min(errors)]
+    return norms, signs, idx
 
 
 def decode(msg, books):
@@ -387,18 +589,13 @@ def decode(msg, books):
     """
     from .quantizer import QuantizedVector
 
-    norm, idx, signs = _decode_core(msg.data, books)
-    return QuantizedVector(norm, signs, idx, books.family_id)
+    norms, signs, idx = _decode_rows([msg.data], books)
+    return QuantizedVector(norms[0], signs[0], idx[0], books.family_id)
 
 
 def decode_batch(msgs, books):
     """Decode a list of messages into (norms, signs, level_idx) arrays."""
-    rows = [_decode_core(msg.data, books) for msg in msgs]
-    return (
-        np.array([norm for norm, _, _ in rows], dtype=np.float64),
-        np.array([signs for _, _, signs in rows], dtype=np.int8),
-        np.array([idx for _, idx, _ in rows], dtype=np.int32),
-    )
+    return _decode_rows([msg.data for msg in msgs], books)
 
 
 def verify_wire(norms, signs, level_idx, books, counted_bits):

@@ -197,7 +197,7 @@ class LevelFamily:
         return self._flat
 
     def interval_table(self):
-        """(edges, offsets, tau, lo, hi): level intervals of all types in one search.
+        """(edges, offsets, tau, lo, hi, first, bucket_edges): level intervals of all types.
 
         ``edges`` is the sorted union of every type's levels.  For a
         normalized magnitude u in [0, 1] at coordinate i, the entry
@@ -207,6 +207,16 @@ class LevelFamily:
         interval.  Every level of a type is an edge, so the levels of type m
         that are <= u are exactly those <= the largest edge <= u: the lookup
         makes the same comparisons as a per-type ``searchsorted``.
+
+        A bucket index gives the same count without a search.  With B + 1 =
+        ``first.size`` (B a power of two, so u * B is exact), u lies in
+        bucket j = floor(u * B), above the ``first[j]`` edges below j / B;
+        column j of ``bucket_edges`` lists the edges in [j / B, (j + 1) / B),
+        padded with 2, and those <= u complete the count.  B is the least
+        power of two with 1 / B at most the smallest gap between edges, so
+        that a bucket holds at most one edge, but no more than 4096: a family
+        with levels closer than 1/4096 pays one comparison per edge in its
+        most crowded bucket.
         """
         if self._interval_table is None:
             values = self.flat_levels()[0]
@@ -223,9 +233,16 @@ class LevelFamily:
             flat = (self.level_starts()[0][:, None] + tau).ravel()
             lo, hi = values[flat], values[flat + 1]
             offsets = self.assignment * width
-            for arr in (edges, offsets, tau, lo, hi):
+            buckets = 1 << min(12, int(np.ceil(-np.log2(np.diff(edges).min()))))
+            bucket = (edges * buckets).astype(np.int64)
+            first = np.searchsorted(edges, np.arange(buckets + 1) / buckets)
+            rank = np.arange(edges.size) - first[bucket]
+            bucket_edges = np.full((rank.max() + 1, buckets + 1), 2.0)
+            bucket_edges[rank, bucket] = edges
+            table = (edges, offsets, tau.ravel(), lo, hi, first, bucket_edges)
+            for arr in table:
                 arr.setflags(write=False)
-            self._interval_table = (edges, offsets, tau.ravel(), lo, hi)
+            self._interval_table = table
         return self._interval_table
 
     def fingerprint(self):

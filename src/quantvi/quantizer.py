@@ -71,19 +71,27 @@ class QuantizedVector:
 
 
 def _normalized_magnitudes(V, family):
-    """q-norms and clamped normalized magnitudes for a batch of row vectors."""
+    """q-norms and normalized magnitudes, clamped to 1, for a batch of row vectors.
+
+    A NaN or infinite entry makes its row's norm non-finite, so V itself is
+    scanned only when a norm is: a finite V whose norm overflows passes.
+    """
     if family.q == 2:
         norms = np.sqrt(np.einsum("ij,ij->i", V, V))
     else:
         norms = np.linalg.norm(V, ord=family.q, axis=1)
+    if not np.isfinite(norms).all() and not np.isfinite(V).all():
+        raise NonFinite("input vector contains NaN or infinity")
     U = np.abs(V)
     with np.errstate(divide="ignore", invalid="ignore"):
         U /= norms[:, None]
     if not norms.all():
         U[norms == 0.0, :] = 0.0
-    if U.max() > 1.0 + _CLAMP_TOL:
+    top = U.max(initial=0.0)
+    if top > 1.0 + _CLAMP_TOL:
         raise OutOfRange("normalized coordinate exceeds 1 beyond rounding tolerance")
-    np.minimum(U, 1.0, out=U)  # |v_i| / ||v||_q is never negative
+    if top > 1.0:
+        np.minimum(U, 1.0, out=U)  # |v_i| / ||v||_q is never negative
     return norms, U
 
 
@@ -93,8 +101,6 @@ def _check_batch(V, family):
         raise DimensionMismatch(
             f"vector dimension {V.shape[1]} != family dimension {family.dimension}"
         )
-    if not np.isfinite(V).all():
-        raise NonFinite("input vector contains NaN or infinity")
     return V
 
 
@@ -104,8 +110,11 @@ def _intervals(U, family):
     lo <= u < hi elementwise, except u = 1, which falls in its type's last
     interval (hi = 1).
     """
-    edges, offsets, tau, lo, hi = family.interval_table()
-    k = np.searchsorted(edges, U.ravel(), side="right").reshape(U.shape)
+    _, offsets, tau, lo, hi, first, bucket_edges = family.interval_table()
+    bucket = (U * (first.size - 1)).astype(np.intp)
+    k = first.take(bucket)
+    for row in bucket_edges:
+        k += row.take(bucket) <= U
     k += offsets
     return tau[k], lo[k], hi[k]
 
@@ -141,11 +150,11 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     # A norm that underflows float32 degrades to the zero representation.
     if not norms.all():
         idx[norms == 0.0, :] = 0
-    signs = np.where(V < 0, -1, 1).astype(np.int8)
-    # Coordinates rounded to level 0 carry no sign on the wire; normalize
-    # them to +1 so decode(encode(q)) reproduces q exactly.
-    signs[idx == 0] = 1
-    return norms, signs, idx
+    # Coordinates rounded to level 0 carry no sign on the wire; they get +1
+    # so that decode(encode(q)) reproduces q exactly.
+    negative = V < 0
+    negative &= idx != 0
+    return norms, 1 - 2 * negative.view(np.int8), idx
 
 
 def quantize_vector(v, family, rng=None, uniforms=None):

@@ -4,9 +4,14 @@ Not a test module: pytest collects only ``test_*.py``, and test modules
 import this one by name from the ``tests`` directory.
 """
 
+import math
+import struct
+from bisect import bisect_right
+
 import numpy as np
 
-from quantvi.quantizer import OutOfRange
+from quantvi.codec import InvalidCodeword, TrailingBits, TruncatedMessage
+from quantvi.quantizer import DimensionMismatch, NonFinite, OutOfRange
 
 _CLAMP_TOL = 1e-12
 
@@ -45,3 +50,135 @@ def factored_skew_split(rng, B, K, r, norm):
     node_B -= node_B.mean(axis=0)
     node_B += B
     return node_B
+
+
+def quantize_batch(V, family, rng=None, uniforms=None):
+    """``quantizer.quantize_batch`` as it was before its passes were trimmed.
+
+    Scans V for non-finite values up front, clamps every magnitude, finds
+    each magnitude's interval with ``np.searchsorted`` and builds the signs
+    through an int64 ``np.where``.
+    """
+    if rng is None and uniforms is None:
+        raise ValueError("quantizing needs rng or uniforms; both are None")
+    V = np.atleast_2d(np.asarray(V, dtype=np.float64))
+    if V.shape[1] != family.dimension:
+        raise DimensionMismatch(
+            f"vector dimension {V.shape[1]} != family dimension {family.dimension}"
+        )
+    if not np.isfinite(V).all():
+        raise NonFinite("input vector contains NaN or infinity")
+    n, d = V.shape
+    if family.q == 2:
+        norms64 = np.sqrt(np.einsum("ij,ij->i", V, V))
+    else:
+        norms64 = np.linalg.norm(V, ord=family.q, axis=1)
+    U = np.abs(V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        U /= norms64[:, None]
+    if not norms64.all():
+        U[norms64 == 0.0, :] = 0.0
+    if U.max() > 1.0 + _CLAMP_TOL:
+        raise OutOfRange("normalized coordinate exceeds 1 beyond rounding tolerance")
+    np.minimum(U, 1.0, out=U)
+    if not (norms64 < 2.0**128 - 2.0**103).all():
+        raise NonFinite("vector norm overflows the 32-bit wire format")
+    norms = norms64.astype(np.float32).astype(np.float64)
+    if uniforms is None:
+        uniforms = rng.random((n, d))
+    else:
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        if uniforms.shape != (n, d):
+            raise DimensionMismatch("uniforms must have one variate per coordinate")
+    edges, offsets, tau, lo, hi = family.interval_table()[:5]
+    k = np.searchsorted(edges, U.ravel(), side="right").reshape(U.shape) + offsets
+    tau, lo, hi = tau[k], lo[k], hi[k]
+    idx = tau + (uniforms < (U - lo) / (hi - lo))
+    if not norms.all():
+        idx[norms == 0.0, :] = 0
+    signs = np.where(V < 0, -1, 1).astype(np.int8)
+    signs[idx == 0] = 1
+    return norms, signs, idx
+
+
+def _wire_strings(books):
+    """Each flat index's (plus, minus) wire strings as strings of "0" and "1"."""
+    # A flat index carries a sign bit when its wire string outgrows its codeword.
+    signed = (books._wire_bits - [length for length, _ in books.words]).tolist()
+    words = [format(code, f"0{length}b") for length, code in books.words]
+    return [(w + "0" * g, w + "1" * g) for w, g in zip(words, signed)]
+
+
+def encode_batch(norms, signs, level_idx, books):
+    """Messages as (bytes, nbits), built as strings of "0" and "1" row by row."""
+    flat = books.flat_indices(norms, level_idx)
+    strings = _wire_strings(books)
+    out = []
+    for norm, row, sgn in zip(np.asarray(norms).tolist(), flat.tolist(),
+                              np.asarray(signs).tolist()):
+        if norm == 0.0:
+            out.append((bytes(4), 32))
+            continue
+        header = struct.unpack(">I", struct.pack(">f", norm))[0]
+        bits = format(header, "032b") + "".join(
+            strings[f][s < 0] for f, s in zip(row, sgn))
+        pad = -len(bits) % 8
+        out.append((int(bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big"),
+                    len(bits)))
+    return out
+
+
+def decode_message(data, books):
+    """Decode one message coordinate by coordinate: (norm, level index list, sign list).
+
+    Each scope's wire strings, zero-padded to its longest, are sorted; the
+    only string that can begin a window of the stream is the last one whose
+    padded string is <= the window, found by bisection.
+    """
+    strings = _wire_strings(books)
+    scopes = []
+    tab = books._strings
+    for sc in range(tab.scope.max() + 1):
+        span = sorted(set(tab.flat[tab.scope == sc].tolist()))
+        table = {strings[f][1]: (f, -1) for f in span} | {strings[f][0]: (f, 1) for f in span}
+        width = max(map(len, table))
+        rows = sorted((w.ljust(width, "0"), w, f, g) for w, (f, g) in table.items())
+        scopes.append((span, width, [r[0] for r in rows], [r[1:] for r in rows]))
+    coord = []
+    for start, size in zip(books._coord_start.tolist(), books._coord_size.tolist()):
+        span, width, padded, entries = next(sc for sc in scopes if start in sc[0])
+        coord.append((width, padded, entries, start, start + size))
+    d = len(coord)
+    total_bits = len(data) * 8
+    if total_bits < 32:
+        raise TruncatedMessage("message shorter than the 32-bit norm header")
+    norm = struct.unpack(">f", data[:4])[0]
+    if not math.isfinite(norm) or norm < 0:
+        raise InvalidCodeword(f"norm header decodes to {norm}")
+    if norm == 0.0:
+        if total_bits != 32:
+            raise TrailingBits("zero-norm message carries payload bits")
+        return norm, [0] * d, [1] * d
+    bits = (format(int.from_bytes(data, "big"), f"0{total_bits}b")
+            + "0" * max(sc[1] for sc in scopes))
+    pos = 32
+    idx = [0] * d
+    signs = [1] * d
+    for i, (width, padded, entries, lo, hi) in enumerate(coord):
+        if pos >= total_bits:
+            raise TruncatedMessage("bit stream ended inside a wire string")
+        # A window below every string picks entry -1; the stream cannot
+        # start with that last, largest string then, so it is rejected.
+        word, sym, sign = entries[bisect_right(padded, bits[pos:pos + width]) - 1]
+        if not bits.startswith(word, pos):
+            raise InvalidCodeword(f"no codeword matches bits at offset {pos}")
+        pos += len(word)
+        if pos > total_bits:
+            raise TruncatedMessage("bit stream ended inside a wire string")
+        if not lo <= sym < hi:
+            raise InvalidCodeword(f"coordinate {i} got a codeword of another type")
+        idx[i] = sym - lo
+        signs[i] = sign
+    if total_bits - pos >= 8 or "1" in bits[pos:total_bits]:
+        raise TrailingBits(f"{total_bits - pos} bits past the last symbol")
+    return norm, idx, signs

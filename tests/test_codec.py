@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,8 +29,9 @@ from quantvi.codec import (
     validate_histogram,
 )
 from quantvi.adapt import estimate_level_probs
-from quantvi.levels import LevelFamily, LevelSequence
+from quantvi.levels import LevelFamily, LevelSequence, assignment_from_layer_sizes
 from quantvi.quantizer import QuantizedVector, quantize_batch, quantize_vector
+import reference
 
 
 def _bits(length, code):
@@ -44,7 +46,9 @@ def _message_bits(books, norms, level_idx):
 def _kraft_sums(books):
     """Kraft sum per decoding scope (per type for main, global otherwise)."""
     # Summed exactly: a codeword's two signed strings add up to its term.
-    return [math.fsum(2.0 ** -len(w) for w, _, _ in sc.entries) for sc in books._scopes]
+    tab = books._strings
+    return [math.fsum(2.0 ** -tab.lengths[tab.scope == s].astype(float))
+            for s in range(tab.scope.max() + 1)]
 
 
 def test_elias_omega_frozen_values():
@@ -218,6 +222,16 @@ def test_encode_rejects_mismatched_family():
     qv = QuantizedVector(1.0, [1, 1], [0, 0], other.fingerprint())
     with pytest.raises(ValueError):
         encode(qv, books)
+
+
+def test_encode_rejects_a_norm_beyond_float32():
+    fam = _fam_single()
+    books = build_codebook(fam, _hist_for(fam))
+    with pytest.raises(OverflowError):
+        encode(QuantizedVector(1e39, [1, 1], [1, 1], fam.fingerprint()), books)
+    largest = float(np.finfo(np.float32).max)
+    qv = QuantizedVector(largest, [1, 1], [1, 1], fam.fingerprint())
+    assert decode(encode(qv, books), books) == qv
 
 
 def test_roundtrip_random_vectors_all_modes():
@@ -414,7 +428,7 @@ def test_kraft_sums_count_codewords_not_wire_strings(protocol, scheme):
     if protocol == "alternating":
         kraft = [sum(kraft)]
     assert _kraft_sums(books) == kraft
-    strings = sum(len(scope.entries) for scope in books._scopes)
+    strings = books._strings.lengths.size
     assert strings == 2 * len(books.words) - fam.num_types
 
 
@@ -445,15 +459,29 @@ def test_roundtrip_with_long_codewords(protocol, n):
         decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24), books)
 
 
-def test_building_a_book_with_20_bit_codewords_stays_small():
-    fam, hist = _halving_hist(21)
+def _traced_peak(f):
+    """(f(), the peak bytes tracemalloc saw while f ran)."""
     tracemalloc.start()
     try:
-        books = build_codebook(fam, hist)
+        out = f()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak
+
+
+def test_building_a_book_with_20_bit_codewords_stays_small():
+    fam, hist = _halving_hist(21)
+    books, peak = _traced_peak(lambda: build_codebook(fam, hist))
     assert max(l for l, _ in books.words) == 20
+    assert peak < 1 << 20
+
+
+def test_building_a_book_with_80_bit_codewords_stays_small():
+    # Wire strings of 81 bits take two 57-bit digits in the decoder's table.
+    fam, hist = _halving_hist(81)
+    books, peak = _traced_peak(lambda: build_codebook(fam, hist))
+    assert max(l for l, _ in books.words) == 80
     assert peak < 1 << 20
 
 
@@ -576,3 +604,148 @@ def test_measured_bits_respect_bound():
             qv = QuantizedVector(1.0, signs, idx, fam.fingerprint())
             total += encode(qv, books).nbits
         assert total / n <= code_length_bound(rows, fam, protocol)
+
+
+def test_empty_batch_goes_through_the_wire():
+    fam = _fam_scattered()
+    books = build_codebook(fam, scheme="elias")
+    norms, signs, idx = quantize_batch(np.zeros((0, 9)), fam, rng=np.random.default_rng(0))
+    assert encode_batch(norms, signs, idx, books) == []
+    got = decode_batch([], books)
+    assert [(a.shape, a.dtype) for a in got] == [
+        ((0,), np.float64), ((0, 9), np.int8), ((0, 9), np.int32)]
+    codec.verify_wire(norms, signs, idx, books, 0)
+
+
+def _draw_book(data):
+    """A codebook over a drawn family: random (contiguous or scattered, 1-4
+    types), ``_fam_scattered`` or a halving book with 23- or 79-bit codewords."""
+    protocol = data.draw(st.sampled_from(["main", "alternating"]))
+    scheme = data.draw(st.sampled_from(["huffman", "elias"]))
+    kind = data.draw(st.sampled_from(["contiguous", "scattered", "fixed", "halving"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "halving":
+        fam, hist = _halving_hist(data.draw(st.sampled_from([24, 80])))
+    else:
+        if kind == "fixed":
+            fam = _fam_scattered()
+        else:
+            M = data.draw(st.integers(1, 4))
+            seqs = [LevelSequence(np.concatenate(([0.0], np.sort(rng.random(a)), [1.0])))
+                    for a in rng.integers(0, 7, M)]
+            assign = rng.integers(0, M, data.draw(st.integers(1, 12)))
+            fam = LevelFamily(seqs, np.sort(assign) if kind == "contiguous" else assign)
+        hist = [rng.dirichlet(np.full(s.alpha + 2, 0.3)) for s in fam.sequences]
+    return build_codebook(fam, hist, protocol, scheme), fam, rng
+
+
+def _random_rows(fam, rng):
+    """Rows at every level of every type, with zero, tiny and huge norms."""
+    K = int(rng.integers(1, 5))
+    size = fam.flat_levels()[2]
+    idx = (rng.random((K, size.size)) * size).astype(np.int32)
+    signs = np.where((idx > 0) & (rng.random(idx.shape) < 0.5), -1, 1).astype(np.int8)
+    norms = rng.choice([0.0, 1e-45, 1.0, 3e38], K) * rng.random(K)
+    norms = norms.astype(np.float32).astype(np.float64)
+    # A zero-norm row is sent as its bare header: level 0 and sign +1.
+    idx[norms == 0.0] = 0
+    signs[norms == 0.0] = 1
+    return norms, signs, idx
+
+
+def _outcome(f):
+    """f()'s result, or the class of the exception it raised."""
+    try:
+        return f()
+    except (TruncatedMessage, InvalidCodeword, TrailingBits) as err:
+        return type(err)
+
+
+def _corrupted(data, nbits, rng):
+    """The message truncated, bit-flipped, byte-appended and with dirty padding."""
+    flip = bytearray(data)
+    bit = int(rng.integers(0, 8 * len(data)))
+    flip[bit // 8] ^= 0x80 >> bit % 8
+    out = [data[:int(rng.integers(0, len(data)))], bytes(flip),
+           data + bytes([int(rng.integers(0, 256))])]
+    if nbits % 8:
+        out.append(data[:-1] + bytes([data[-1] | 1 << int(rng.integers(0, -nbits % 8))]))
+    return out
+
+
+def _reference_decode(data, books):
+    norm, idx, signs = reference.decode_message(data, books)
+    return norm, list(signs), list(idx)
+
+
+def _decode(data, books):
+    qv = decode(codec.EncodedMessage(data, 0), books)
+    return qv.norm, qv.signs.tolist(), qv.level_idx.tolist()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_wire_matches_the_per_coordinate_reference(data):
+    books, fam, rng = _draw_book(data)
+    norms, signs, idx = _random_rows(fam, rng)
+    msgs = encode_batch(norms, signs, idx, books)
+    assert [(m.data, m.nbits) for m in msgs] == reference.encode_batch(norms, signs, idx, books)
+    got = decode_batch(msgs, books)
+    for a, b in zip(got, (norms, signs, idx)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    corrupt = [_corrupted(m.data, m.nbits, rng) for m in msgs]
+    for bad in corrupt:
+        for msg in bad:
+            assert _outcome(lambda: _decode(msg, books)) == _outcome(
+                lambda: _reference_decode(msg, books))
+    # A batch raises the error of its first failing message.
+    batch = [bad[int(rng.integers(0, len(bad)))] for bad in corrupt]
+    first = next((r for r in (_outcome(lambda: _reference_decode(msg, books)) for msg in batch)
+                  if isinstance(r, type)), None)
+    got = _outcome(lambda: decode_batch([codec.EncodedMessage(x, 0) for x in batch], books))
+    assert got == first if first else isinstance(got, tuple)
+
+
+def _python_calls(f):
+    """Python and C function calls made while f runs."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _layered(d, protocol, scheme):
+    """A K = 4 batch and its book for four contiguous types of d / 4 coordinates."""
+    sizes = [d // 4] * 3 + [d - 3 * (d // 4)]
+    fam = LevelFamily([LevelSequence(np.linspace(0.0, 1.0, a + 2)) for a in (2, 3, 5, 7)],
+                      assignment_from_layer_sizes(sizes))
+    books = build_codebook(fam, _hist_for(fam), protocol, scheme)
+    rng = np.random.default_rng(0)
+    return quantize_batch(rng.standard_normal((4, d)), fam, rng=rng), books
+
+
+@pytest.mark.parametrize("protocol, scheme", [("main", "huffman"), ("alternating", "elias")])
+def test_wire_calls_do_not_grow_with_the_dimension(protocol, scheme):
+    calls = []
+    for d in (250, 4000):
+        rows, books = _layered(d, protocol, scheme)
+        msgs = encode_batch(*rows, books)
+        calls.append(_python_calls(lambda: (encode_batch(*rows, books),
+                                            decode_batch(msgs, books))))
+    assert calls[1] <= 2 * calls[0]
+
+
+def test_verify_wire_stays_small():
+    rows, books = _layered(1000, "alternating", "elias")
+    bits = int(_message_bits(books, rows[0], rows[2]).sum())
+    codec.verify_wire(*rows, books, bits)
+    _, peak = _traced_peak(lambda: codec.verify_wire(*rows, books, bits))
+    assert peak < 2 << 20

@@ -19,6 +19,7 @@ from quantvi.quantizer import (
     quantize_batch,
     quantize_vector,
 )
+import reference
 from reference import locate_level
 
 
@@ -294,3 +295,77 @@ def test_reconstruction_lands_on_adjacent_levels(case):
         assert abs(back[i]) in allowed
         if back[i] != 0.0:
             assert np.sign(back[i]) == np.sign(v[i])
+
+
+def test_quantize_empty_batch():
+    norms, signs, idx = quantize_batch(np.zeros((0, 3)), _fam(d=3), rng=np.random.default_rng(0))
+    assert [(a.shape, a.dtype) for a in (norms, signs, idx)] == [
+        ((0,), np.float64), ((0, 3), np.int8), ((0, 3), np.int32)]
+
+
+def _draw_rows(data, fam, rng):
+    """Gaussian rows at several scales, with zero rows, rows whose norm underflows
+    float32, one-spike rows (u = 1), rows of eighths (on dyadic level edges
+    when q = 1) and, rarely, non-finite or overflowing rows."""
+    d = fam.dimension
+    kinds = data.draw(st.lists(st.sampled_from(
+        ["gauss", "zero", "underflow", "spike", "eighths", "nan", "inf", "overflow"]),
+        min_size=1, max_size=5))
+    rows = []
+    for kind in kinds:
+        v = rng.standard_normal(d) * rng.choice([1e-3, 1.0, 1e3])
+        if kind == "zero":
+            v[:] = 0.0
+        elif kind == "underflow":
+            v *= 1e-300
+        elif kind == "spike":
+            v = np.zeros(d)
+            v[rng.integers(d)] = rng.choice([-3.0, 7.5])
+        elif kind == "eighths":
+            v = rng.multinomial(8, np.full(d, 1.0 / d)) * rng.choice([-1.0, 1.0], d)
+        elif kind in ("nan", "inf"):
+            v[rng.integers(d)] = np.nan if kind == "nan" else -np.inf
+        elif kind == "overflow":
+            v[0] = 1e39
+        rows.append(v)
+    return np.array(rows)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_quantize_matches_the_reference(data):
+    # Same outputs, dtypes included, or the same exception class.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    M = data.draw(st.integers(1, 4))
+    seqs = []
+    for a in rng.integers(0, 6, M):
+        # Eighths, random levels, or halving levels down to 2^-20: closer than
+        # the bucket index's finest buckets, so several edges share one.
+        kind = data.draw(st.sampled_from(["eighths", "random", "halving"]))
+        if kind == "eighths":
+            inner = np.sort(rng.choice(np.arange(1, 8), a, replace=False)) / 8.0
+        elif kind == "random":
+            inner = np.sort(rng.random(a))
+        else:
+            inner = 2.0 ** -np.arange(4 * a, 0, -1)
+        seqs.append(LevelSequence(np.concatenate(([0.0], inner, [1.0]))))
+    assign = rng.integers(0, M, data.draw(st.integers(1, 10)))
+    if data.draw(st.booleans()):
+        assign = np.sort(assign)
+    fam = LevelFamily(seqs, assign, q=data.draw(st.sampled_from([1, 2, 3])))
+    V = _draw_rows(data, fam, rng)
+    U = rng.random(V.shape)
+    U[rng.random(V.shape) < 0.2] = 0.0
+
+    def outcome(quantize):
+        try:
+            return quantize(V, fam, uniforms=U)
+        except (NonFinite, OutOfRange) as err:
+            return type(err)
+
+    got, want = outcome(quantize_batch), outcome(reference.quantize_batch)
+    if isinstance(want, type):
+        assert got is want
+    else:
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
