@@ -11,11 +11,14 @@ variance  integral(sigma_Q^2(u; l) dF(u))  by an exact dynamic program over
 a uniform grid of G + 1 candidate positions.  The interval cost c(i, j) of
 two consecutive levels at grid points i < j satisfies the quadrangle
 (Monge) inequality, so the leftmost optimal predecessor of a grid point is
-non-decreasing in the point.  Each DP layer is therefore found by divide and
-conquer over the grid points, with every cost computed on the fly from
-prefix moments: O(alpha G log G) time for alpha interior levels (Wu 1991,
-"Optimal quantization by matrix searching"), and O(alpha G) memory for the
-predecessor table that the backtrack reads.
+non-decreasing in the point (Wu 1991, "Optimal quantization by matrix
+searching").  Of the alpha + 1 DP layers for alpha interior levels, the
+first has a closed form, the alpha - 1 middle ones are found by divide and
+conquer over the grid points with every cost computed on the fly from
+prefix moments, and of the last only the predecessor of the endpoint is
+needed, found by replaying the one chain of the divide and conquer that
+reaches it.  That takes O((alpha - 1) G log G + G) time, and O((alpha - 1) G)
+memory for the predecessor table that the backtrack reads.
 
 Every distribution object has one method, ``moments_below(x)``: the
 (mass, first moment, second moment) of F restricted to [0, x).  ``x`` may be
@@ -292,14 +295,22 @@ def optimize_levels(cdf, alpha, grid=512):
     at grid points i < j.  The returned sequence is the exact minimizer among
     all grid-restricted sequences with the given budget.
 
-    Each of the alpha + 1 layers is a row-minimum search over the
-    (G+1) x (G+1) matrix fprev[i] + c(i, j), done by divide and conquer
-    (``_layer_min``) without building the matrix: O(alpha G log G) time.
-    The alpha + 1 layers' predecessor arrays of G + 1 indices are kept for
-    the backtrack, so memory is O(alpha G).  Among equal-cost predecessors the leftmost is kept, as a
-    dense argmin over each column would.  When the budget covers every
-    interior support point of a step CDF, many placements cost zero and
-    rounding decides which of them is returned.
+    Layer k is a column-minimum search over the (G+1) x (G+1) matrix
+    fprev[i] + c(i, j), and only the layers the backtrack reads are run in
+    full.  The first layer has one finite row, i = 0, so it is c(0, j) in
+    closed form with predecessor 0.  The alpha - 1 middle layers are found
+    by divide and conquer (``_layer_min``) without building the matrix.  Of
+    the last layer the backtrack reads only the predecessor of G, which
+    ``_last_parent`` finds by replaying the divide and conquer's chain of
+    segments that contain G: about log2 G scans.  Time is
+    O((alpha - 1) G log G + G), and the alpha - 1 predecessor arrays of G + 1
+    indices kept for the backtrack take O((alpha - 1) G) memory.
+
+    Among equal-cost predecessors the leftmost is kept, as a dense argmin
+    over each column would.  When the budget covers every interior support
+    point of a step CDF, many placements cost zero and rounding decides
+    which of them is returned; the chain replay keeps the full divide and
+    conquer's choice there.
     """
     alpha = int(alpha)
     grid = int(grid)
@@ -311,20 +322,49 @@ def optimize_levels(cdf, alpha, grid=512):
         raise BudgetTooLarge(f"{alpha} interior levels need a grid of > {alpha} points")
 
     xs = np.arange(grid + 1) / grid
+    if alpha == 0:
+        return LevelSequence(xs[[0, grid]])
     prefix = np.asarray(cdf.moments_below(xs), dtype=np.float64).T.copy()  # rows b0, b1, b2
 
+    # Layer 0: fprev is 0 at i = 0 and inf elsewhere, so each column's
+    # minimum is 0 + c(0, j), in _layer_min's own expression.
+    b0, b1, b2 = prefix
     fprev = np.full(grid + 1, np.inf)
-    fprev[0] = 0.0
+    fprev[1:] = 0.0 + (-(b2[1:] - b2[0]) + (xs[0] + xs[1:]) * (b1[1:] - b1[0])
+                       - (xs[0] * xs[1:]) * (b0[1:] - b0[0]))
     parents = []
-    for layer in range(alpha + 1):
+    for layer in range(1, alpha):
         fprev, par = _layer_min(fprev, layer, xs, prefix)
         parents.append(par)
 
-    positions = [grid]
+    positions = [grid, _last_parent(fprev, alpha, xs, prefix)]
     for par in reversed(parents):
         positions.append(int(par[positions[-1]]))
-    positions.reverse()
-    return LevelSequence(xs[positions])
+    positions.append(0)
+    return LevelSequence(xs[positions[::-1]])
+
+
+def _last_parent(fprev, first, xs, prefix):
+    """``_layer_min(fprev, first, xs, prefix)[1][-1]``, from one chain of segments.
+
+    ``_layer_min`` splits the columns [first + 1, G] at their middle column
+    m and finds opt(m) over rows ilo..min(ihi, m - 1); the segment holding G
+    is always the right half, [m + 1, G] over rows [opt(m), ihi].  Following
+    only that segment until m = G scans the same rows with the same
+    expression, so it gives the same leftmost minimizer.
+    """
+    b0, b1, b2 = prefix
+    n = fprev.size
+    jlo, ilo = first + 1, first
+    while True:
+        m = (jlo + n - 1) // 2
+        i = slice(ilo, min(n - 2, m - 1) + 1)
+        vals = fprev[i] + (-(b2[m] - b2[i]) + (xs[i] + xs[m]) * (b1[m] - b1[i])
+                           - (xs[i] * xs[m]) * (b0[m] - b0[i]))
+        ilo += int(vals.argmin())
+        if m == n - 1:
+            return ilo
+        jlo = m + 1
 
 
 def _layer_min(fprev, first, xs, prefix):

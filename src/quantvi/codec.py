@@ -357,6 +357,15 @@ class Codebook:
             bits[norms == 0.0] = 0
         return bits + 32
 
+    def batch_bits(self, norms, flat):
+        """``flat_message_bits(norms, flat).sum()`` as an int: a whole broadcast's bits.
+
+        With no zero norm in the batch this is one gather and one sum.
+        """
+        if 0.0 in norms.tolist():
+            return int(self.flat_message_bits(norms, flat).sum())
+        return 32 * flat.shape[0] + int(np.add.reduce(self._wire_bits.take(flat), axis=None))
+
 
 def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFFMAN):
     """Construct the codebook for a family under a protocol and scheme.
@@ -541,7 +550,10 @@ def _decode_rows(datas, books):
     base = 8 * (np.cumsum(sizes + len(gap)) - sizes - len(gap))
     end = base + 8 * sizes
     head = np.frombuffer(buf, dtype=np.uint8)[(base // 8)[:, None] + np.arange(4)]
-    norms[:] = head.view(">f4")[:, 0]
+    # A signalling-NaN header would raise the "invalid" flag as it widens;
+    # it is rejected below like any NaN.
+    with np.errstate(invalid="ignore"):
+        norms[:] = head.view(">f4")[:, 0]
     errors = {}
     for k, (size, norm) in enumerate(zip(sizes.tolist(), norms.tolist())):
         if size < 4:

@@ -197,16 +197,17 @@ class LevelFamily:
         return self._flat
 
     def interval_table(self):
-        """(edges, offsets, tau, lo, hi, first, bucket_edges): level intervals of all types.
+        """(edges, offsets, tau, lo, hi, width, first, bucket_edges): every type's intervals.
 
         ``edges`` is the sorted union of every type's levels.  For a
         normalized magnitude u in [0, 1] at coordinate i, the entry
         k = offsets[i] + searchsorted(edges, u, side="right") gives the
         interval index ``tau[k]`` of u in its type's sequence and the
         bracketing levels ``lo[k]`` <= u < ``hi[k]``; u = 1 falls in the last
-        interval.  Every level of a type is an edge, so the levels of type m
-        that are <= u are exactly those <= the largest edge <= u: the lookup
-        makes the same comparisons as a per-type ``searchsorted``.
+        interval.  ``width[k]`` is ``hi[k] - lo[k]``, bit for bit.  Every
+        level of a type is an edge, so the levels of type m that are <= u
+        are exactly those <= the largest edge <= u: the lookup makes the
+        same comparisons as a per-type ``searchsorted``.
 
         A bucket index gives the same count without a search.  With B + 1 =
         ``first.size`` (B a power of two, so u * B is exact), u lies in
@@ -239,7 +240,7 @@ class LevelFamily:
             rank = np.arange(edges.size) - first[bucket]
             bucket_edges = np.full((rank.max() + 1, buckets + 1), 2.0)
             bucket_edges[rank, bucket] = edges
-            table = (edges, offsets, tau.ravel(), lo, hi, first, bucket_edges)
+            table = (edges, offsets, tau.ravel(), lo, hi, hi - lo, first, bucket_edges)
             for arr in table:
                 arr.setflags(write=False)
             self._interval_table = table

@@ -32,6 +32,10 @@ class IndexOutOfRange(ValueError):
 
 
 _CLAMP_TOL = 1e-12
+# float32 rounds every value from 2^128 - 2^103 up to infinity; it keeps
+# every value from its least subnormal 2^-149 on nonzero.
+_F32_HUGE = 2.0**128 - 2.0**103
+_F32_TINY = 2.0**-149
 
 
 class QuantizedVector:
@@ -71,28 +75,34 @@ class QuantizedVector:
 
 
 def _normalized_magnitudes(V, family):
-    """q-norms and normalized magnitudes, clamped to 1, for a batch of row vectors.
+    """(norms, U, regular): q-norms and normalized magnitudes, clamped to 1, of row vectors.
 
-    A NaN or infinite entry makes its row's norm non-finite, so V itself is
-    scanned only when a norm is: a finite V whose norm overflows passes.
+    ``regular`` says that every norm is finite and nonzero, and stays
+    nonzero and finite in float32.  One Python-level pass over the n norms
+    decides it; only when it is False are zero rows fixed up and V scanned:
+    a NaN or infinite entry makes its row's norm non-finite, so a finite V
+    whose norm overflows passes.
     """
     if family.q == 2:
         norms = np.sqrt(np.einsum("ij,ij->i", V, V))
     else:
         norms = np.linalg.norm(V, ord=family.q, axis=1)
-    if not np.isfinite(norms).all() and not np.isfinite(V).all():
+    regular = all(_F32_TINY <= x < _F32_HUGE for x in norms.tolist())
+    if not regular and not np.isfinite(norms).all() and not np.isfinite(V).all():
         raise NonFinite("input vector contains NaN or infinity")
     U = np.abs(V)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if regular:
         U /= norms[:, None]
-    if not norms.all():
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            U /= norms[:, None]
         U[norms == 0.0, :] = 0.0
-    top = U.max(initial=0.0)
+    top = np.maximum.reduce(U, axis=None, initial=0.0)
     if top > 1.0 + _CLAMP_TOL:
         raise OutOfRange("normalized coordinate exceeds 1 beyond rounding tolerance")
     if top > 1.0:
         np.minimum(U, 1.0, out=U)  # |v_i| / ||v||_q is never negative
-    return norms, U
+    return norms, U, regular
 
 
 def _check_batch(V, family):
@@ -104,37 +114,45 @@ def _check_batch(V, family):
     return V
 
 
-def _intervals(U, family):
-    """(tau, lo, hi): each magnitude's level interval and its bracketing levels.
+def _entries(U, family):
+    """Each magnitude's entry k in ``family.interval_table()``: its level interval.
 
-    lo <= u < hi elementwise, except u = 1, which falls in its type's last
-    interval (hi = 1).
+    The table's tau[k], lo[k] and hi[k] give the interval and its bracketing
+    levels, lo <= u < hi elementwise, except u = 1, which falls in its
+    type's last interval (hi = 1).
     """
-    _, offsets, tau, lo, hi, first, bucket_edges = family.interval_table()
+    table = family.interval_table()
+    offsets, first, bucket_edges = table[1], table[-2], table[-1]
     bucket = (U * (first.size - 1)).astype(np.intp)
     k = first.take(bucket)
     for row in bucket_edges:
         k += row.take(bucket) <= U
     k += offsets
-    return tau[k], lo[k], hi[k]
+    return k
 
 
 def quantize_batch(V, family, rng=None, uniforms=None):
     """Quantize a batch of row vectors in one vectorized pass.
 
     Returns plain arrays (norms, signs, level_idx) with shapes (n,), (n, d),
-    (n, d).  Norms are rounded to 32-bit floats, matching the wire format.
-    ``uniforms`` may supply pre-drawn U(0,1) variates of shape (n, d) for
-    callers that manage their own random streams (one per node, say);
-    otherwise they are drawn from ``rng``.  One of the two must be given.
+    (n, d) and dtypes float64, int8, int32.  Norms are rounded to 32-bit
+    floats, matching the wire format.  ``uniforms`` may supply pre-drawn
+    U(0,1) variates of shape (n, d) for callers that manage their own random
+    streams (one per node, say); otherwise they are drawn from ``rng``.  One
+    of the two must be given.
+
+    The n norms are checked once, in Python: the zero-row fix-ups and the
+    scans for NaN, infinity and float32 overflow run only when some norm is
+    zero, not finite or outside float32's range.  Each magnitude's interval
+    comes from ``LevelFamily.interval_table`` by a bucket index, and its
+    rounding probability is computed in the magnitudes' own array.
     """
     if rng is None and uniforms is None:
         raise ValueError("quantizing needs rng or uniforms; both are None")
     V = _check_batch(V, family)
     n, d = V.shape
-    norms64, U = _normalized_magnitudes(V, family)
-    # float32 rounds every value from 2^128 - 2^103 up to infinity.
-    if not (norms64 < 2.0**128 - 2.0**103).all():
+    norms64, U, regular = _normalized_magnitudes(V, family)
+    if not regular and not (norms64 < _F32_HUGE).all():
         raise NonFinite("vector norm overflows the 32-bit wire format")
     norms = norms64.astype(np.float32).astype(np.float64)
     if uniforms is None:
@@ -144,17 +162,25 @@ def quantize_batch(V, family, rng=None, uniforms=None):
         if uniforms.shape != (n, d):
             raise DimensionMismatch("uniforms must have one variate per coordinate")
 
-    tau, lo, hi = _intervals(U, family)
-    idx = tau + (uniforms < (U - lo) / (hi - lo))
+    # Round up with probability (u - lo) / (hi - lo), computed in U's place.
+    _, _, tau, lo, _, width, _, _ = family.interval_table()
+    k = _entries(U, family)
+    U -= lo.take(k)
+    U /= width.take(k)
+    idx = tau.take(k)
+    idx += uniforms < U
 
     # A norm that underflows float32 degrades to the zero representation.
-    if not norms.all():
+    if not regular:
         idx[norms == 0.0, :] = 0
     # Coordinates rounded to level 0 carry no sign on the wire; they get +1
     # so that decode(encode(q)) reproduces q exactly.
     negative = V < 0
     negative &= idx != 0
-    return norms, 1 - 2 * negative.view(np.int8), idx
+    signs = negative.view(np.int8)
+    signs *= -2
+    signs += 1
+    return norms, signs, idx
 
 
 def quantize_vector(v, family, rng=None, uniforms=None):
@@ -169,7 +195,7 @@ def quantize_vector(v, family, rng=None, uniforms=None):
 
 def reconstruct_flat(norms, signs, flat, values):
     """``dequantize_batch`` at flat indices into ``flat_levels`` values, unchecked."""
-    return norms[:, None] * signs * values[flat]
+    return norms[:, None] * signs * values.take(flat)
 
 
 def dequantize_batch(norms, signs, level_idx, family):
@@ -202,8 +228,9 @@ def exact_quantization_variance(v, family):
     V = _check_batch(v, family)
     if V.shape[0] != 1:
         raise DimensionMismatch("expected a single vector")
-    norms, U = _normalized_magnitudes(V, family)
+    norms, U, _ = _normalized_magnitudes(V, family)
     if norms[0] == 0.0:
         return 0.0
-    _, lo, hi = _intervals(U, family)
-    return float(norms[0] ** 2 * np.sum((hi - U) * (U - lo)))
+    k = _entries(U, family)
+    lo, hi = family.interval_table()[3:5]
+    return float(norms[0] ** 2 * np.sum((hi[k] - U) * (U - lo[k])))

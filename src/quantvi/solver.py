@@ -69,7 +69,9 @@ class SolverState:
     over completed iterations s; ``s_norm`` the same for plain squared norms
     and ``s_move`` for ||X_s - X_{s+1}||^2.  The ``*_last`` fields hold the
     most recent term of each sum so the alternative schedule can read the
-    sums lagged by one completed iteration.  ``at_checkpoint`` is set by the
+    sums lagged by one completed iteration.  ``v_bar_prev`` is the mean over
+    nodes of the stored messages ``v_hat_prev``, summed once when they
+    arrive.  ``at_checkpoint`` is set by the
     driver on checkpoint iterations; while it is set, every broadcast checks
     its messages on the real wire.
     """
@@ -80,6 +82,7 @@ class SolverState:
         self.y = np.zeros_like(self.x1)
         self.x_half = self.x1.copy()
         self.v_hat_prev = np.zeros((K, self.x1.size))
+        self.v_bar_prev = np.zeros_like(self.x1)
         self.at_checkpoint = False
         self.s_diff = 0.0
         self.s_norm = 0.0
@@ -217,15 +220,18 @@ class _QuantPipeline:
     def broadcast(self, V, state):
         """Compress one message per node, add its bits to ``state``; returns Vhat.
 
-        Vhat and the bits are gathered at the quantizer's own level indices,
-        which need no range check; decoding the wire would reproduce Vhat.
-        At a checkpoint the messages also go through the real codec.
+        The K rows are quantized in one ``quantize_batch(V, family,
+        uniforms=...)`` call.  Vhat and the bits are gathered at the
+        quantizer's own level indices, which need no range check; decoding
+        the wire would reproduce Vhat.  The bits of the whole broadcast are
+        one gather and one sum (``Codebook.batch_bits``).  At a checkpoint
+        the messages also go through the real codec.
         """
         uniforms = self.rng.random((self.K, self.d))
         norms, signs, idx = quantize_batch(V, self.family, uniforms=uniforms)
         values, coord_start, _ = self.family.flat_levels()
         flat = idx + coord_start
-        bits = int(self.books.flat_message_bits(norms, flat).sum())
+        bits = self.books.batch_bits(norms, flat)
         if state.at_checkpoint:
             codec.verify_wire(norms, signs, idx, self.books, bits)
         state.bits += bits
@@ -363,8 +369,9 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
 
     def step(state, oracle):
         state.gamma, state.eta = schedule.rates(state)
-        state.x_half = state.x - state.gamma * (state.v_hat_prev.sum(axis=0) / K)
+        state.x_half = state.x - state.gamma * state.v_bar_prev
         v_hat = oracle(state.x_half)
+        v_bar = np.add.reduce(v_hat, axis=0) / K
 
         diff = v_hat - state.v_hat_prev
         state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
@@ -372,7 +379,7 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
         state.s_norm += norm_term
         state.s_norm_last = norm_term
 
-        state.y = state.y - v_hat.sum(axis=0) / K
+        state.y = state.y - v_bar
         x_next = state.x1 + schedule.eta_next(state) * state.y
 
         move = state.x - x_next
@@ -381,6 +388,7 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
         state.s_move_last = move_term
 
         state.v_hat_prev = v_hat
+        state.v_bar_prev = v_bar
         state.x = x_next
 
     return _drive(problem, T, quant, seed, step, record_iterates)

@@ -214,6 +214,11 @@ class AbsoluteNoise:
         return AX + rng.normal(0.0, self.sigma / np.sqrt(d), size=AX.shape)
 
 
+def _row_norms(x):
+    """``np.linalg.norm(x, axis=-1, keepdims=True)`` for real x, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+
+
 class RelativeNoise:
     """Multiplicative-scale noise: E||error||^2 = sigma_r ||A(x)||^2 exactly.
 
@@ -230,10 +235,12 @@ class RelativeNoise:
         if self.sigma_r == 0.0:
             return AX.copy()
         eta = rng.standard_normal(AX.shape)
-        norm_eta = np.linalg.norm(eta, axis=-1, keepdims=True)
+        norm_eta = _row_norms(eta)
         norm_eta[norm_eta == 0.0] = 1.0
-        scale = np.sqrt(self.sigma_r) * np.linalg.norm(AX, axis=-1, keepdims=True)
-        return AX + scale * eta / norm_eta
+        eta *= np.sqrt(self.sigma_r) * _row_norms(AX)
+        eta /= norm_eta
+        eta += AX
+        return eta
 
 
 class AlmostSureClip:
@@ -247,7 +254,7 @@ class AlmostSureClip:
 
     def sample_batch(self, AX, rng):
         g = self.inner.sample_batch(AX, rng)
-        norms = np.linalg.norm(g, axis=-1, keepdims=True)
+        norms = _row_norms(g)
         factor = np.minimum(1.0, self.J / np.maximum(norms, 1e-300))
         return g * factor
 

@@ -182,3 +182,72 @@ def decode_message(data, books):
     if total_bits - pos >= 8 or "1" in bits[pos:total_bits]:
         raise TrailingBits(f"{total_bits - pos} bits past the last symbol")
     return norm, idx, signs
+
+
+def optimize_levels(cdf, alpha, grid):
+    """The levels ``adapt.optimize_levels`` placed when it ran all alpha + 1 DP layers.
+
+    Each layer, the first and the last included, is a full divide-and-conquer
+    column-minimum search (``layer_min``), and the backtrack reads the
+    alpha + 1 predecessor arrays.
+    """
+    xs = np.arange(grid + 1) / grid
+    prefix = np.asarray(cdf.moments_below(xs), dtype=np.float64).T.copy()
+    fprev = np.full(grid + 1, np.inf)
+    fprev[0] = 0.0
+    parents = []
+    for layer in range(alpha + 1):
+        fprev, par = layer_min(fprev, layer, xs, prefix)
+        parents.append(par)
+    positions = [grid]
+    for par in reversed(parents):
+        positions.append(int(par[positions[-1]]))
+    return xs[positions[::-1]]
+
+
+def layer_min(fprev, first, xs, prefix):
+    """min over i < j of fprev[i] + c(i, j) and its leftmost i, for every column j.
+
+    Divide and conquer over the columns, every segment of one recursion depth
+    scanned together as one ragged candidate list.
+    """
+    b0, b1, b2 = prefix
+    n = fprev.size
+    fnew = np.full(n, np.inf)
+    par = np.zeros(n, dtype=np.intp)
+    jlo, jhi = np.array([first + 1]), np.array([n - 1])
+    ilo, ihi = np.array([first]), np.array([n - 2])
+    while jlo.size:
+        mid = (jlo + jhi) // 2
+        lens = np.minimum(ihi, mid - 1) - ilo + 1
+        starts = np.cumsum(lens) - lens
+        seg = np.repeat(np.arange(mid.size), lens)
+        i = np.arange(seg.size) + (ilo - starts)[seg]
+        j = mid[seg]
+        m0 = b0[j] - b0[i]
+        m1 = b1[j] - b1[i]
+        m2 = b2[j] - b2[i]
+        vals = fprev[i] + (-m2 + (xs[i] + xs[j]) * m1 - (xs[i] * xs[j]) * m0)
+        best = np.minimum.reduceat(vals, starts)
+        opt = np.minimum.reduceat(np.where(vals == best[seg], i, n), starts)
+        fnew[mid] = best
+        par[mid] = opt
+        left, right = mid > jlo, mid < jhi
+        jlo, jhi, ilo, ihi = (
+            np.concatenate([jlo[left], mid[right] + 1]),
+            np.concatenate([mid[left] - 1, jhi[right]]),
+            np.concatenate([ilo[left], opt[right]]),
+            np.concatenate([opt[left], ihi[right]]),
+        )
+    return fnew, par
+
+
+def relative_noise(AX, rng, sigma_r):
+    """``vi.RelativeNoise(sigma_r).sample_batch`` through ``np.linalg.norm``."""
+    if sigma_r == 0.0:
+        return AX.copy()
+    eta = rng.standard_normal(AX.shape)
+    norm_eta = np.linalg.norm(eta, axis=-1, keepdims=True)
+    norm_eta[norm_eta == 0.0] = 1.0
+    scale = np.sqrt(sigma_r) * np.linalg.norm(AX, axis=-1, keepdims=True)
+    return AX + scale * eta / norm_eta

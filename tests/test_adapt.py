@@ -1,8 +1,10 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from quantvi import adapt
@@ -23,6 +25,7 @@ from quantvi.adapt import (
     weighted_cdf,
 )
 from quantvi.levels import LevelFamily, LevelSequence
+import reference
 
 
 def _fam_two(d=4, q=2):
@@ -279,6 +282,47 @@ def test_optimize_levels_equals_dense_dp(grid):
                 continue  # zero-cost optima are not unique; see the next test
             got = optimize_levels(cdf, alpha, grid).levels
             assert np.array_equal(got, _dense_optimize_levels(cdf, alpha, grid))
+
+
+@st.composite
+def _dp_case(draw):
+    """(cdf, alpha, grid): uniform, truncated-normal and step CDFs, ties included.
+
+    The "tie" CDFs put 1 to alpha + 1 support points on a coarse grid, so
+    that alpha often covers every interior support point and many
+    placements cost zero; rounding decides among them.
+    """
+    alpha = draw(st.integers(0, 8))
+    grid = max(2, draw(st.sampled_from([alpha + 1, 12, 64, 2048])))
+    kind = draw(st.sampled_from(["uniform", "truncnorm", "step", "tie"]))
+    if kind == "uniform":
+        cdf = UniformCdf()
+    elif kind == "truncnorm":
+        cdf = TruncNormCdf(draw(st.floats(-0.3, 1.3)), draw(st.floats(0.05, 1.0)))
+    else:
+        n = draw(st.integers(1, alpha + 1 if kind == "tie" else 60))
+        if kind == "tie":
+            coarse = draw(st.sampled_from([1, 2, 3, 4, 8, 12]))
+            pts = np.array(draw(st.lists(st.integers(0, coarse), min_size=n, max_size=n)))
+            pts = pts / coarse
+        else:
+            pts = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+        cdf = StepCdf(pts, weights)
+    return cdf, alpha, grid
+
+
+@given(_dp_case())
+@settings(max_examples=150, deadline=None)
+def test_optimize_levels_equals_the_full_layer_reference(case):
+    # Only the alpha - 1 middle layers run the divide and conquer; the first
+    # layer is closed-form and the last replays one chain.  The levels must
+    # be those of running every layer in full, ties included.
+    cdf, alpha, grid = case
+    with mock.patch.object(adapt, "_layer_min", wraps=adapt._layer_min) as layer_min:
+        got = optimize_levels(cdf, alpha, grid).levels
+    assert np.array_equal(got, reference.optimize_levels(cdf, alpha, grid))
+    assert layer_min.call_count == max(alpha - 1, 0)
 
 
 def test_optimize_levels_with_more_levels_than_support_costs_zero():

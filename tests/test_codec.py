@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -615,6 +616,27 @@ def test_empty_batch_goes_through_the_wire():
     assert [(a.shape, a.dtype) for a in got] == [
         ((0,), np.float64), ((0, 9), np.int8), ((0, 9), np.int32)]
     codec.verify_wire(norms, signs, idx, books, 0)
+
+
+@pytest.mark.parametrize("regime", ["warnings", "errstate"])
+@pytest.mark.parametrize("header", ["7fa00000", "7fb4faf9", "ffa00001", "7fc00000"])
+def test_a_nan_norm_header_is_an_invalid_codeword(regime, header):
+    # A signalling NaN (quiet bit clear) raises numpy's "invalid" flag when
+    # it is widened to float64; it must be rejected like a quiet NaN, with
+    # warnings as errors and under the solver's errstate alike.
+    fam = _fam_scattered()
+    books = build_codebook(fam, scheme="elias")
+    good = encode_batch([1.0], np.ones((1, 9), np.int8), np.ones((1, 9), np.int32), books)[0]
+    bad = codec.EncodedMessage(bytes.fromhex(header) + good.data[4:], good.nbits)
+    strict = (warnings.catch_warnings() if regime == "warnings"
+              else np.errstate(over="raise", invalid="raise"))
+    with strict:
+        if regime == "warnings":
+            warnings.simplefilter("error")
+        with pytest.raises(InvalidCodeword, match="norm header"):
+            decode(bad, books)
+        with pytest.raises(InvalidCodeword, match="norm header"):
+            decode_batch([good, bad], books)
 
 
 def _draw_book(data):

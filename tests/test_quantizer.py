@@ -256,7 +256,7 @@ def _vector_and_family(draw):
     v = np.array(v)
     # Magnitudes exactly as the quantizer computes them: levels drawn from
     # these put some inputs exactly on a level.
-    _, mags = _normalized_magnitudes(v[None, :], _fam(d=d, q=q))
+    _, mags, _ = _normalized_magnitudes(v[None, :], _fam(d=d, q=q))
     on_level = sorted({float(x) for x in mags[0] if 0.0 < x < 1.0})
     seqs = []
     for _ in range(M):

@@ -241,6 +241,41 @@ def test_refresh_keeps_the_levels_of_a_type_without_coordinates(monkeypatch, pro
     assert all(f.sequences[1] == seq for _, f in refreshed)
 
 
+@pytest.mark.parametrize("algorithm", ["qoda", "extragradient"])
+def test_layer_calls_keep_the_traced_argument_positions(monkeypatch, algorithm):
+    # perfbench traces quantize_batch and optimize_levels and its hooks read
+    # the batch from args[0], the family from args[1] and the grid from
+    # args[2]: each broadcast must quantize its K rows in one call made that
+    # way, and each refresh must place each type's levels in one call.
+    quantized, placed = [], []
+    quantize, optimize = solver.quantize_batch, adapt.optimize_levels
+
+    def recording_quantize(*args, **kw):
+        quantized.append(args)
+        return quantize(*args, **kw)
+
+    def recording_optimize(*args, **kw):
+        placed.append((args, kw))
+        return optimize(*args, **kw)
+
+    monkeypatch.setattr(solver, "quantize_batch", recording_quantize)
+    monkeypatch.setattr(adapt, "optimize_levels", recording_optimize)
+    seqs = [LevelSequence(np.linspace(0.0, 1.0, a + 2)) for a in (1, 3, 2)]
+    fam = LevelFamily(seqs, np.array([0, 1, 2, 1, 0, 2, 2, 1]))
+    quant = QuantizationConfig(family=fam, update_period=5, grid=48)
+    problem = make_problem("bilinear", d=8, K=3, seed=2, noise=AbsoluteNoise(0.1))
+    if algorithm == "qoda":
+        run_qoda(problem, GeneralRates(), 12, quant=quant, seed=0)
+    else:
+        run_extragradient_baseline(problem, 12, quant=quant, seed=0)
+    assert len(quantized) == 12 * (1 if algorithm == "qoda" else 2)
+    for args in quantized:
+        assert args[0].shape == (3, 8) and isinstance(args[1], LevelFamily)
+    # Refreshes at t = 6 and 11, one call per type.
+    assert [(a[1], a[2]) for a, _ in placed] == [(1, 48), (3, 48), (2, 48)] * 2
+    assert all(len(a) == 3 and not kw and hasattr(a[0], "moments_below") for a, kw in placed)
+
+
 def test_wire_is_checked_at_every_checkpoint(monkeypatch):
     encoded = []
     encode = codec.encode_batch

@@ -15,7 +15,7 @@ from quantvi.vi import (
     is_relative,
     make_problem,
 )
-from reference import factored_skew_split
+from reference import factored_skew_split, relative_noise
 
 
 def test_affine_operator_skew_and_norm():
@@ -194,6 +194,18 @@ def test_relative_noise_scales_with_operator():
     assert power == pytest.approx(0.5 * float(ax @ ax), rel=0.05)
     # Exactly zero at a solution, so runs can converge past the noise floor.
     assert noise.sample_batch(np.zeros(3), rng).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 3.0])
+def test_relative_noise_equals_the_linalg_norm_formula(sigma):
+    # Same generator state on both sides: the draws, the norms and the
+    # order AX + (scale * eta) / |eta| must give the same bits.
+    scales = [[1.0], [0.0], [1e-200], [1e150], [3.0]]
+    AX = np.random.default_rng(7).standard_normal((5, 33)) * scales
+    for ax in (AX, AX[0], AX[1], np.zeros((2, 4)), np.zeros(1)):
+        got = RelativeNoise(sigma).sample_batch(ax, np.random.default_rng(8))
+        want = relative_noise(ax, np.random.default_rng(8), sigma)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_noise_batch_matches_distribution():
