@@ -19,7 +19,9 @@ compression pipeline and the noise stream, and hands each algorithm's step
 one ``oracle(x)``: every node's operator at x (``vi.node_evaluator``), the
 noise, the broadcast and decoding.  The driver refreshes levels on schedule,
 computes the gap and writes a row at each checkpoint, and builds the
-summary; a step only updates the iterates and its rates.
+summary; a step only updates the iterates and its rates.  Iteration 1 and
+each refresh start a segment, one immutable ``Segment``: broadcasts and rows
+use the last one, and the summary averages the bounds of all.
 
 Decoding a message reproduces its quantized vector exactly, so a broadcast
 takes Vhat and each message's bit count straight from the quantizer's level
@@ -36,14 +38,15 @@ Two adaptive learning-rate schedules are provided.  The general schedule
 sets gamma_t = eta_t from the accumulated squared differences of decoded
 messages.  The alternative schedule splits the two rates, lags its
 accumulators by two iterations, and guarantees eta_t <= gamma_t <= 1, which
-is what the theory needs when co-coercivity is unavailable.
+is what the theory needs when co-coercivity is unavailable.  The step keeps
+only the accumulators its schedule class lists.
 
 An identity transport (``quant=None``) passes float64 vectors through
 unchanged, counting 64 bits per coordinate, so solver behavior can be
 compared against unquantized runs exactly.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +72,13 @@ class SolverState:
     over completed iterations s; ``s_norm`` the same for plain squared norms
     and ``s_move`` for ||X_s - X_{s+1}||^2.  The ``*_last`` fields hold the
     most recent term of each sum so the alternative schedule can read the
-    sums lagged by one completed iteration.  ``v_bar_prev`` is the mean over
-    nodes of the stored messages ``v_hat_prev``, summed once when they
-    arrive.  ``at_checkpoint`` is set by the
-    driver on checkpoint iterations; while it is set, every broadcast checks
-    its messages on the real wire.
+    sums lagged by one completed iteration.  The qoda step keeps only the
+    sums in its schedule's ``sums`` (general: diff; alternative: norm and
+    move; constant: move); they live here so a schedule can serve many runs.
+    ``v_bar_prev`` is the mean over nodes of the stored messages
+    ``v_hat_prev``, summed once when they arrive.  ``at_checkpoint`` is set
+    by the driver on checkpoint iterations; while it is set, every
+    broadcast checks its messages on the real wire.
     """
 
     def __init__(self, x1, K):
@@ -97,6 +102,8 @@ class SolverState:
 
 
 class GeneralRates:
+    sums = frozenset({"diff"})
+
     def rates(self, state):
         """gamma_t = eta_t = (1 + accumulated message differences)^(-1/2)."""
         v = (1.0 + state.s_diff) ** -0.5
@@ -108,6 +115,8 @@ class GeneralRates:
 
 
 class AltRates:
+    sums = frozenset({"norm", "move"})
+
     def __init__(self, q_hat=0.25):
         if not 0.0 < q_hat <= 0.25:
             raise BadQHat(f"q_hat must lie in (0, 1/4], got {q_hat}")
@@ -129,6 +138,10 @@ class AltRates:
 
 
 class ConstantRates:
+    # No rate reads a sum, but a diverging run on the identity transport stops
+    # where the move's square overflows, long before a checkpoint's gap does.
+    sums = frozenset({"move"})
+
     def __init__(self, c):
         if c <= 0:
             raise ValueError("constant rate must be positive")
@@ -170,8 +183,12 @@ def refresh_levels(samples, family, grid, estimator, protocol, scheme):
     return new_family, books, hist
 
 
+# From iteration t on: a level family, its books, their histogram and bounds.
+Segment = namedtuple("Segment", "t family books hist eps_q n_q")
+
+
 class _QuantPipeline:
-    """Quantize, count wire bits, reconstruct; track bounds and segments."""
+    """Quantize, count wire bits, reconstruct; keep the segments in order."""
 
     def __init__(self, cfg, d, K, seed):
         if cfg.family.dimension != d:
@@ -184,33 +201,27 @@ class _QuantPipeline:
         self._start_segment(
             1, cfg.family, build_codebook(cfg.family, hist, cfg.protocol, cfg.scheme), hist
         )
-        # The latest oracle blocks V (K, d); nothing writes to them later.
+        # The latest broadcast blocks V (K, d); nothing writes to them later.
         self.recent = deque(maxlen=cfg.samples_per_node)
         self.rng = default_rng(SeedSequence(entropy=seed, spawn_key=(2,)))
 
     def _start_segment(self, t, family, books, hist):
         """Quantize with ``family`` and ``books`` from iteration t on."""
-        self.family, self.books = family, books
-        self.eps_q = variance_bound_eps(family, self.d)
-        self.n_q = code_length_bound(hist, family, self.cfg.protocol)
-        self.segments.append((t, self.eps_q, self.n_q))
-
-    def observe(self, V):
-        if self.cfg.update_period > 0:
-            self.recent.append(V)
+        self.segments.append(Segment(
+            t, family, books, hist, variance_bound_eps(family, self.d),
+            code_length_bound(hist, family, self.cfg.protocol),
+        ))
 
     def maybe_update(self, t):
         """Refresh levels and codebooks when t is on the update schedule."""
-        R = self.cfg.update_period
-        if R <= 0 or t <= 1 or (t - 1) % R != 0:
-            return
-        if not self.recent:
+        # The window is empty before the first broadcast and with adaptation off.
+        if not self.recent or (t - 1) % self.cfg.update_period != 0:
             return
         # Node by node, oldest first.
         samples = np.stack(self.recent, axis=1).reshape(-1, self.d)
         try:
             refreshed = refresh_levels(
-                samples, self.family, self.cfg.grid,
+                samples, self.segments[-1].family, self.cfg.grid,
                 self.cfg.estimator, self.cfg.protocol, self.cfg.scheme,
             )
         except adapt.AllZeroSamples:
@@ -227,13 +238,16 @@ class _QuantPipeline:
         one gather and one sum (``Codebook.batch_bits``).  At a checkpoint
         the messages also go through the real codec.
         """
+        if self.cfg.update_period > 0:
+            self.recent.append(V)
+        seg = self.segments[-1]
         uniforms = self.rng.random((self.K, self.d))
-        norms, signs, idx = quantize_batch(V, self.family, uniforms=uniforms)
-        values, coord_start, _ = self.family.flat_levels()
+        norms, signs, idx = quantize_batch(V, seg.family, uniforms=uniforms)
+        values, coord_start, _ = seg.family.flat_levels()
         flat = idx + coord_start
-        bits = self.books.batch_bits(norms, flat)
+        bits = seg.books.batch_bits(norms, flat)
         if state.at_checkpoint:
-            codec.verify_wire(norms, signs, idx, self.books, bits)
+            codec.verify_wire(norms, signs, idx, seg.books, bits)
         state.bits += bits
         return reconstruct_flat(norms, signs, flat, values)
 
@@ -242,50 +256,35 @@ class _IdentityPipeline:
     """Float64 pass-through transport: no quantization, 64 bits/coordinate."""
 
     def __init__(self, d, K):
-        self.d = d
-        self.K = K
-        self.eps_q = 0.0
-        self.n_q = 64.0 * d
-        self.segments = [(1, 0.0, 64.0 * d)]
-
-    def observe(self, V):
-        pass
+        self.broadcast_bits = 64 * d * K
+        self.segments = [Segment(1, None, None, None, 0.0, 64.0 * d)]
 
     def maybe_update(self, t):
         pass
 
     def broadcast(self, V, state):
-        state.bits += 64 * self.d * self.K
+        state.bits += self.broadcast_bits
         return V.copy()
 
 
-class RunMetrics:
-    """Checkpoint rows plus end-of-run summary aggregates."""
-
-    def __init__(self, rows, summary, avg_iterate, iterates=None):
-        self.rows = rows
-        self.summary = summary
-        self.avg_iterate = avg_iterate
-        self.iterates = iterates
+# Checkpoint rows plus end-of-run summary aggregates.
+RunMetrics = namedtuple("RunMetrics", "rows summary")
 
 
 def _segment_averages(segments, T):
-    """Duration-weighted averages of the per-segment bounds.
+    """Duration-weighted averages of the bounds of the ``Segment`` records.
 
     Returns (eps_bar, eps_hat, n_bar): mean variance bound, mean square-root
     variance bound, and mean code-length bound across the run.
     """
-    if T == 0:
-        return 0.0, 0.0, 0.0
-    starts = [s for s, _, _ in segments] + [T + 1]
+    ends = [seg.t for seg in segments[1:]] + [T + 1]
     eps_bar = eps_hat = n_bar = 0.0
-    for i, (_, eps, n) in enumerate(segments):
-        span = min(starts[i + 1], T + 1) - starts[i]
-        if span <= 0:
-            continue
-        eps_bar += span * eps
-        eps_hat += span * np.sqrt(eps)
-        n_bar += span * n
+    for seg, end in zip(segments, ends):
+        span = end - seg.t
+        eps_bar += span * seg.eps_q
+        eps_hat += span * np.sqrt(seg.eps_q)
+        n_bar += span * seg.n_q
+    T = max(T, 1)  # a run of no iterations averages to 0
     return eps_bar / T, eps_hat / T, n_bar / T
 
 
@@ -300,7 +299,7 @@ def _checkpoints(T):
     return sorted(pts)
 
 
-def _drive(problem, T, quant, seed, step, record_iterates=False):
+def _drive(problem, T, quant, seed, step):
     """Run ``step(state, oracle)`` for t = 1..T; returns RunMetrics.
 
     ``oracle(x)`` makes one oracle call per node at x, broadcasts the
@@ -319,13 +318,11 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         if problem.noise is not None:
             V = problem.noise.sample_batch(V, noise_rng)
         state.oracle_calls += 1
-        pipeline.observe(V)
         return pipeline.broadcast(V, state)
 
     node_values = vi.node_evaluator(problem)
     checkpoints = set(_checkpoints(T))
     rows = []
-    iterates = [] if record_iterates else None
     try:
         # A run diverges at its first overflow, not checkpoints later.
         with np.errstate(over="raise", invalid="raise"):
@@ -334,14 +331,12 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
                 pipeline.maybe_update(t)
                 step(state, oracle)
                 state.x_half_sum += state.x_half
-                if record_iterates:
-                    iterates.append(state.x.copy())
                 if state.at_checkpoint:
                     gap = problem.gap(state.x_half_sum / t)
                     if not np.isfinite(gap):
                         raise RuntimeError(f"non-finite gap at iteration {t}")
                     rows.append((t, gap, state.gamma, state.eta, state.bits,
-                                 state.oracle_calls, pipeline.eps_q))
+                                 state.oracle_calls, pipeline.segments[-1].eps_q))
     except (NonFinite, FloatingPointError) as exc:
         raise RuntimeError(f"diverged at iteration {t}: {exc}") from exc
 
@@ -355,11 +350,10 @@ def _drive(problem, T, quant, seed, step, record_iterates=False):
         "n_bar": n_bar,
         "T": T,
     }
-    avg = state.x_half_sum / T if T >= 1 else None
-    return RunMetrics(rows, summary, avg, iterates)
+    return RunMetrics(rows, summary)
 
 
-def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
+def run_qoda(problem, schedule, T, quant=None, seed=0):
     """Run the quantized optimistic dual-averaging loop for T iterations.
 
     Returns RunMetrics with one row per checkpoint (powers of two plus T)
@@ -372,26 +366,26 @@ def run_qoda(problem, schedule, T, quant=None, seed=0, record_iterates=False):
         state.x_half = state.x - state.gamma * state.v_bar_prev
         v_hat = oracle(state.x_half)
         v_bar = np.add.reduce(v_hat, axis=0) / K
-
-        diff = v_hat - state.v_hat_prev
-        state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
-        norm_term = float(np.einsum("kd,kd->", v_hat, v_hat)) / K**2
-        state.s_norm += norm_term
-        state.s_norm_last = norm_term
+        if "diff" in schedule.sums:
+            diff = v_hat - state.v_hat_prev
+            state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
+        if "norm" in schedule.sums:
+            state.s_norm_last = float(np.einsum("kd,kd->", v_hat, v_hat)) / K**2
+            state.s_norm += state.s_norm_last
 
         state.y = state.y - v_bar
         x_next = state.x1 + schedule.eta_next(state) * state.y
 
-        move = state.x - x_next
-        move_term = float(move @ move)
-        state.s_move += move_term
-        state.s_move_last = move_term
+        if "move" in schedule.sums:
+            move = state.x - x_next
+            state.s_move_last = float(move @ move)
+            state.s_move += state.s_move_last
 
         state.v_hat_prev = v_hat
         state.v_bar_prev = v_bar
         state.x = x_next
 
-    return _drive(problem, T, quant, seed, step, record_iterates)
+    return _drive(problem, T, quant, seed, step)
 
 
 def run_extragradient_baseline(problem, T, quant=None, seed=0, step=0.3):

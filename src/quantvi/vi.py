@@ -163,7 +163,10 @@ class AffineOperator:
 def _saddle_product(M, x):
     """Bx for B = [[0, M], [-M^T, 0]]: (M x_2, -M^T x_1)."""
     h = M.shape[0]
-    return np.concatenate((M @ x[h:], -(M.T @ x[:h])))
+    out = np.empty(2 * h)
+    np.matmul(M, x[h:], out=out[:h])
+    np.negative(np.matmul(M.T, x[:h], out=out[h:]), out=out[h:])
+    return out
 
 
 class SaddleOperator:
@@ -210,8 +213,10 @@ class AbsoluteNoise:
         """Perturb each row of AX independently (rows are separate calls; a 1-D AX is one)."""
         if self.sigma == 0.0:
             return AX.copy()
-        d = AX.shape[-1]
-        return AX + rng.normal(0.0, self.sigma / np.sqrt(d), size=AX.shape)
+        noise = rng.standard_normal(AX.shape)  # what normal(0, s) scales by s
+        noise *= self.sigma / np.sqrt(AX.shape[-1])
+        noise += AX
+        return noise
 
 
 def _row_norms(x):
@@ -406,7 +411,7 @@ def node_evaluator(problem):
 
     def node_values(x):
         Z = (F @ (QT @ x).reshape(K, 2 * r, 1))[..., 0]
-        Z -= Z.mean(axis=0)
+        Z -= np.add.reduce(Z, axis=0) / K
         Z += product(x) + op.c
         return Z
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from quantvi.codec import InvalidCodeword, TrailingBits, TruncatedMessage
 from quantvi.quantizer import DimensionMismatch, NonFinite, OutOfRange
+from quantvi.solver import GeneralRates
 
 _CLAMP_TOL = 1e-12
 
@@ -251,3 +252,53 @@ def relative_noise(AX, rng, sigma_r):
     norm_eta[norm_eta == 0.0] = 1.0
     scale = np.sqrt(sigma_r) * np.linalg.norm(AX, axis=-1, keepdims=True)
     return AX + scale * eta / norm_eta
+
+
+class RecordingRates(GeneralRates):
+    """The general schedule, keeping a copy of X_t and of X_{t+1/2} at each step.
+
+    ``rates`` sees X_t at the start of step t and ``eta_next`` sees X_{t+1/2}
+    at its end, so a run of T + 1 steps records X_1, ..., X_{T+1} in ``x``
+    and X_{3/2}, ..., X_{T+3/2} in ``x_half``.
+    """
+
+    def __init__(self):
+        self.x, self.x_half = [], []
+
+    def rates(self, state):
+        self.x.append(state.x.copy())
+        return super().rates(state)
+
+    def eta_next(self, state):
+        self.x_half.append(state.x_half.copy())
+        return super().eta_next(state)
+
+
+def qoda_step(schedule, K):
+    """A ``run_qoda`` step that adds to every rate sum, whichever its schedule reads."""
+
+    def step(state, oracle):
+        state.gamma, state.eta = schedule.rates(state)
+        state.x_half = state.x - state.gamma * state.v_bar_prev
+        v_hat = oracle(state.x_half)
+        v_bar = np.add.reduce(v_hat, axis=0) / K
+
+        diff = v_hat - state.v_hat_prev
+        state.s_diff += float(np.einsum("kd,kd->", diff, diff)) / K**2
+        norm_term = float(np.einsum("kd,kd->", v_hat, v_hat)) / K**2
+        state.s_norm += norm_term
+        state.s_norm_last = norm_term
+
+        state.y = state.y - v_bar
+        x_next = state.x1 + schedule.eta_next(state) * state.y
+
+        move = state.x - x_next
+        move_term = float(move @ move)
+        state.s_move += move_term
+        state.s_move_last = move_term
+
+        state.v_hat_prev = v_hat
+        state.v_bar_prev = v_bar
+        state.x = x_next
+
+    return step

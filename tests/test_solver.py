@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from quantvi import adapt, codec, solver, vi
-from quantvi.levels import LevelFamily, LevelSequence
+from quantvi.codec import code_length_bound
+from quantvi.levels import LevelFamily, LevelSequence, variance_bound_eps
 from quantvi.solver import (
     AltRates,
     BadQHat,
@@ -21,6 +22,8 @@ from quantvi.solver import (
 )
 from quantvi.quantizer import dequantize_batch
 from quantvi.vi import AbsoluteNoise, make_problem
+
+import reference
 
 
 def _column(metrics, name):
@@ -151,7 +154,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
 
     def recording_broadcast(self, V, state):
         out = broadcast(self, V, state)
-        sent[-1] = (*sent[-1], self.books)
+        sent[-1] = (*sent[-1], self.segments[-1].books)
         return out
 
     monkeypatch.setattr(solver, "quantize_batch", recording_quantize)
@@ -212,8 +215,9 @@ def test_broadcast_matches_the_checked_public_functions():
         assert idx[2, lone] == len(fam.sequences[fam.assignment[lone]]) - 1
         expected = dequantize_batch(norms, signs, idx, fam)
         assert v_hat.tobytes() == expected.tobytes()
-        flat = pipe.books.flat_indices(norms, idx)
-        assert state.bits == int(pipe.books.flat_message_bits(norms, flat).sum())
+        books = pipe.segments[-1].books
+        flat = books.flat_indices(norms, idx)
+        assert state.bits == int(books.flat_message_bits(norms, flat).sum())
 
 
 @pytest.mark.parametrize("estimator", ["empirical", "truncated-normal"])
@@ -388,20 +392,71 @@ def test_extragradient_converges_on_strongly_monotone():
     assert metrics.rows[-1][1] < metrics.rows[0][1] * 1e-2
 
 
-def test_record_iterates():
-    problem = make_problem("bilinear", d=4, K=1, seed=11, noise=AbsoluteNoise(0.1))
-    metrics = run_qoda(problem, GeneralRates(), 7, quant=_quant(4), seed=0,
-                       record_iterates=True)
-    assert len(metrics.iterates) == 7
-    assert all(it.shape == (4,) for it in metrics.iterates)
-
-
 def test_segment_averages_frozen():
-    segs = [(1, 0.5, 100.0), (11, 0.125, 40.0)]
+    segs = [solver.Segment(1, None, None, None, 0.5, 100.0),
+            solver.Segment(11, None, None, None, 0.125, 40.0)]
     eps_bar, eps_hat, n_bar = solver._segment_averages(segs, 20)
     assert eps_bar == pytest.approx(0.3125)
     assert eps_hat == pytest.approx((10 * math.sqrt(0.5) + 10 * math.sqrt(0.125)) / 20)
     assert n_bar == pytest.approx(70.0)
+
+
+def test_a_refresh_appends_one_record_with_its_own_bounds():
+    d, K, R = 6, 2, 5
+    quant = _scattered_quant(update_period=R, samples_per_node=4)
+    pipe = solver._QuantPipeline(quant, d, K, seed=0)
+    rng = np.random.default_rng(3)
+    state = SolverState(np.zeros(d), K)
+    for t in range(1, 2 * R + 2):
+        pipe.maybe_update(t)
+        pipe.broadcast(rng.standard_normal((K, d)), state)
+    assert [seg.t for seg in pipe.segments] == [1, R + 1, 2 * R + 1]
+    assert pipe.segments[0].family is quant.family
+    for seg in pipe.segments:
+        assert seg.books.family_id == seg.family.fingerprint()
+        assert seg.eps_q == variance_bound_eps(seg.family, d)
+        assert seg.n_q == code_length_bound(seg.hist, seg.family, quant.protocol)
+    with pytest.raises(AttributeError):
+        pipe.segments[0].eps_q = 0.0
+
+
+def test_an_identity_run_has_one_record():
+    assert solver._IdentityPipeline(6, 3).segments == [(1, None, None, None, 0.0, 64.0 * 6)]
+
+
+class _SumsSeen:
+    def __init__(self, base):
+        self.base, self.seen, self.sums = base, [], base.sums
+
+    def rates(self, state):
+        pair = self.base.rates(state)
+        self.seen.append((pair, state.s_diff, state.s_norm, state.s_norm_last,
+                          state.s_move, state.s_move_last))
+        return pair
+
+    def eta_next(self, state):
+        return self.base.eta_next(state)
+
+
+@pytest.mark.parametrize("schedule, sums", [
+    (GeneralRates(), {"diff"}), (AltRates(0.25), {"norm", "move"}), (ConstantRates(0.1), {"move"}),
+], ids=["general", "alt", "constant"])
+def test_the_step_computes_only_the_sums_its_schedule_lists(schedule, sums):
+    # Against a step that adds to every sum: the rows and every iteration's
+    # rates are equal, and a sum the schedule does not list stays 0.  The
+    # constant schedule keeps the move sum only as a divergence check.
+    assert schedule.sums == sums
+    problem = make_problem("bilinear", d=6, K=2, seed=7, noise=AbsoluteNoise(0.2))
+    quant = _scattered_quant(update_period=10, samples_per_node=4)
+    ours, full = _SumsSeen(schedule), _SumsSeen(schedule)
+    got = run_qoda(problem, ours, 40, quant=quant, seed=1)
+    want = solver._drive(problem, 40, quant, 1, reference.qoda_step(full, problem.K))
+    assert got.rows == want.rows and got.summary == want.summary
+    assert [seen[0] for seen in ours.seen] == [seen[0] for seen in full.seen]
+    for seen, every in zip(ours.seen, full.seen):
+        for name, i in (("diff", 1), ("norm", 2), ("norm", 3), ("move", 4), ("move", 5)):
+            assert seen[i] == (every[i] if name in schedule.sums else 0.0)
+    assert any(every[1] > 0.0 and every[2] > 0.0 and every[4] > 0.0 for every in full.seen)
 
 
 def test_checkpoints_are_powers_of_two_plus_final():
@@ -416,8 +471,8 @@ def test_unquantized_noiseless_run_matches_plain_recurrence():
     # written out longhand here.
     problem = make_problem("bilinear", d=6, K=1, seed=12)
     T = 100
-    metrics = run_qoda(problem, GeneralRates(), T, quant=None, seed=0,
-                       record_iterates=True)
+    recorded = reference.RecordingRates()
+    run_qoda(problem, recorded, T + 1, quant=None, seed=0)
 
     B, c = problem.op.matrix(), problem.op.c
     x1 = problem.x1.copy()
@@ -426,18 +481,20 @@ def test_unquantized_noiseless_run_matches_plain_recurrence():
     v_prev = np.zeros_like(x1)
     s = 0.0
     avg_sum = np.zeros_like(x1)
+    got_sum = np.zeros_like(x1)
     for t in range(T):
         gamma = (1.0 + s) ** -0.5
         x_half = x - gamma * v_prev
         v = B @ x_half + c
         avg_sum += x_half
+        got_sum += recorded.x_half[t]
         y = y - v
         s += float((v - v_prev) @ (v - v_prev))
         x = x1 + (1.0 + s) ** -0.5 * y
         v_prev = v
-        assert np.max(np.abs(metrics.iterates[t] - x)) <= 1e-12
+        assert np.max(np.abs(recorded.x[t + 1] - x)) <= 1e-12
 
-    assert np.max(np.abs(metrics.avg_iterate - avg_sum / T)) <= 1e-12
+    assert np.max(np.abs(got_sum / T - avg_sum / T)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [20, 512])

@@ -7,6 +7,10 @@ lies outside its own body, anywhere in ``src/quantvi/`` or in
 ``perfbench/child.py``.  The benchmark child also names the functions it
 traces as strings, so its string constants count as references too.
 Dunder methods are called by Python itself and are not checked.
+
+A second scan does the same for state: every attribute a method stores on
+``self`` must be loaded, on any object, somewhere in ``src/quantvi/`` or in
+``perfbench/child.py``.
 """
 
 import ast
@@ -55,3 +59,37 @@ def unused_definitions():
 def test_every_src_definition_has_a_program_caller():
     unused = unused_definitions()
     assert not unused, f"read by nothing in src/quantvi or perfbench/child.py: {unused}"
+
+
+# Stored and read only by tests, on purpose.
+STORED_FOR_CALLERS = {
+    # The solution a problem was built around: the documented answer of a
+    # built problem, which callers compare a run's iterates against.
+    "vi.ProblemInstance.x_star",
+}
+
+
+def unread_attributes():
+    stored, loaded = [], set()
+    paths = sorted((ROOT / "src" / "quantvi").glob("*.py")) + [ROOT / "perfbench" / "child.py"]
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            # An augmented assignment reads its target as well.
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                loaded.add(node.target.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+        if path.parent.name != "quantvi":
+            continue
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.append((node.attr, f"{path.stem}.{cls.name}.{node.attr}"))
+    return sorted({qual for attr, qual in stored if attr not in loaded} - STORED_FOR_CALLERS)
+
+
+def test_every_stored_attribute_is_read_by_the_program():
+    unread = unread_attributes()
+    assert not unread, f"stored but read by nothing in src/quantvi or perfbench/child.py: {unread}"

@@ -183,6 +183,21 @@ def test_absolute_noise_mean_and_power():
         AbsoluteNoise(-1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.1, 3.0])
+@pytest.mark.parametrize("shape", [(4, 1000), (1, 3), (7,)])
+def test_absolute_noise_equals_the_normal_draw(sigma, shape):
+    # numpy's normal(0, s) is 0 + s * standard_normal from the same stream,
+    # so the in-place draw must give the same bits.
+    AX = np.random.default_rng(5).standard_normal(shape)
+    got = AbsoluteNoise(sigma).sample_batch(AX, np.random.default_rng(9))
+    scale = sigma / np.sqrt(shape[-1])
+    want = AX + np.random.default_rng(9).normal(0.0, scale, size=shape)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    copy = AbsoluteNoise(0.0).sample_batch(AX, np.random.default_rng(9))
+    assert copy is not AX and np.array_equal(copy, AX)
+
+
 def test_relative_noise_scales_with_operator():
     rng = np.random.default_rng(1)
     noise = RelativeNoise(0.5)
@@ -611,6 +626,29 @@ def test_node_evaluator_is_the_stacked_product_bit_for_bit(monkeypatch, K, noise
             want = Z + (Bx + c)
         assert np.array_equal(got, want)
         assert np.abs(got - dense).max() <= 1e-14 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("d", [20, 1000])
+def test_factored_products_equal_the_concatenated_and_mean_expressions(monkeypatch, d):
+    # The saddle product writes both halves into one array, and the factored
+    # path centres its deltas by a sum over K: the same bits as the
+    # concatenation of M x_2 and -M^T x_1, and as ``Z.mean(axis=0)``.
+    K, h = 4, d // 2
+    p = make_problem("bilinear", d=d, K=K, seed=d, noise=AbsoluteNoise(0.1))
+    monkeypatch.setattr(vi, "_DENSE_BYTES", 0)
+    node_values = vi.node_evaluator(p)
+    M, c, F = p.op.M, p.op.c, p.factors
+    r = F.shape[2] // 2
+    QT = np.concatenate((F[..., r:], -F[..., :r]), axis=2).transpose(0, 2, 1).reshape(-1, d)
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        x = rng.standard_normal(d)
+        Bx = np.concatenate((M @ x[h:], -(M.T @ x[:h])))
+        assert p.op.product(x).tobytes() == Bx.tobytes()
+        Z = (F @ (QT @ x).reshape(K, 2 * r, 1))[..., 0]
+        Z -= Z.mean(axis=0)
+        Z += Bx + c
+        assert node_values(x).tobytes() == Z.tobytes()
 
 
 @pytest.mark.parametrize("K", [2, 4, 5])
