@@ -156,6 +156,7 @@ class LevelFamily:
         self._fingerprint = None
         self._type_cols = None
         self._flat = None
+        self._signed = None
         self._interval_table = None
 
     @property
@@ -196,18 +197,27 @@ class LevelFamily:
             self._flat = flat
         return self._flat
 
+    def signed_levels(self):
+        """Value (-1)^n ``flat_levels()[0][f]`` of wire index s = 2f + n; level 0's are +0.0."""
+        if self._signed is None:
+            values = self.flat_levels()[0]
+            # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
+            self._signed = np.stack((values, -values), axis=1).ravel() + 0.0
+            self._signed.setflags(write=False)
+        return self._signed
+
     def interval_table(self):
-        """(edges, offsets, tau, lo, hi, width, first, bucket_edges): every type's intervals.
+        """(edges, offsets, s, lo, hi, width, first, bucket_edges): every type's intervals.
 
         ``edges`` is the sorted union of every type's levels.  For a
         normalized magnitude u in [0, 1] at coordinate i, the entry
         k = offsets[i] + searchsorted(edges, u, side="right") gives the
-        interval index ``tau[k]`` of u in its type's sequence and the
-        bracketing levels ``lo[k]`` <= u < ``hi[k]``; u = 1 falls in the last
-        interval.  ``width[k]`` is ``hi[k] - lo[k]``, bit for bit.  Every
-        level of a type is an edge, so the levels of type m that are <= u
-        are exactly those <= the largest edge <= u: the lookup makes the
-        same comparisons as a per-type ``searchsorted``.
+        bracketing levels ``lo[k]`` <= u < ``hi[k]`` in u's type and the
+        wire index ``s[k]`` = 2 f of the lower level's flat index f; u = 1
+        falls in the last interval.  ``width[k]`` is ``hi[k] - lo[k]``, bit
+        for bit.  Every level of a type is an edge, so the levels of type m
+        that are <= u are exactly those <= the largest edge <= u: the lookup
+        makes the same comparisons as a per-type ``searchsorted``.
 
         A bucket index gives the same count without a search.  With B + 1 =
         ``first.size`` (B a power of two, so u * B is exact), u lies in
@@ -240,7 +250,7 @@ class LevelFamily:
             rank = np.arange(edges.size) - first[bucket]
             bucket_edges = np.full((rank.max() + 1, buckets + 1), 2.0)
             bucket_edges[rank, bucket] = edges
-            table = (edges, offsets, tau.ravel(), lo, hi, hi - lo, first, bucket_edges)
+            table = (edges, offsets, 2 * flat, lo, hi, hi - lo, first, bucket_edges)
             for arr in table:
                 arr.setflags(write=False)
             self._interval_table = table

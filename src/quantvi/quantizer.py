@@ -1,11 +1,14 @@
 """Unbiased stochastic quantization of real vectors against a level family.
 
-A vector v is represented by its q-norm, per-coordinate signs, and a
-per-coordinate level index.  Each normalized magnitude u_i = |v_i| / ||v||_q
-falls in some level interval [l_tau, l_tau+1) of its type's sequence and is
-rounded up with probability equal to its relative position xi in that
+A batch of vectors is represented by their q-norms and one wire index per
+coordinate, s = 2 (coord_start[i] + j) + (v_i < 0) for level j: the index of
+its wire string in the codec and of its value in
+``LevelFamily.signed_levels``.  Each normalized magnitude u_i = |v_i| /
+||v||_q falls in some level interval [l_tau, l_tau+1) of its type's sequence
+and is rounded up with probability equal to its relative position xi in that
 interval, down otherwise.  Rounding up exactly compensates rounding down, so
-reconstruction is unbiased coordinate-wise.
+reconstruction is unbiased coordinate-wise.  A ``QuantizedVector`` holds
+signs and level indices in place of s, converted at the library boundary.
 
 The wire norm is rounded to 32-bit float at quantization time so that a
 quantize -> encode -> decode roundtrip reproduces the QuantizedVector
@@ -41,8 +44,9 @@ _F32_TINY = 2.0**-149
 class QuantizedVector:
     """Compact representation (norm, signs, level indices) of a vector.
 
-    ``signs`` stores +1 for coordinates with |v_i| = 0; it is never read for
-    those coordinates because their level index is 0 with probability 1.
+    ``signs`` stores +1 for every coordinate at level 0, whose value is 0
+    whatever its sign.  ``from_wire`` and ``wire_indices`` convert from and
+    to one row of ``quantize_batch``'s wire indices.
     """
 
     __slots__ = ("norm", "signs", "level_idx", "family_id")
@@ -52,6 +56,16 @@ class QuantizedVector:
         self.signs = np.asarray(signs, dtype=np.int8)
         self.level_idx = np.asarray(level_idx, dtype=np.int32)
         self.family_id = family_id
+
+    @classmethod
+    def from_wire(cls, norm, s, coord_start, family_id):
+        level_idx = (s >> 1) - coord_start
+        return cls(norm, np.where(level_idx == 0, 1, 1 - 2 * (s & 1)), level_idx, family_id)
+
+    def wire_indices(self, coord_start):
+        if self.dimension != coord_start.size:
+            raise DimensionMismatch(f"dimension {self.dimension}, not {coord_start.size}")
+        return 2 * (coord_start + self.level_idx) + (self.signs < 0)
 
     @property
     def dimension(self):
@@ -117,9 +131,8 @@ def _check_batch(V, family):
 def _entries(U, family):
     """Each magnitude's entry k in ``family.interval_table()``: its level interval.
 
-    The table's tau[k], lo[k] and hi[k] give the interval and its bracketing
-    levels, lo <= u < hi elementwise, except u = 1, which falls in its
-    type's last interval (hi = 1).
+    The table's lo[k] and hi[k] bracket u, lo <= u < hi elementwise, except
+    u = 1, which falls in its type's last interval (hi = 1).
     """
     table = family.interval_table()
     offsets, first, bucket_edges = table[1], table[-2], table[-1]
@@ -134,9 +147,10 @@ def _entries(U, family):
 def quantize_batch(V, family, rng=None, uniforms=None):
     """Quantize a batch of row vectors in one vectorized pass.
 
-    Returns plain arrays (norms, signs, level_idx) with shapes (n,), (n, d),
-    (n, d) and dtypes float64, int8, int32.  Norms are rounded to 32-bit
-    floats, matching the wire format.  ``uniforms`` may supply pre-drawn
+    Returns plain arrays (norms, s) with shapes (n,) and (n, d): float64
+    norms rounded to 32-bit floats, matching the wire format, and int64 wire
+    indices; a coordinate at level 0 keeps its sign bit, as both of level 0's
+    slots hold +0.0 and one wire string.  ``uniforms`` may supply pre-drawn
     U(0,1) variates of shape (n, d) for callers that manage their own random
     streams (one per node, say); otherwise they are drawn from ``rng``.  One
     of the two must be given.
@@ -144,8 +158,8 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     The n norms are checked once, in Python: the zero-row fix-ups and the
     scans for NaN, infinity and float32 overflow run only when some norm is
     zero, not finite or outside float32's range.  Each magnitude's interval
-    comes from ``LevelFamily.interval_table`` by a bucket index, and its
-    rounding probability is computed in the magnitudes' own array.
+    and its lower level's s come from ``LevelFamily.interval_table``, and
+    its rounding probability is computed in the magnitudes' own array.
     """
     if rng is None and uniforms is None:
         raise ValueError("quantizing needs rng or uniforms; both are None")
@@ -161,62 +175,50 @@ def quantize_batch(V, family, rng=None, uniforms=None):
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (n, d):
             raise DimensionMismatch("uniforms must have one variate per coordinate")
+    # A norm that underflows float32 degrades to the zero representation.
+    if not regular:
+        U[norms == 0.0, :] = 0.0
 
-    # Round up with probability (u - lo) / (hi - lo), computed in U's place.
-    _, _, tau, lo, _, width, _, _ = family.interval_table()
+    # Round up with probability (u - lo) / (hi - lo), computed in U's place;
+    # one level up is two wire indices up.
+    _, _, lower, lo, _, width, _, _ = family.interval_table()
     k = _entries(U, family)
     U -= lo.take(k)
     U /= width.take(k)
-    idx = tau.take(k)
-    idx += uniforms < U
-
-    # A norm that underflows float32 degrades to the zero representation.
-    if not regular:
-        idx[norms == 0.0, :] = 0
-    # Coordinates rounded to level 0 carry no sign on the wire; they get +1
-    # so that decode(encode(q)) reproduces q exactly.
-    negative = V < 0
-    negative &= idx != 0
-    signs = negative.view(np.int8)
-    signs *= -2
-    signs += 1
-    return norms, signs, idx
+    s = lower.take(k)
+    up = uniforms < U
+    s += up
+    s += up
+    s += V < 0
+    return norms, s
 
 
 def quantize_vector(v, family, rng=None, uniforms=None):
     """Quantize a single vector, returning a QuantizedVector (see quantize_batch)."""
     if uniforms is not None:
         uniforms = np.asarray(uniforms, dtype=np.float64).reshape(1, -1)
-    norms, signs, idx = quantize_batch(
-        np.asarray(v, dtype=np.float64).reshape(1, -1), family, rng, uniforms
-    )
-    return QuantizedVector(norms[0], signs[0], idx[0], family.fingerprint())
+    V = np.asarray(v, dtype=np.float64).reshape(1, -1)
+    norms, s = quantize_batch(V, family, rng, uniforms)
+    return QuantizedVector.from_wire(norms[0], s[0], family.flat_levels()[1], family.fingerprint())
 
 
-def reconstruct_flat(norms, signs, flat, values):
-    """``dequantize_batch`` at flat indices into ``flat_levels`` values, unchecked."""
-    return norms[:, None] * signs * values.take(flat)
-
-
-def dequantize_batch(norms, signs, level_idx, family):
-    """Reconstruct a batch of vectors from quantize_batch output."""
-    level_idx = np.atleast_2d(level_idx)
-    values, coord_start, coord_size = family.flat_levels()
+def dequantize_batch(norms, s, family):
+    """Reconstruct a batch of vectors from quantize_batch output; s is range-checked."""
+    s = np.atleast_2d(s)
+    _, coord_start, coord_size = family.flat_levels()
+    if s.shape[1] != coord_start.size:
+        raise DimensionMismatch(f"dimension {s.shape[1]}, not {coord_start.size}")
+    level_idx = (s >> 1) - coord_start
     if level_idx.min() < 0 or (coord_size - level_idx).min() <= 0:
         raise IndexOutOfRange("level index outside its type's sequence")
-    norms = np.asarray(norms, dtype=np.float64)
-    return reconstruct_flat(norms, signs, level_idx + coord_start, values)
+    return np.asarray(norms, dtype=np.float64)[:, None] * family.signed_levels().take(s)
 
 
 def dequantize(qv, family):
     """Reconstruct the real vector represented by a QuantizedVector."""
     if qv.family_id is not None and qv.family_id != family.fingerprint():
         raise ValueError("QuantizedVector was produced under a different family")
-    if qv.dimension != family.dimension:
-        raise DimensionMismatch(
-            f"quantized dimension {qv.dimension} != family dimension {family.dimension}"
-        )
-    return dequantize_batch([qv.norm], qv.signs[None, :], qv.level_idx[None, :], family)[0]
+    return dequantize_batch([qv.norm], qv.wire_indices(family.flat_levels()[1]), family)[0]
 
 
 def exact_quantization_variance(v, family):

@@ -71,6 +71,8 @@ def _number(cast, noun, least=None, above=None):
             value = cast(text)
         except ValueError:
             raise ParseError(f"{where}: expected {noun}, got {text!r}") from None
+        if value != value or abs(value) == float("inf"):  # NaN or infinite
+            raise ParseError(f"{where}: expected a finite number, got {text!r}")
         if least is not None and value < least:
             raise ParseError(f"{where} must be >= {least}, got {value}")
         if above is not None and value <= above:

@@ -24,15 +24,15 @@ each refresh start a segment, one immutable ``Segment``: broadcasts and rows
 use the last one, and the summary averages the bounds of all.
 
 Decoding a message reproduces its quantized vector exactly, so a broadcast
-takes Vhat and each message's bit count straight from the quantizer's level
-indices, by one gather each at the family's flat (type, level) indices
-(``LevelFamily.flat_levels``), without building the bit stream.  At
-checkpoint iterations every broadcast also sends its messages through the
-real encoder and decoder and raises ``codec.WireMismatch`` unless the
-roundtrip is exact and the messages hold exactly the counted bits.  A run
-that overflows, produces an invalid value or a norm the wire format cannot
-hold, or whose gap turns non-finite, raises ``RuntimeError`` naming the
-iteration.
+takes Vhat and the bits without building the bit stream, each by one gather
+at the quantizer's wire indices s = 2 (flat level index) + sign bit: from
+``LevelFamily.signed_levels``, times the norms, and from the codebook's
+string lengths.  At checkpoint iterations every broadcast also sends its
+messages through the real encoder and decoder and raises
+``codec.WireMismatch`` unless the roundtrip is exact and the messages hold
+exactly the counted bits.  A run that overflows, produces an invalid value
+or a norm the wire format cannot hold, or whose gap turns non-finite,
+raises ``RuntimeError`` naming the iteration.
 
 Two adaptive learning-rate schedules are provided.  The general schedule
 sets gamma_t = eta_t from the accumulated squared differences of decoded
@@ -55,7 +55,7 @@ from numpy.random import SeedSequence, default_rng
 from . import adapt, codec, vi
 from .codec import build_codebook, code_length_bound
 from .levels import LevelFamily, variance_bound_eps
-from .quantizer import NonFinite, quantize_batch, reconstruct_flat
+from .quantizer import NonFinite, quantize_batch
 
 
 class BadQHat(ValueError):
@@ -233,7 +233,7 @@ class _QuantPipeline:
 
         The K rows are quantized in one ``quantize_batch(V, family,
         uniforms=...)`` call.  Vhat and the bits are gathered at the
-        quantizer's own level indices, which need no range check; decoding
+        quantizer's own wire indices s, which need no range check; decoding
         the wire would reproduce Vhat.  The bits of the whole broadcast are
         one gather and one sum (``Codebook.batch_bits``).  At a checkpoint
         the messages also go through the real codec.
@@ -242,14 +242,12 @@ class _QuantPipeline:
             self.recent.append(V)
         seg = self.segments[-1]
         uniforms = self.rng.random((self.K, self.d))
-        norms, signs, idx = quantize_batch(V, seg.family, uniforms=uniforms)
-        values, coord_start, _ = seg.family.flat_levels()
-        flat = idx + coord_start
-        bits = seg.books.batch_bits(norms, flat)
+        norms, s = quantize_batch(V, seg.family, uniforms=uniforms)
+        bits = seg.books.batch_bits(norms, s)
         if state.at_checkpoint:
-            codec.verify_wire(norms, signs, idx, seg.books, bits)
+            codec.verify_wire(norms, s, seg.books, bits)
         state.bits += bits
-        return reconstruct_flat(norms, signs, flat, values)
+        return norms[:, None] * seg.family.signed_levels().take(s)
 
 
 class _IdentityPipeline:

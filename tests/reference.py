@@ -54,11 +54,12 @@ def factored_skew_split(rng, B, K, r, norm):
 
 
 def quantize_batch(V, family, rng=None, uniforms=None):
-    """``quantizer.quantize_batch`` as it was before its passes were trimmed.
+    """(norms, signs, level_idx): ``quantizer.quantize_batch`` before its passes were trimmed.
 
     Scans V for non-finite values up front, clamps every magnitude, finds
-    each magnitude's interval with ``np.searchsorted`` and builds the signs
-    through an int64 ``np.where``.
+    each magnitude's interval by ``np.searchsorted`` in its type's levels,
+    coordinate by coordinate, and builds the signs through an int64
+    ``np.where``, +1 at level 0.
     """
     if rng is None and uniforms is None:
         raise ValueError("quantizing needs rng or uniforms; both are None")
@@ -91,10 +92,13 @@ def quantize_batch(V, family, rng=None, uniforms=None):
         uniforms = np.asarray(uniforms, dtype=np.float64)
         if uniforms.shape != (n, d):
             raise DimensionMismatch("uniforms must have one variate per coordinate")
-    edges, offsets, tau, lo, hi = family.interval_table()[:5]
-    k = np.searchsorted(edges, U.ravel(), side="right").reshape(U.shape) + offsets
-    tau, lo, hi = tau[k], lo[k], hi[k]
-    idx = tau + (uniforms < (U - lo) / (hi - lo))
+    idx = np.empty((n, d), dtype=np.int32)
+    for i, m in enumerate(family.assignment.tolist()):
+        ell = family.sequences[m].levels
+        # u = 1 falls in the last interval.
+        tau = np.minimum(np.searchsorted(ell, U[:, i], side="right") - 1, ell.size - 2)
+        lo, hi = ell[tau], ell[tau + 1]
+        idx[:, i] = tau + (uniforms[:, i] < (U[:, i] - lo) / (hi - lo))
     if not norms.all():
         idx[norms == 0.0, :] = 0
     signs = np.where(V < 0, -1, 1).astype(np.int8)
@@ -102,17 +106,29 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     return norms, signs, idx
 
 
+def signed_indices(signs, level_idx, coord_start):
+    """Wire index rows 2 (coord_start + level_idx) + (signs < 0) of (signs, level_idx) rows."""
+    return 2 * (np.asarray(level_idx, dtype=np.int64) + coord_start) + (np.asarray(signs) < 0)
+
+
+def level_indices(s, coord_start):
+    """(signs, level_idx) rows of wire index rows s, int8 and int32; level 0 gets sign +1."""
+    level_idx = (s >> 1) - coord_start
+    signs = np.where(level_idx == 0, 1, np.where(s % 2 == 1, -1, 1))
+    return signs.astype(np.int8), level_idx.astype(np.int32)
+
+
 def _wire_strings(books):
     """Each flat index's (plus, minus) wire strings as strings of "0" and "1"."""
     # A flat index carries a sign bit when its wire string outgrows its codeword.
-    signed = (books._wire_bits - [length for length, _ in books.words]).tolist()
+    signed = (books._string_bits[::2] - [length for length, _ in books.words]).tolist()
     words = [format(code, f"0{length}b") for length, code in books.words]
     return [(w + "0" * g, w + "1" * g) for w, g in zip(words, signed)]
 
 
 def encode_batch(norms, signs, level_idx, books):
     """Messages as (bytes, nbits), built as strings of "0" and "1" row by row."""
-    flat = books.flat_indices(norms, level_idx)
+    flat = np.asarray(level_idx) + books._coord_start
     strings = _wire_strings(books)
     out = []
     for norm, row, sgn in zip(np.asarray(norms).tolist(), flat.tolist(),
@@ -140,7 +156,7 @@ def decode_message(data, books):
     scopes = []
     tab = books._strings
     for sc in range(tab.scope.max() + 1):
-        span = sorted(set(tab.flat[tab.scope == sc].tolist()))
+        span = sorted(set((tab.s[tab.scope == sc] >> 1).tolist()))
         table = {strings[f][1]: (f, -1) for f in span} | {strings[f][0]: (f, 1) for f in span}
         width = max(map(len, table))
         rows = sorted((w.ljust(width, "0"), w, f, g) for w, (f, g) in table.items())

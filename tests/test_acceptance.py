@@ -107,8 +107,8 @@ def test_criterion_01_unbiasedness():
         chunk = max(1, 2_000_000 // d)
         while remaining:
             b = min(chunk, remaining)
-            norms, signs, idx = quantize_batch(np.tile(v, (b, 1)), fam, rng=rng)
-            deq = dequantize_batch(norms, signs, idx, fam)
+            norms, s = quantize_batch(np.tile(v, (b, 1)), fam, rng=rng)
+            deq = dequantize_batch(norms, s, fam)
             total += deq.sum(axis=0)
             norm32 = norms[0]
             remaining -= b
@@ -174,8 +174,8 @@ def test_criterion_03_exact_matches_empirical_variance():
         fam = _random_family(rng, d, q, M)
         v = rng.standard_normal(d)
         exact = exact_quantization_variance(v, fam)
-        norms, signs, idx = quantize_batch(np.tile(v, (n_draws, 1)), fam, rng=rng)
-        deq = dequantize_batch(norms, signs, idx, fam)
+        norms, s = quantize_batch(np.tile(v, (n_draws, 1)), fam, rng=rng)
+        deq = dequantize_batch(norms, s, fam)
         # The wire rounds the norm to 32 bits, so the realized spread is the
         # closed form scaled by (rounded norm / exact norm)^2.
         scale = (norms[0] / _lq_norm(v, fam.q)) ** 2

@@ -39,9 +39,14 @@ def _bits(length, code):
     return format(code, "b").zfill(length) if length else ""
 
 
-def _message_bits(books, norms, level_idx):
+def _message_bits(books, norms, s):
     """Counted wire bits per row, through the range check the encoder runs."""
-    return books.flat_message_bits(norms, books.flat_indices(norms, level_idx))
+    return books.message_bits(norms, books.wire_indices(norms, s))
+
+
+def _positive(books, level_idx):
+    """Wire indices of ``level_idx`` rows with every sign +1."""
+    return 2 * (np.asarray(level_idx) + books._coord_start)
 
 
 def _kraft_sums(books):
@@ -252,15 +257,16 @@ def test_batch_encode_decode_match_single():
     fam = _fam_two(d=5)
     books = build_codebook(fam, _hist_for(fam))
     V = rng.standard_normal((7, 5))
-    norms, signs, idx = quantize_batch(V, fam, rng=rng)
-    msgs = encode_batch(norms, signs, idx, books)
+    norms, s = quantize_batch(V, fam, rng=rng)
+    msgs = encode_batch(norms, s, books)
+    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
     for k in range(7):
         qv = QuantizedVector(norms[k], signs[k], idx[k], fam.fingerprint())
         assert msgs[k].data == encode(qv, books).data
-    dn, ds, di = decode_batch(msgs, books)
+    dn, ds = decode_batch(msgs, books)
     assert np.array_equal(dn, norms)
-    assert np.array_equal(ds, signs)
-    assert np.array_equal(di, idx)
+    assert all(np.array_equal(a, b)
+               for a, b in zip(reference.level_indices(ds, fam.flat_levels()[1]), (signs, idx)))
 
 
 def _fam_scattered():
@@ -285,9 +291,9 @@ def test_message_bits_match_encoded_lengths(protocol, scheme):
     books = build_codebook(fam, hist, protocol, scheme)
     V = rng.standard_normal((12, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(12, 1))
     V[[2, 7]] = 0.0
-    norms, signs, idx = quantize_batch(V, fam, rng=rng)
-    counted = _message_bits(books, norms, idx)
-    assert counted.tolist() == [m.nbits for m in encode_batch(norms, signs, idx, books)]
+    norms, s = quantize_batch(V, fam, rng=rng)
+    counted = _message_bits(books, norms, s)
+    assert counted.tolist() == [m.nbits for m in encode_batch(norms, s, books)]
     assert counted[2] == counted[7] == 32
 
 
@@ -323,8 +329,8 @@ def test_wire_is_frozen(protocol, scheme):
     for rows in (16, 1, 5):
         V = rng.standard_normal((rows, 9)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
         V[1::5] = 0.0
-        norms, signs, idx = quantize_batch(V, fam, rng=rng)
-        for msg in encode_batch(norms, signs, idx, books):
+        norms, s = quantize_batch(V, fam, rng=rng)
+        for msg in encode_batch(norms, s, books):
             h.update(msg.data + msg.nbits.to_bytes(4, "big"))
     # ``words`` lists the codewords in (type, level) order.
     assert (h.hexdigest(), books.words) == _FROZEN_WIRE[(protocol, scheme)]
@@ -334,13 +340,13 @@ def test_message_bits_rejects_indices_outside_the_book():
     fam = _fam_two(d=4)  # two levels per type plus the endpoints: indices 0..2
     books = build_codebook(fam, _hist_for(fam))
     with pytest.raises(MissingCodeword):
-        _message_bits(books, [1.0], [[0, 3, 0, 0]])
+        _message_bits(books, [1.0], _positive(books, [[0, 3, 0, 0]]))
     with pytest.raises(MissingCodeword):
-        _message_bits(books, [1.0], [[0, 0, -1, 0]])
+        _message_bits(books, [1.0], _positive(books, [[0, 0, -1, 0]]))
     with pytest.raises(ValueError):
         _message_bits(books, [1.0], [[0, 0, 0]])
     # A zero-norm row is its bare header and unchecked, as in encode.
-    assert _message_bits(books, [0.0], [[0, 9, 0, 0]]).tolist() == [32]
+    assert _message_bits(books, [0.0], _positive(books, [[0, 9, 0, 0]])).tolist() == [32]
     qv = QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fam.fingerprint())
     assert encode(qv, books).nbits == 32
 
@@ -359,8 +365,11 @@ def test_encode_rejects_indices_outside_the_book(protocol):
     norms = np.array([1.0, 0.0, 2.0])
     idx = np.array([[0, 1, 2, 1], [0, 7, 0, 0], [2, 0, 0, 3]])
     with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
-        encode_batch(norms, np.ones((3, 4), dtype=np.int8), idx, books)
-    msgs = encode_batch(norms[:2], np.ones((2, 4), dtype=np.int8), idx[:2], books)
+        encode_batch(norms, _positive(books, idx), books)
+    # A negative sign bit does not change the level it names.
+    with pytest.raises(MissingCodeword, match="no codeword for type 1, level 3"):
+        encode_batch(norms, _positive(books, idx) + 1, books)
+    msgs = encode_batch(norms[:2], _positive(books, idx[:2]), books)
     assert msgs[1].nbits == 32
     assert encode(QuantizedVector(0.0, [1] * 4, [0, 9, 0, 0], fid), books).nbits == 32
     # A row of the wrong dimension used to encode a message that decoded
@@ -370,22 +379,37 @@ def test_encode_rejects_indices_outside_the_book(protocol):
             encode(QuantizedVector(1.0, [1] * d, [1] * d, fid), books)
 
 
-def test_verify_wire_checks_roundtrip_and_counted_bits():
+def test_verify_wire_checks_roundtrip_and_counted_bits(monkeypatch):
     rng = np.random.default_rng(8)
     fam = _fam_scattered()
     books = build_codebook(fam, _hist_for(fam), "alternating")
-    norms, signs, idx = quantize_batch(rng.standard_normal((4, 9)), fam, rng=rng)
-    bits = int(_message_bits(books, norms, idx).sum())
-    codec.verify_wire(norms, signs, idx, books, bits)
+    norms, s = quantize_batch(rng.standard_normal((4, 9)), fam, rng=rng)
+    bits = int(_message_bits(books, norms, s).sum())
+    codec.verify_wire(norms, s, books, bits)
     with pytest.raises(codec.WireMismatch):
-        codec.verify_wire(norms, signs, idx, books, bits + 1)
-    # A level-0 coordinate sends no sign bit, so a negative sign there
-    # cannot survive the roundtrip.
-    bad = signs.copy()
-    bad[idx == 0] = -1
-    assert (idx == 0).any()
+        codec.verify_wire(norms, s, books, bits + 1)
+    # A level-0 coordinate sends no sign bit: the quantizer keeps a negative
+    # coordinate's odd slot there, and the check accepts either slot.
+    level0 = (s >> 1) == books._coord_start
+    assert (level0 & (s & 1 == 1)).any() and (level0 & (s & 1 == 0)).any()
+    codec.verify_wire(norms, s ^ level0, books, bits)
+    codec.verify_wire(norms, s | level0, books, bits)
     with pytest.raises(codec.WireMismatch):
-        codec.verify_wire(norms, bad, idx, books, bits)
+        codec.verify_wire(norms, s | level0, books, bits - 1)
+    # A positive level's sign bit is on the wire: a roundtrip that flips it
+    # fails the check, and so does a decoder that returns level 0's odd slot.
+    decode = codec.decode_batch
+    for where in (~level0, level0 & (s & 1 == 0)):
+        i, j = np.argwhere(where)[0]
+
+        def flipping(msgs, books):
+            got_norms, got_s = decode(msgs, books)
+            got_s[i, j] ^= 1
+            return got_norms, got_s
+
+        monkeypatch.setattr(codec, "decode_batch", flipping)
+        with pytest.raises(codec.WireMismatch, match="differs"):
+            codec.verify_wire(norms, s, books, bits)
 
 
 def test_decode_rejects_truncation():
@@ -455,7 +479,7 @@ def test_roundtrip_with_long_codewords(protocol, n):
     qv = QuantizedVector(2.5, signs, idx, fam.fingerprint())
     msg = encode(qv, books)
     assert decode(msg, books) == qv
-    assert _message_bits(books, [qv.norm], [idx]).tolist() == [msg.nbits]
+    assert _message_bits(books, [qv.norm], _positive(books, [idx])).tolist() == [msg.nbits]
     with pytest.raises(TruncatedMessage):
         decode(codec.EncodedMessage(msg.data[:-3], msg.nbits - 24), books)
 
@@ -610,12 +634,11 @@ def test_measured_bits_respect_bound():
 def test_empty_batch_goes_through_the_wire():
     fam = _fam_scattered()
     books = build_codebook(fam, scheme="elias")
-    norms, signs, idx = quantize_batch(np.zeros((0, 9)), fam, rng=np.random.default_rng(0))
-    assert encode_batch(norms, signs, idx, books) == []
+    norms, s = quantize_batch(np.zeros((0, 9)), fam, rng=np.random.default_rng(0))
+    assert encode_batch(norms, s, books) == []
     got = decode_batch([], books)
-    assert [(a.shape, a.dtype) for a in got] == [
-        ((0,), np.float64), ((0, 9), np.int8), ((0, 9), np.int32)]
-    codec.verify_wire(norms, signs, idx, books, 0)
+    assert [(a.shape, a.dtype) for a in got] == [((0,), np.float64), ((0, 9), np.int64)]
+    codec.verify_wire(norms, s, books, 0)
 
 
 @pytest.mark.parametrize("regime", ["warnings", "errstate"])
@@ -626,7 +649,7 @@ def test_a_nan_norm_header_is_an_invalid_codeword(regime, header):
     # warnings as errors and under the solver's errstate alike.
     fam = _fam_scattered()
     books = build_codebook(fam, scheme="elias")
-    good = encode_batch([1.0], np.ones((1, 9), np.int8), np.ones((1, 9), np.int32), books)[0]
+    good = encode_batch([1.0], _positive(books, np.ones((1, 9), np.int32)), books)[0]
     bad = codec.EncodedMessage(bytes.fromhex(header) + good.data[4:], good.nbits)
     strict = (warnings.catch_warnings() if regime == "warnings"
               else np.errstate(over="raise", invalid="raise"))
@@ -710,10 +733,11 @@ def _decode(data, books):
 def test_wire_matches_the_per_coordinate_reference(data):
     books, fam, rng = _draw_book(data)
     norms, signs, idx = _random_rows(fam, rng)
-    msgs = encode_batch(norms, signs, idx, books)
+    s = reference.signed_indices(signs, idx, books._coord_start)
+    msgs = encode_batch(norms, s, books)
     assert [(m.data, m.nbits) for m in msgs] == reference.encode_batch(norms, signs, idx, books)
     got = decode_batch(msgs, books)
-    for a, b in zip(got, (norms, signs, idx)):
+    for a, b in zip(got, (norms, s)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     corrupt = [_corrupted(m.data, m.nbits, rng) for m in msgs]
     for bad in corrupt:
@@ -767,7 +791,7 @@ def test_wire_calls_do_not_grow_with_the_dimension(protocol, scheme):
 
 def test_verify_wire_stays_small():
     rows, books = _layered(1000, "alternating", "elias")
-    bits = int(_message_bits(books, rows[0], rows[2]).sum())
+    bits = int(_message_bits(books, *rows).sum())
     codec.verify_wire(*rows, books, bits)
     _, peak = _traced_peak(lambda: codec.verify_wire(*rows, books, bits))
     assert peak < 2 << 20

@@ -179,6 +179,22 @@ def test_flat_levels_layout():
     assert not any(arr.flags.writeable for arr in (values, start, size))
 
 
+def test_signed_levels_pair_each_flat_level_with_its_negative():
+    # Wire index 2f + n holds (-1)^n values[f]; level 0's negative slot +0.0.
+    fam = LevelFamily(
+        [LevelSequence([0.0, 0.5, 1.0]), LevelSequence([0.0, 0.25, 1.0])],
+        np.array([1, 0, 1]),
+    )
+    signed = fam.signed_levels()
+    assert signed.tolist() == [0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.0, 0.0, 0.25, -0.25, 1.0, -1.0]
+    assert not np.signbit(signed[signed == 0.0]).any()
+    assert fam.signed_levels() is signed and not signed.flags.writeable
+    # The interval table's s is the positive slot of each interval's lower level.
+    lower, lo = fam.interval_table()[2:4]
+    assert np.array_equal(signed[lower], lo)
+    assert not (lower % 2).any()
+
+
 def test_interval_table_edges_are_the_distinct_sorted_levels():
     # Random families whose types share some of their levels.
     rng = np.random.default_rng(5)

@@ -139,7 +139,8 @@ def test_quantize_batch_matches_single_calls():
     )
     V = rng.standard_normal((6, 5))
     U = rng.random((6, 5))
-    norms, signs, idx = quantize_batch(V, fam, uniforms=U)
+    norms, s = quantize_batch(V, fam, uniforms=U)
+    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
     for k in range(6):
         qv = quantize_vector(V[k], fam, uniforms=U[k])
         assert qv.norm == norms[k]
@@ -151,8 +152,9 @@ def test_dequantize_batch_matches_single():
     fam = _fam(d=3)
     rng = np.random.default_rng(7)
     V = rng.standard_normal((4, 3))
-    norms, signs, idx = quantize_batch(V, fam, rng=rng)
-    batch = dequantize_batch(norms, signs, idx, fam)
+    norms, s = quantize_batch(V, fam, rng=rng)
+    batch = dequantize_batch(norms, s, fam)
+    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
     for k in range(4):
         qv = QuantizedVector(norms[k], signs[k], idx[k], fam.fingerprint())
         assert np.array_equal(dequantize(qv, fam), batch[k])
@@ -172,6 +174,33 @@ def test_dequantize_checks_family_and_index_range():
         dequantize(bad, fam)
 
 
+def test_wire_indices_convert_to_signs_and_levels_and_back():
+    # s = 2 (coord_start + level) + sign bit; level 0's odd slot reads as +1.
+    fam = LevelFamily(
+        [LevelSequence([0.0, 0.25, 1.0]), LevelSequence([0.0, 0.5, 0.75, 1.0])],
+        np.array([1, 0, 1, 0]),
+    )
+    start = fam.flat_levels()[1]
+    assert start.tolist() == [3, 0, 3, 0]
+    qv = QuantizedVector(2.0, [1, -1, -1, 1], [0, 2, 3, 1], "f")
+    s = qv.wire_indices(start)
+    assert s.tolist() == [6, 5, 13, 2]
+    assert QuantizedVector.from_wire(2.0, s, start, "f") == qv
+    assert QuantizedVector.from_wire(2.0, s + [1, 0, 0, 0], start, "f") == qv
+    assert s.tolist() == reference.signed_indices(qv.signs, qv.level_idx, start).tolist()
+    with pytest.raises(DimensionMismatch):
+        QuantizedVector(1.0, [1, 1, 1], [0, 0, 0], "f").wire_indices(start)
+    # A row of another width used to broadcast against the family.
+    for width in (1, 3, 5):
+        with pytest.raises(DimensionMismatch):
+            dequantize_batch([1.0], np.full((1, width), 2), fam)
+    # An index of another type's level is out of its coordinate's range.
+    with pytest.raises(IndexOutOfRange):
+        dequantize_batch([1.0], s + [0, 0, 2, 0], fam)
+    with pytest.raises(IndexOutOfRange):
+        dequantize_batch([1.0], s - [6, 0, 0, 0], fam)
+
+
 def test_unbiasedness_monte_carlo():
     # Mean of 40000 reconstructions should sit within 5 standard errors of
     # the input, per coordinate.
@@ -182,8 +211,8 @@ def test_unbiasedness_monte_carlo():
     rng = np.random.default_rng(314)
     v = rng.standard_normal(6)
     n = 40000
-    norms, signs, idx = quantize_batch(np.tile(v, (n, 1)), fam, rng=rng)
-    draws = dequantize_batch(norms, signs, idx, fam)
+    norms, s = quantize_batch(np.tile(v, (n, 1)), fam, rng=rng)
+    draws = dequantize_batch(norms, s, fam)
     se = draws.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(draws.mean(axis=0) - v) <= 5 * se + 1e-12)
 
@@ -234,8 +263,8 @@ def test_exact_variance_matches_monte_carlo():
     v = rng.standard_normal(5) * 3.0
     exact = exact_quantization_variance(v, fam)
     n = 40000
-    norms, signs, idx = quantize_batch(np.tile(v, (n, 1)), fam, rng=rng)
-    err = dequantize_batch(norms, signs, idx, fam) - v
+    norms, s = quantize_batch(np.tile(v, (n, 1)), fam, rng=rng)
+    err = dequantize_batch(norms, s, fam) - v
     sq = np.einsum("ij,ij->i", err, err)
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - exact) <= 4 * se
@@ -298,9 +327,8 @@ def test_reconstruction_lands_on_adjacent_levels(case):
 
 
 def test_quantize_empty_batch():
-    norms, signs, idx = quantize_batch(np.zeros((0, 3)), _fam(d=3), rng=np.random.default_rng(0))
-    assert [(a.shape, a.dtype) for a in (norms, signs, idx)] == [
-        ((0,), np.float64), ((0, 3), np.int8), ((0, 3), np.int32)]
+    norms, s = quantize_batch(np.zeros((0, 3)), _fam(d=3), rng=np.random.default_rng(0))
+    assert [(a.shape, a.dtype) for a in (norms, s)] == [((0,), np.float64), ((0, 3), np.int64)]
 
 
 def _draw_rows(data, fam, rng):
@@ -367,5 +395,10 @@ def test_quantize_matches_the_reference(data):
     if isinstance(want, type):
         assert got is want
     else:
+        norms, s = got
+        assert s.dtype == np.int64
+        # Every coordinate keeps its sign bit, level 0 included.
+        assert np.array_equal(s & 1, V < 0)
+        got = (norms, *reference.level_indices(s, fam.flat_levels()[1]))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -107,6 +107,19 @@ def test_run_section_validation():
         config_from_dict({"problem": {"preset": "bilinear"}, "run": {"algorithm": "sgd"}})
 
 
+def test_real_keys_reject_values_that_are_not_finite():
+    # Parse only: NaN passed every range check and stopped the run at its
+    # first iteration, and noise.clip = nan ran unclipped.
+    reals = [k for k in runner._SCHEMA if k.kind.dump is repr]
+    assert {k.where for k in reals} == {
+        "[noise] sigma", "[noise] clip", "[schedule] q_hat", "[schedule] c", "[run] step"}
+    for key in reals:
+        for text in ("nan", "NaN", "inf", " +Infinity ", "-inf"):
+            with pytest.raises(ParseError, match=re.escape(key.where)):
+                config_from_dict({"problem": {"preset": "bilinear"},
+                                  key.section: {key.key: text}})
+
+
 def test_explicit_levels_round_through_family():
     cfg = config_from_dict(
         {

@@ -144,7 +144,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
     # The run's counted bits must equal the lengths of the real messages
     # for the same draws, across level refreshes (t = 6, 11), under both
     # protocols and both schemes, for every broadcast of either algorithm.
-    sent = []  # (norms, signs, idx, books) of every broadcast
+    sent = []  # (norms, s, books) of every broadcast
     quantize, broadcast = solver.quantize_batch, solver._QuantPipeline.broadcast
 
     def recording_quantize(V, family, **kw):
@@ -171,7 +171,7 @@ def test_quantized_bits_match_message_sizes(monkeypatch, algorithm):
             else:
                 metrics = run_extragradient_baseline(problem, 12, quant=quant, seed=0)
             assert len(sent) == 12 * per_iteration
-            assert len({id(books) for _, _, _, books in sent}) == 3
+            assert len({id(books) for _, _, books in sent}) == 3
             wire = sum(m.nbits for rows in sent for m in codec.encode_batch(*rows))
             assert metrics.summary["total_bits"] == wire
             assert metrics.rows[-1][4] == wire
@@ -186,12 +186,16 @@ def _random_family(rng):
 
 
 def test_broadcast_matches_the_checked_public_functions():
-    # The broadcast gathers Vhat and the bits at flat (type, level) indices
-    # without a range check; with the same uniforms both must equal what
-    # dequantize_batch and the range-checked bit count return, bit for bit.  The rows cover
-    # a zero vector, a norm that underflows float32, a lone nonzero
-    # coordinate (u = 1 exactly) and scattered zeros.
+    # The broadcast gathers Vhat and the bits at wire indices without a
+    # range check; with the same uniforms both must equal what
+    # dequantize_batch and the range-checked bit count return, bit for bit,
+    # and Vhat must equal norm * sign * level value from the library's
+    # signs and levels.  No zero of Vhat may be -0.0: a negative coordinate
+    # rounded to level 0 comes back as +0.0.  The rows cover a zero vector,
+    # a norm that underflows float32, a lone nonzero coordinate (u = 1
+    # exactly) and scattered zeros.
     rng = np.random.default_rng(11)
+    negative_at_zero = 0
     for trial in range(60):
         fam = _random_family(rng)
         d = fam.dimension
@@ -209,15 +213,20 @@ def test_broadcast_matches_the_checked_public_functions():
         state.at_checkpoint = trial % 3 == 0
         v_hat = pipe.broadcast(V, state)
 
-        norms, signs, idx = solver.quantize_batch(V, fam, uniforms=U)
+        norms, s = solver.quantize_batch(V, fam, uniforms=U)
+        signs, idx = reference.level_indices(s, fam.flat_levels()[1])
         lone = int(np.flatnonzero(V[2])[0])
         assert norms[0] == norms[1] == 0.0
         assert idx[2, lone] == len(fam.sequences[fam.assignment[lone]]) - 1
-        expected = dequantize_batch(norms, signs, idx, fam)
+        expected = dequantize_batch(norms, s, fam)
         assert v_hat.tobytes() == expected.tobytes()
+        values = fam.flat_levels()[0][idx + fam.flat_levels()[1]]
+        assert v_hat.tobytes() == (norms[:, None] * signs * values).tobytes()
+        assert not np.signbit(v_hat[v_hat == 0.0]).any()
+        negative_at_zero += int(((V < 0) & (idx == 0)).sum())
         books = pipe.segments[-1].books
-        flat = books.flat_indices(norms, idx)
-        assert state.bits == int(books.flat_message_bits(norms, flat).sum())
+        assert state.bits == int(books.message_bits(norms, books.wire_indices(norms, s)).sum())
+    assert negative_at_zero > 0
 
 
 @pytest.mark.parametrize("estimator", ["empirical", "truncated-normal"])
