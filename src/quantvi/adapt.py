@@ -200,11 +200,12 @@ def _fit_one_truncnorm(mean, var):
         m, v = TruncNormCdf(theta[0], np.exp(theta[1])).mean_var()
         return [m - mean, v - var]
 
-    theta0 = np.array([mean, 0.5 * np.log(max(var, 1e-8))])
-    sol = optimize.least_squares(
-        residual, theta0, bounds=([-10.0, np.log(1e-4)], [11.0, np.log(50.0)]),
-        xtol=1e-14, ftol=1e-14,
-    )
+    lo, hi = [-10.0, np.log(1e-4)], [11.0, np.log(50.0)]
+    theta0 = np.clip([mean, 0.5 * np.log(max(var, 1e-8))], lo, hi)
+    try:
+        sol = optimize.least_squares(residual, theta0, bounds=(lo, hi), xtol=1e-14, ftol=1e-14)
+    except ValueError:  # a candidate whose truncation interval carries no mass
+        return None
     if not sol.success or np.linalg.norm(sol.fun) > 1e-6:
         return None
     return float(sol.x[0]), float(np.exp(sol.x[1]))

@@ -32,13 +32,17 @@ Zero-padded to the longest length in its scope, the wire strings sort in the
 order of the disjoint ranges of windows they begin, so a search of the sorted
 strings on the window at a bit finds the one string that can start there
 (Moffat & Turpin 1997, "On the implementation of minimum redundancy prefix
-codes").  The decoder makes that search, as 57-bit integer digits, at every
-bit where a coordinate can start (Klein & Wiseman 2003, "Parallel Huffman
-decoding with applications to JPEG files"), links each bit to the bit after
-its string, and follows the links from the first payload bit by pointer
-doubling.  A batch of messages of b bits in all costs O(b log d) array work
-in O(log d) numpy calls per run of coordinates that share a scope, and no
-table grows with the codeword length beyond one digit per 57 bits.
+codes").  The search compares 57-bit integer digits, so no table grows with
+the codeword length beyond one digit per 57 bits.
+``verify_wire`` makes that search at the bit where the encoder wrote each
+coordinate's string: the header's end plus the lengths of the strings sent
+before it.  If every string lies inside its message, the headers hold the
+norms, every search finds the string sent and fewer than 8 zero bits follow
+the last string, then, by induction from the first payload bit, the decoder
+reads each string where it was written: the check is exactly
+``decode_batch(encode_batch(q)) == q``, in one search of all K d strings.
+``decode_batch``, which must find where each string starts, reads all
+messages in step, one coordinate per step, with the same search.
 
 Wire format, most significant bit first: a 32-bit IEEE-754 big-endian norm,
 then, only when the norm is nonzero, for each coordinate in ascending order
@@ -271,8 +275,7 @@ class Codebook:
     2f and 2f + 1, are the one source both sides read: the encoder gathers
     their bits from one table, and the decoder searches them in ``scopes``,
     ranges of flat indices that partition them, each prefix-free on its own.
-    A coordinate decodes in the scope that holds its type's levels, and
-    consecutive coordinates that share a scope form a run.
+    A coordinate decodes in the scope that holds its type's levels.
     """
 
     def __init__(self, words, scopes, family):
@@ -293,31 +296,10 @@ class Codebook:
         self._starts = np.cumsum(self._string_bits) - self._string_bits
         self._strings = tab = _WireStrings(scopes, strings, signed)
         self._pad_bytes = -(-int(tab.lengths.max()) // 8)
-        self._scope_keys = np.arange(len(scopes), dtype=np.uint64) << np.uint64(tab.digit)
-        # Runs of coordinates in one scope, _runs[r] = (scope, length).
-        # Coordinate i is step t of run r, at _coord_slot[i] = r * _max_run + t.
-        type_scope = [next(s for s, span in enumerate(scopes) if a in span) for a in type_start]
-        coord_scope = np.array(type_scope)[family.assignment]
-        run_start = np.flatnonzero(np.diff(coord_scope, prepend=-1))
-        run_len = np.diff(run_start, append=coord_scope.size)
-        run_scope = coord_scope[run_start]
-        self._runs = list(zip(run_scope.tolist(), run_len.tolist()))
-        self._max_run = int(run_len.max())
-        self._coord_slot = np.arange(coord_scope.size) + np.repeat(
-            np.arange(run_start.size) * self._max_run - run_start, run_len)
-        # The bits a scope's runs can occupy, from a message's first payload
-        # bit: a run starts after the earlier runs' shortest strings and ends
-        # by their and its own longest.  A scope with no run gets no bits.
-        shortest = np.full(len(scopes), tab.lengths.max())
-        longest = np.zeros(len(scopes), dtype=np.int64)
-        np.minimum.at(shortest, tab.scope, tab.lengths)
-        np.maximum.at(longest, tab.scope, tab.lengths)
-        run_hi = np.cumsum(run_len * longest[run_scope])
-        run_lo = np.cumsum(run_len * shortest[run_scope]) - run_len * shortest[run_scope]
-        self._block_lo = np.full(len(scopes), run_hi[-1])
-        self._block_hi = np.full(len(scopes), -1)
-        np.minimum.at(self._block_lo, run_scope, run_lo)
-        np.maximum.at(self._block_hi, run_scope, run_hi)
+        # Each coordinate searches the scope of its type's levels.
+        type_scope = [next(sc for sc, span in enumerate(scopes) if a in span) for a in type_start]
+        self._coord_key = np.array(type_scope, dtype=np.uint64)[family.assignment] << np.uint64(
+            tab.digit)
 
     def wire_indices(self, norms, s):
         """Wire index rows ``s``, checked, as an array; a zero-norm row reads level 0.
@@ -471,116 +453,73 @@ def _windows(buf, digit):
     return ((words.astype(np.uint64)[:, None] << _BIT_IN_BYTE) >> np.uint64(64 - digit)).ravel()
 
 
-def _paths(books, windows, start, end):
-    """Follow each message's wire strings from bit ``start`` through every run.
+def _stream(msgs, books):
+    """Messages end to end for search: (bytes, each message's first and end bit, its header).
 
-    Returns (x, final, bit, ok, cand, match): ``x[k, i]`` indexes the
-    position of coordinate i of message k in the searched positions, whose
-    stream bit, link validity, candidate string and match are ``bit``,
-    ``ok``, ``cand`` and ``match``; ``final`` is the bit after the last
-    coordinate.  Each scope is searched over the block of bits its runs can
-    occupy in each message, and one more block, a single position, is the
-    sink.  A position links to the bit after its string, or to the sink
-    when nothing matches or the string leaves its block.  Pointer doubling
-    follows the links: run by run for the runs' ends, then for every step of
-    every run at once, in a table of (messages x runs x longest run) entries.
+    Each message is followed by zero bytes as wide as the longest wire
+    string, so that every window is full width; the header is the norm its
+    first 4 bytes hold.
     """
-    tab = books._strings
-    scopes = books._scope_keys.size
-    lo = np.append((start[:, None] + books._block_lo).ravel(), -1)
-    hi = np.append(np.minimum(start[:, None] + books._block_hi, end[:, None]).ravel(), -1)
-    width = np.maximum(hi - lo + 1, 0)
-    off = np.cumsum(width) - width
-    sink = int(off[-1])
-    local = np.arange(sink + 1)
-    bit = np.repeat(lo - off, width) + local
-    cand, match = tab.search(windows, bit, np.repeat(np.resize(books._scope_keys, width.size), width))
-    step = local + tab.lengths.take(cand)
-    del local
-    ok = match & (step <= np.repeat(off + width - 1, width))
-    step[~ok] = sink
-    jumps = [step]
-    for _ in range(1, books._max_run.bit_length()):
-        jumps.append(jumps[-1].take(jumps[-1]))
-    lo, hi, off = (a[:-1].reshape(-1, scopes) for a in (lo, hi, off))
-    # Step t of run r of message k is y[k, r, t], every run padded to the
-    # longest: steps 2^j .. 2^(j+1) - 1 are 2^j steps after steps 0 .. 2^j - 1.
-    y = np.empty((start.size, len(books._runs), books._max_run), dtype=np.int64)
-    final = start
-    for r, (sc, n) in enumerate(books._runs):
-        inside = (final >= lo[:, sc]) & (final <= hi[:, sc])
-        x = y[:, r, 0] = np.where(inside, final - lo[:, sc] + off[:, sc], sink)
-        for j in range(n.bit_length()):
-            if n >> j & 1:
-                x = jumps[j].take(x)
-        final = bit.take(x)
-    for j in range((books._max_run - 1).bit_length()):
-        h = 1 << j
-        y[:, :, h:2 * h] = jumps[j].take(y[:, :, :min(h, books._max_run - h)])
-    return y.reshape(start.size, -1).take(books._coord_slot, axis=1), final, bit, ok, cand, match
+    datas = [msg.data for msg in msgs]
+    sizes = np.array([len(x) for x in datas], dtype=np.int64)
+    gap = bytes(books._pad_bytes)
+    buf = gap.join(datas) + gap + bytes(8)
+    base = 8 * (np.cumsum(sizes + len(gap)) - sizes - len(gap))
+    head = np.frombuffer(buf, dtype=np.uint8)[(base // 8)[:, None] + np.arange(4)]
+    # A signalling-NaN header would raise the "invalid" flag as it widens;
+    # the callers reject it like any NaN.
+    with np.errstate(invalid="ignore"):
+        norms = head.view(">f4")[:, 0].astype(np.float64)
+    return buf, base, base + 8 * sizes, norms
 
 
 def decode_batch(msgs, books):
     """Decode messages into (norms, s) arrays, raising the first message's error.
 
-    The messages are laid end to end, each followed by zero bytes as wide as
-    the longest wire string, so that every window is full width, and
-    ``_paths`` finds every coordinate's string in O(log d) array operations
-    over the bits.  A message fails at its first failing coordinate, checked
-    for truncation, then a codeword, then an overrun, then its type; then on
-    trailing bits.  A zero-norm message decodes to level 0 throughout, and
-    level 0 to its even wire index.
+    The messages are read in step, one coordinate per step: every message
+    still being read searches its coordinate's scope at its current bit.  A
+    message fails at its first failing coordinate, checked for truncation,
+    then a codeword, then an overrun, then its type; then on trailing bits.
+    A zero-norm message decodes to level 0 throughout, and level 0 to its
+    even wire index.
     """
-    datas = [msg.data for msg in msgs]
-    K = len(datas)
-    norms = np.zeros(K)
-    s = np.tile(2 * books._coord_start, (K, 1))
-    if not K:
-        return norms, s
-    sizes = np.array([len(x) for x in datas])
-    gap = bytes(books._pad_bytes)
-    buf = gap.join(datas) + gap + bytes(8)
-    base = 8 * (np.cumsum(sizes + len(gap)) - sizes - len(gap))
-    end = base + 8 * sizes
-    head = np.frombuffer(buf, dtype=np.uint8)[(base // 8)[:, None] + np.arange(4)]
-    # A signalling-NaN header would raise the "invalid" flag as it widens;
-    # it is rejected below like any NaN.
-    with np.errstate(invalid="ignore"):
-        norms[:] = head.view(">f4")[:, 0]
+    s = np.tile(2 * books._coord_start, (len(msgs), 1))
+    buf, base, end, norms = _stream(msgs, books)
     errors = {}
-    for k, (size, norm) in enumerate(zip(sizes.tolist(), norms.tolist())):
+    for k, (size, norm) in enumerate(zip(((end - base) // 8).tolist(), norms.tolist())):
         if size < 4:
             errors[k] = TruncatedMessage("message shorter than the 32-bit norm header")
         elif not np.isfinite(norm) or norm < 0:
             errors[k] = InvalidCodeword(f"norm header decodes to {norm}")
         elif norm == 0.0 and size != 4:
             errors[k] = TrailingBits("zero-norm message carries payload bits")
-    rows = np.array([k for k in range(K) if k not in errors and norms[k] != 0.0], dtype=np.int64)
-    if rows.size:
-        tab = books._strings
-        windows = _windows(buf, tab.digit)
-        x, final, bit, ok, cand, match = _paths(books, windows, base[rows] + 32, end[rows])
-        c = cand[x]
-        got = tab.s[c]
-        level = (got >> 1) - books._coord_start
-        good = ok[x] & (level >= 0) & (level < books._coord_size)
-        s[rows] = got
-        rest = end[rows] - final
-        tail = windows[final] >> (tab.digit - np.minimum(rest, 7)).astype(np.uint64)
-        for r in np.flatnonzero(~good.all(axis=1) | (rest >= 8) | (tail > 0)).tolist():
-            k = rows[r]
-            if good[r].all():
-                errors[k] = TrailingBits(f"{rest[r]} bits past the last symbol")
-                continue
-            i = int(good[r].argmin())
-            p = int(bit[x[r, i]])
-            m = match[x[r, i]]
-            if p >= end[k] or (m and p + tab.lengths[c[r, i]] > end[k]):
+    rows = np.array([k for k in range(len(msgs)) if k not in errors and norms[k] != 0.0],
+                    dtype=np.int64)
+    tab = books._strings
+    windows = _windows(buf, tab.digit)
+    bit = base[rows] + 32
+    for i, key in enumerate(books._coord_key):
+        if not rows.size:
+            break
+        cand, match = tab.search(windows, bit, key)
+        got, after = tab.s[cand], bit + tab.lengths[cand]
+        level = (got >> 1) - books._coord_start[i]
+        over = after > end[rows]
+        good = match & ~over & (level >= 0) & (level < books._coord_size[i])
+        for r in np.flatnonzero(~good).tolist():
+            k, p = rows[r], bit[r]
+            if p >= end[k] or (match[r] and over[r]):
                 errors[k] = TruncatedMessage("bit stream ended inside a wire string")
-            elif not m:
+            elif not match[r]:
                 errors[k] = InvalidCodeword(f"no codeword matches bits at offset {p - base[k]}")
             else:
                 errors[k] = InvalidCodeword(f"coordinate {i} got a codeword of another type")
+        rows, bit = rows[good], after[good]
+        s[rows, i] = got[good]
+    rest = end[rows] - bit
+    tail = windows[bit] >> (tab.digit - np.minimum(rest, 7)).astype(np.uint64)
+    for r in np.flatnonzero((rest >= 8) | (tail > 0)).tolist():
+        errors[rows[r]] = TrailingBits(f"{rest[r]} bits past the last symbol")
     if errors:
         raise errors[min(errors)]
     return norms, s
@@ -601,15 +540,36 @@ def verify_wire(norms, s, books, counted_bits):
 
     Raises WireMismatch unless the encoded messages hold ``counted_bits``
     bits in total and decoding them reproduces the norms and s exactly, but
-    for the sign bit at level 0, which no wire string carries.
+    for the sign bit at level 0, which no wire string carries.  The check
+    searches for each coordinate's string where the encoder wrote it, after
+    the header and the strings sent before it, so no bit position is
+    discovered; see the module docstring for why this is the decoder's test.
     """
     msgs = encode_batch(norms, s, books)
     nbits = sum(m.nbits for m in msgs)
     if nbits != counted_bits:
         raise WireMismatch(f"messages hold {nbits} bits but {counted_bits} were counted")
-    got_norms, got_s = decode_batch(msgs, books)
     sent = np.where((s >> 1) == books._coord_start, s & -2, s)  # level 0 decodes even
-    if not (np.array_equal(got_norms, norms) and np.array_equal(got_s, sent)):
+    live = np.asarray(norms) != 0.0
+    buf, base, end, heads = _stream(msgs, books)
+    # The encoder checked the live rows' indices; a zero-norm row, sent as
+    # its bare header, decodes to level 0 throughout.
+    lens = books._string_bits[sent[live]]
+    last = base + 32
+    last[live] += lens.sum(axis=1)
+    # Every string inside its message, at most 7 bits after the last, before
+    # any window is read.
+    same = (((last <= end) & (end - last < 8)).all()
+            and ((heads >= 0) & (heads < np.inf)).all() and np.array_equal(heads, norms)
+            and (sent[~live] == 2 * books._coord_start).all())
+    if same:
+        tab = books._strings
+        windows = _windows(buf, tab.digit)
+        at = base[live, None] + 32 + np.cumsum(lens, axis=1) - lens
+        cand, match = tab.search(windows, at.ravel(), np.tile(books._coord_key, lens.shape[0]))
+        tail = windows[last] >> (tab.digit - (end - last)).astype(np.uint64)
+        same = match.all() and np.array_equal(tab.s[cand], sent[live].ravel()) and not tail.any()
+    if not same:
         raise WireMismatch("decode(encode(q)) differs from q")
 
 

@@ -520,30 +520,39 @@ SUITES = ("rate-suite", "k-sweep", "halving")
 def run_suite(name, out="suite", overrides=None):
     """Run a named collection of presets and write a suite-level JSON.
 
-    A run's config lays ``overrides``, then the run's own keys and its path
-    under ``out``, over the suite's keys.  Every config is built before
-    ``out`` is created, so a rejected suite leaves no directory behind.
+    A run's config lays ``overrides``, then its path under ``out``, over the
+    suite's keys for that run.  An override of a key whose value differs
+    between the suite's runs would collapse the axis the suite compares, so
+    it raises ParseError.  Every config is built before ``out`` is created,
+    so a rejected suite leaves no directory behind.
     """
-    def config(preset, suite_keys, label, **run_keys):
-        run_keys["out"] = os.path.join(out, label)
-        return preset_config(preset, _overlay(_overlay(suite_keys, overrides), {"run": run_keys}))
-
     if name == "rate-suite":
-        labels = ["bilinear-abs", "cocoercive-rel"]
-        cfgs = [config(preset, {}, preset) for preset in labels]
+        runs = {preset: (preset, {}) for preset in ("bilinear-abs", "cocoercive-rel")}
+        labels = list(runs)
     elif name == "k-sweep":
-        cfgs, labels = [], []
-        for K in (1, 4, 16):
-            keys = {"problem": {"K": K}, "noise": {"sigma": "0.5"}, "run": {"T": "2000"}}
-            cfgs.append(config("bilinear-abs", keys, f"K{K}"))
-            labels.append(f"K={K}")
+        runs = {f"K{K}": ("bilinear-abs", {"problem": {"K": K}, "noise": {"sigma": "0.5"},
+                                           "run": {"T": "2000"}}) for K in (1, 4, 16)}
+        labels = [f"K={K}" for K in (1, 4, 16)]
     elif name == "halving":
         keys = {"quantization": {"update_period": "0"}, "run": {"T": "1000"}}
-        cfgs = [config("bilinear-abs", keys, "qoda"),
-                config("bilinear-abs", keys, "extragradient", algorithm="extragradient")]
-        labels = ["qoda", "extragradient"]
+        runs = {"qoda": ("bilinear-abs", keys), "extragradient": (
+            "bilinear-abs", _overlay(keys, {"run": {"algorithm": "extragradient"}}))}
+        labels = list(runs)
     else:
         raise UnknownPreset(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
+
+    def build(extra):
+        return [preset_config(preset, _overlay(_overlay(keys, extra),
+                                               {"run": {"out": os.path.join(out, label)}}))
+                for label, (preset, keys) in runs.items()]
+
+    plain = [_sections(cfg) for cfg in build(None)]
+    for sec, entries in (overrides or {}).items():
+        for key in entries:
+            if len({p.get(sec, {}).get(key) for p in plain}) > 1:
+                raise ParseError(f"[{sec}] {key} differs between the runs of suite {name!r} "
+                                 "and cannot be overridden")
+    cfgs = build(overrides)
     os.makedirs(out, exist_ok=True)
     if name == "rate-suite":
         result = {"slopes": {label: run_experiment(cfg)["slope"]

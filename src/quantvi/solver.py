@@ -27,12 +27,14 @@ Decoding a message reproduces its quantized vector exactly, so a broadcast
 takes Vhat and the bits without building the bit stream, each by one gather
 at the quantizer's wire indices s = 2 (flat level index) + sign bit: from
 ``LevelFamily.signed_levels``, times the norms, and from the codebook's
-string lengths.  At checkpoint iterations every broadcast also sends its
-messages through the real encoder and decoder and raises
-``codec.WireMismatch`` unless the roundtrip is exact and the messages hold
-exactly the counted bits.  A run that overflows, produces an invalid value
-or a norm the wire format cannot hold, or whose gap turns non-finite,
-raises ``RuntimeError`` naming the iteration.
+string lengths.  At checkpoint iterations every broadcast also encodes its
+messages on the real wire and raises ``codec.WireMismatch`` unless the
+messages hold exactly the counted bits and each coordinate's string, read
+where the encoder wrote it, is the level and sign sent: exactly the
+decoder's roundtrip, without running the decoder (``codec.verify_wire``).
+A run that overflows, produces an invalid value or a norm the wire format
+cannot hold, or whose gap turns non-finite, raises ``RuntimeError`` naming
+the iteration.
 
 Two adaptive learning-rate schedules are provided.  The general schedule
 sets gamma_t = eta_t from the accumulated squared differences of decoded
@@ -236,7 +238,7 @@ class _QuantPipeline:
         quantizer's own wire indices s, which need no range check; decoding
         the wire would reproduce Vhat.  The bits of the whole broadcast are
         one gather and one sum (``Codebook.batch_bits``).  At a checkpoint
-        the messages also go through the real codec.
+        the messages are also encoded and checked on the real wire.
         """
         if self.cfg.update_period > 0:
             self.recent.append(V)

@@ -24,7 +24,12 @@ from quantvi.adapt import (
     quantization_cost,
     weighted_cdf,
 )
-from quantvi.levels import LevelFamily, LevelSequence
+from quantvi.levels import (
+    LevelFamily,
+    LevelSequence,
+    assignment_from_layer_sizes,
+    sequence_from_spec,
+)
 import reference
 
 
@@ -479,3 +484,19 @@ def test_weighted_cdf_points_follow_sample_then_coordinate_order():
     expect = [abs(S[z, i]) / norms[z] for z in (0, 2) for i in (1, 3, 4)]
     assert pts.tolist() == expect
     assert wts.tolist() == [lam[z] / 3 for z in (0, 2) for _ in range(3)]
+
+
+def test_fit_truncated_normal_falls_back_where_the_solver_raised():
+    # A weighted variance in (1e-12, 1e-8] put the solver's initial guess
+    # outside its bounds, and a small mean led it to a candidate whose
+    # truncation interval carries no mass; both raised out of the fit.
+    fam = LevelFamily([sequence_from_spec("uniform:3")] * 2, assignment_from_layer_sizes([10, 10]))
+    samples = np.random.default_rng(0).standard_normal((64, 20))
+    samples[:, :10] *= 3e-4
+    assert [type(c) for c in fit_truncated_normal(samples, fam)] == [TruncNormCdf] * 2
+    # Two points with mean 1e-3 and variance 2.99e-4: no truncated normal fits.
+    pts, wts = np.array([0.0, 0.301]), np.array([1 - 1e-3 / 0.301, 1e-3 / 0.301])
+    with mock.patch.object(adapt, "_type_points", return_value=(pts, wts)):
+        with pytest.warns(DegenerateSample):
+            (c,) = fit_truncated_normal(samples[:, :1], LevelFamily([fam.sequences[0]], [0]))
+    assert isinstance(c, StepCdf)

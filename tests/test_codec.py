@@ -4,6 +4,7 @@ import struct
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -396,20 +397,52 @@ def test_verify_wire_checks_roundtrip_and_counted_bits(monkeypatch):
     codec.verify_wire(norms, s | level0, books, bits)
     with pytest.raises(codec.WireMismatch):
         codec.verify_wire(norms, s | level0, books, bits - 1)
-    # A positive level's sign bit is on the wire: a roundtrip that flips it
-    # fails the check, and so does a decoder that returns level 0's odd slot.
-    decode = codec.decode_batch
-    for where in (~level0, level0 & (s & 1 == 0)):
-        i, j = np.argwhere(where)[0]
+    # A positive level's sign bit is on the wire: a message with it flipped
+    # fails the check, and so does a search table that returns level 0's odd slot.
+    i, j = np.argwhere(~level0)[0]
+    at = 32 + int(books._string_bits[s[i, :j + 1]].sum()) - 1  # the sign bit
+    encode = codec.encode_batch
 
-        def flipping(msgs, books):
-            got_norms, got_s = decode(msgs, books)
-            got_s[i, j] ^= 1
-            return got_norms, got_s
+    def flipping(norms, s, books):
+        msgs = encode(norms, s, books)
+        data = bytearray(msgs[i].data)
+        data[at // 8] ^= 0x80 >> at % 8
+        msgs[i] = codec.EncodedMessage(bytes(data), msgs[i].nbits)
+        return msgs
 
-        monkeypatch.setattr(codec, "decode_batch", flipping)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "encode_batch", flipping)
         with pytest.raises(codec.WireMismatch, match="differs"):
             codec.verify_wire(norms, s, books, bits)
+    i, j = np.argwhere(level0 & (s & 1 == 0))[0]
+    tab = books._strings
+    monkeypatch.setattr(tab, "s", np.where(tab.s == s[i, j], s[i, j] + 1, tab.s))
+    with pytest.raises(codec.WireMismatch, match="differs"):
+        codec.verify_wire(norms, s, books, bits)
+
+
+def test_verify_wire_rejects_rows_the_decoder_cannot_return(monkeypatch):
+    # The check searches where the strings were sent; it must still fail
+    # wherever the decoder would raise or return other rows.
+    fam = _fam_single()
+    books = build_codebook(fam, scheme="elias")  # 0, 100, 110, plus sign bits
+    s = _positive(books, [[0, 1]]) + [0, 1]  # payload 0 1001: level 1, negative
+    codec.verify_wire([1.0], s, books, 37)
+    for norm in (-1.0, np.inf):
+        with pytest.raises(codec.WireMismatch, match="differs"):
+            codec.verify_wire([norm], s, books, 37)
+    # A zero-norm row decodes to level 0, and its indices go unchecked.
+    for row in (s, s + 100):
+        with pytest.raises(codec.WireMismatch, match="differs"):
+            codec.verify_wire([0.0], row, books, 32)
+    # 1011 lies in the Elias gap above 1001: the search's candidate is the
+    # sent string, but the bits do not match it.
+    gap = _payload_message("0" + "1011")
+    with pytest.raises(InvalidCodeword):
+        decode(gap, books)
+    monkeypatch.setattr(codec, "encode_batch", lambda *args: [gap])
+    with pytest.raises(codec.WireMismatch, match="differs"):
+        codec.verify_wire([1.0], s, books, 37)
 
 
 def test_decode_rejects_truncation():
@@ -702,17 +735,17 @@ def _outcome(f):
     """f()'s result, or the class of the exception it raised."""
     try:
         return f()
-    except (TruncatedMessage, InvalidCodeword, TrailingBits) as err:
+    except (TruncatedMessage, InvalidCodeword, TrailingBits, codec.WireMismatch) as err:
         return type(err)
 
 
 def _corrupted(data, nbits, rng):
-    """The message truncated, bit-flipped, byte-appended and with dirty padding."""
+    """The message truncated, bit-flipped, byte-appended, zero-extended and with dirty padding."""
     flip = bytearray(data)
     bit = int(rng.integers(0, 8 * len(data)))
     flip[bit // 8] ^= 0x80 >> bit % 8
     out = [data[:int(rng.integers(0, len(data)))], bytes(flip),
-           data + bytes([int(rng.integers(0, 256))])]
+           data + bytes([int(rng.integers(0, 256))]), data + bytes(1)]
     if nbits % 8:
         out.append(data[:-1] + bytes([data[-1] | 1 << int(rng.integers(0, -nbits % 8))]))
     return out
@@ -752,6 +785,27 @@ def test_wire_matches_the_per_coordinate_reference(data):
     assert got == first if first else isinstance(got, tuple)
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_verify_wire_fails_exactly_when_the_decoder_disagrees(data):
+    # The check never decodes: it must still fail on exactly the corrupted
+    # messages that the decoder rejects or reads as other rows.
+    books, fam, rng = _draw_book(data)
+    norms, signs, idx = _random_rows(fam, rng)
+    s = reference.signed_indices(signs, idx, books._coord_start)
+    msgs = encode_batch(norms, s, books)
+    bits = sum(m.nbits for m in msgs)
+    for k, msg in enumerate(msgs):
+        for bad in [msg.data] + _corrupted(msg.data, msg.nbits, rng):
+            batch = msgs[:k] + [codec.EncodedMessage(bad, msg.nbits)] + msgs[k + 1:]
+            got = _outcome(lambda: decode_batch(batch, books))
+            read = isinstance(got, tuple) and all(
+                np.array_equal(a, b) for a, b in zip(got, (norms, s)))
+            with mock.patch.object(codec, "encode_batch", lambda *args: batch):
+                checked = _outcome(lambda: codec.verify_wire(norms, s, books, bits))
+            assert (checked is None) == read
+
+
 def _python_calls(f):
     """Python and C function calls made while f runs."""
     calls = 0
@@ -783,9 +837,9 @@ def test_wire_calls_do_not_grow_with_the_dimension(protocol, scheme):
     calls = []
     for d in (250, 4000):
         rows, books = _layered(d, protocol, scheme)
-        msgs = encode_batch(*rows, books)
+        bits = int(_message_bits(books, *rows).sum())
         calls.append(_python_calls(lambda: (encode_batch(*rows, books),
-                                            decode_batch(msgs, books))))
+                                            codec.verify_wire(*rows, books, bits))))
     assert calls[1] <= 2 * calls[0]
 
 

@@ -9,6 +9,8 @@ running it and checks that every traced attribute is still there.
 import ast
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +61,12 @@ def test_every_solve_entry_point_exists():
                 f"child.py uses missing {node.value.id}.{node.attr}"
     assert {"solver.run_qoda", "solver.run_extragradient_baseline", "runner.build_schedule",
             "runner.build_problem", "runner.build_quant", "runner.preset_config"} <= called
+
+
+def test_benchmark_smoke_passes():
+    # Every workload end to end at a tiny T, checked by the benchmark itself.
+    proc = subprocess.run([sys.executable, "-B", str(PERFBENCH / "run.py"), "--smoke"],
+                          cwd=PERFBENCH.parent, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "smoke: ok"

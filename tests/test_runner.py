@@ -413,6 +413,29 @@ def test_cli_suite_with_overrides(tmp_path, capsys):
     assert result["vs_first"]["extragradient"]["oracle_ratio"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("suite, override, key", [
+    ("k-sweep", "problem.K=2", "[problem] K"),
+    ("halving", "run.algorithm=extragradient", "[run] algorithm"),
+    ("rate-suite", "problem.preset=bilinear", "[problem] preset"),
+])
+def test_cli_suite_rejects_an_override_of_a_key_its_runs_vary(tmp_path, capsys, suite,
+                                                              override, key):
+    # The suite printed its labels although every run used the override.
+    out = tmp_path / "s"
+    assert main(["suite", suite, "--out", str(out), "--set", override,
+                 "--set", "run.T=40"]) == 1
+    err = capsys.readouterr().err
+    assert key in err and repr(suite) in err
+    assert not out.exists()
+
+
+def test_suite_applies_an_override_of_a_key_its_runs_share(tmp_path):
+    result = run_suite("k-sweep", out=str(tmp_path / "s"), overrides={"run": {"T": "40"}})
+    summaries = [result["summaries"][label] for label in ("K=1", "K=4", "K=16")]
+    assert [s["oracle_calls_per_node"] for s in summaries] == [40] * 3
+    assert [s["total_bits"] / summaries[0]["total_bits"] for s in summaries] == [1, 4, 16]
+
+
 def test_cli_compare(tmp_path, capsys):
     paths = []
     for i, seed in enumerate((0, 1)):
