@@ -59,7 +59,11 @@ class BudgetTooLarge(ValueError):
 
 
 class DegenerateSample(UserWarning):
-    """Parametric fit fell back to a step CDF (too few distinct values)."""
+    """Parametric fit fell back to a step CDF; the message names which of two causes.
+
+    Either the sample has fewer than two distinct magnitudes or variance at
+    most 1e-12, or no truncated normal matches its mean and variance.
+    """
 
 
 class StepCdf:
@@ -167,7 +171,7 @@ def _type_points(samples, norms, lam, family, m):
     (None, None) when type m has no coordinates or no sample has weight,
     so that the type keeps its levels.
     """
-    cols = family.type_coordinates(m)
+    cols = family.type_cols[m]
     keep = lam != 0.0
     if cols.size == 0 or not keep.any():
         return None, None
@@ -232,12 +236,11 @@ def fit_truncated_normal(samples, family):
         fitted = None
         if np.unique(pts).size >= 2 and var > 1e-12:
             fitted = _fit_one_truncnorm(mean, var)
+            cause = f"no truncated normal matched mean {mean:.6g}, variance {var:.6g}"
+        else:
+            cause = "fewer than two distinct magnitudes, or variance <= 1e-12"
         if fitted is None:
-            warnings.warn(
-                f"type {m}: sample too degenerate for a truncated-normal fit, "
-                "using the step CDF",
-                DegenerateSample,
-            )
+            warnings.warn(f"type {m}: {cause}; using the step CDF", DegenerateSample)
             cdfs.append(StepCdf(pts, wts))
         else:
             cdfs.append(TruncNormCdf(*fitted))

@@ -13,7 +13,7 @@ needed).  A level histogram is a plain list of probability rows, one per
 type, checked by ``validate_histogram``; ``adapt`` computes it.
 
 Every symbol is a flat (type, level) index in the order of
-``LevelFamily.flat_levels``: a codebook is one list of codewords in that
+``LevelFamily.values``: a codebook is one list of codewords in that
 order, and a decoding scope holds the wire strings of a range of flat
 indices.  ``build_codebook`` lays the scopes out once per protocol: one per
 type, or one for all under the alternating protocol.  Level j at coordinate
@@ -271,7 +271,7 @@ class Codebook:
     """Codewords in the family's flat (type, level) order plus decoding scopes.
 
     ``words[f]`` is the (length, code) of flat index f, as laid out by
-    ``LevelFamily.flat_levels``.  Its signed wire strings, at wire indices
+    ``LevelFamily.values``.  Its signed wire strings, at wire indices
     2f and 2f + 1, are the one source both sides read: the encoder gathers
     their bits from one table, and the decoder searches them in ``scopes``,
     ranges of flat indices that partition them, each prefix-free on its own.
@@ -282,9 +282,8 @@ class Codebook:
         self.words = list(words)
         self.family_id = family.fingerprint()
         self._assignment = family.assignment
-        type_start, type_size = family.level_starts()
-        _, self._coord_start, self._coord_size = family.flat_levels()
-        signed = np.concatenate([np.arange(n) > 0 for n in type_size]).tolist()
+        self._coord_start, self._coord_size = family.coord_start, family.coord_size
+        signed = np.concatenate([np.arange(n) > 0 for n in family.type_size]).tolist()
         # The _string_bits[s] bits of wire string s = 2f + n, flat index f
         # with sign bit n, start at _starts[s] in _bits.
         strings = []
@@ -297,7 +296,8 @@ class Codebook:
         self._strings = tab = _WireStrings(scopes, strings, signed)
         self._pad_bytes = -(-int(tab.lengths.max()) // 8)
         # Each coordinate searches the scope of its type's levels.
-        type_scope = [next(sc for sc, span in enumerate(scopes) if a in span) for a in type_start]
+        type_scope = [next(sc for sc, span in enumerate(scopes) if a in span)
+                      for a in family.type_start]
         self._coord_key = np.array(type_scope, dtype=np.uint64)[family.assignment] << np.uint64(
             tab.digit)
 
@@ -362,15 +362,14 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
         if hist is None:
             raise ValueError("Huffman codebooks need a level histogram")
         hist = validate_histogram(hist, family)
-    starts, sizes = family.level_starts()
+    starts, sizes = family.type_start, family.type_size
     if protocol == PROTOCOL_MAIN:
         words = []
         for m, n in enumerate(sizes.tolist()):
             words += build_huffman(hist[m]) if scheme == SCHEME_HUFFMAN else build_elias(n)
         return Codebook(words, [range(a, a + n) for a, n in zip(starts, sizes)], family)
-    values = family.flat_levels()[0]
     flat_type = np.repeat(np.arange(family.num_types), sizes)
-    order = np.lexsort((flat_type, values))
+    order = np.lexsort((flat_type, family.values))
     if scheme == SCHEME_HUFFMAN:
         joint = (family.proportions[flat_type] * np.concatenate(hist))[order]
         if joint.sum() <= 0:

@@ -11,6 +11,7 @@ largest first level l_1 across types.
 """
 
 import hashlib
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -124,6 +125,56 @@ def assignment_from_layer_sizes(sizes):
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
+# Every type's level intervals, laid out for lookup; see ``_intervals``.
+IntervalTable = namedtuple("IntervalTable", "edges offsets lower lo hi width first bucket_edges")
+
+
+def _intervals(family):
+    """A family's IntervalTable, from its ``values`` and ``type_start``.
+
+    ``edges`` is the sorted union of every type's levels.  For a
+    normalized magnitude u in [0, 1] at coordinate i, the entry
+    k = offsets[i] + searchsorted(edges, u, side="right") gives the
+    bracketing levels ``lo[k]`` <= u < ``hi[k]`` in u's type and the
+    wire index ``lower[k]`` = 2 f of the lower level's flat index f; u = 1
+    falls in the last interval.  ``width[k]`` is ``hi[k] - lo[k]``, bit
+    for bit.  Every level of a type is an edge, so the levels of type m
+    that are <= u are exactly those <= the largest edge <= u: the lookup
+    makes the same comparisons as a per-type ``searchsorted``.
+
+    A bucket index gives the same count without a search.  With B + 1 =
+    ``first.size`` (B a power of two, so u * B is exact), u lies in
+    bucket j = floor(u * B), above the ``first[j]`` edges below j / B;
+    column j of ``bucket_edges`` lists the edges in [j / B, (j + 1) / B),
+    padded with 2, and those <= u complete the count.  B is the least
+    power of two with 1 / B at most the smallest gap between edges, so
+    that a bucket holds at most one edge, but no more than 4096: a family
+    with levels closer than 1/4096 pays one comparison per edge in its
+    most crowded bucket.
+    """
+    values = family.values
+    # The sorted distinct levels.  np.unique gives the same array
+    # for finite levels, but it imports numpy.ma on first use.
+    edges = np.sort(values)
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    width = edges.size + 1
+    tau = np.zeros((family.num_types, width), dtype=np.int32)
+    for m, s in enumerate(family.sequences):
+        below = np.searchsorted(s.levels, edges, side="right")
+        # Entry 0 (u below every edge) cannot occur for u >= 0.
+        tau[m, 1:] = np.minimum(below - 1, s.alpha)
+    flat = (family.type_start[:, None] + tau).ravel()
+    lo, hi = values[flat], values[flat + 1]
+    offsets = family.assignment * width
+    buckets = 1 << min(12, int(np.ceil(-np.log2(np.diff(edges).min()))))
+    bucket = (edges * buckets).astype(np.int64)
+    first = np.searchsorted(edges, np.arange(buckets + 1) / buckets)
+    rank = np.arange(edges.size) - first[bucket]
+    bucket_edges = np.full((rank.max() + 1, buckets + 1), 2.0)
+    bucket_edges[rank, bucket] = edges
+    return IntervalTable(edges, offsets, 2 * flat, lo, hi, hi - lo, first, bucket_edges)
+
+
 class LevelFamily:
     """M level sequences plus a coordinate-to-type assignment and norm order.
 
@@ -132,6 +183,17 @@ class LevelFamily:
     sequences : list of LevelSequence (or raw level lists)
     assignment : integer array of length d mapping coordinate -> type index
     q : positive integer norm order used for normalization (default 2)
+
+    The constructor lays out the family once, in read-only arrays.  One flat
+    index covers all (type, level) pairs: ``values`` lists the levels of
+    types 0 .. M-1 end to end, type m's level 0 at ``type_start[m]`` and
+    ``type_size[m]`` levels long.  Level j at coordinate i has flat index
+    ``coord_start[i] + j``, for 0 <= j < ``coord_size[i]``.  Value, codeword
+    and wire-bit tables share this order, so mapping level indices to any of
+    them is one gather.  ``signed_values[s]`` is the value (-1)^n
+    ``values[f]`` of wire index s = 2f + n; level 0's are +0.0.
+    ``type_cols[m]`` holds the coordinates of type m, and ``intervals`` is
+    the family's IntervalTable.
     """
 
     def __init__(self, sequences, assignment, q=2):
@@ -148,16 +210,29 @@ class LevelFamily:
         if not (isinstance(q, (int, np.integer)) and q >= 1):
             raise ValueError(f"norm order q must be a positive integer, got {q!r}")
         self.assignment = assignment
-        self.assignment.setflags(write=False)
         self.q = int(q)
         counts = np.bincount(assignment, minlength=len(self.sequences))
         self.counts = counts
         self.proportions = counts / assignment.size
-        self._fingerprint = None
-        self._type_cols = None
-        self._flat = None
-        self._signed = None
-        self._interval_table = None
+        self.type_size = np.array([len(s) for s in self.sequences])
+        self.type_start = np.cumsum(self.type_size) - self.type_size
+        self.values = np.concatenate([s.levels for s in self.sequences])
+        self.coord_start = self.type_start[assignment]
+        self.coord_size = self.type_size[assignment]
+        # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
+        self.signed_values = np.stack((self.values, -self.values), axis=1).ravel() + 0.0
+        self.type_cols = [np.nonzero(assignment == k)[0] for k in range(self.num_types)]
+        self.intervals = _intervals(self)
+        for arr in (assignment, self.type_size, self.type_start, self.values, self.coord_start,
+                    self.coord_size, self.signed_values, *self.type_cols, *self.intervals):
+            arr.setflags(write=False)
+        h = hashlib.sha1()
+        h.update(str(self.q).encode())
+        for seq in self.sequences:
+            h.update(seq.levels.tobytes())
+            h.update(b"|")
+        h.update(assignment.tobytes())
+        self._fingerprint = h.hexdigest()[:16]
 
     @property
     def num_types(self):
@@ -167,105 +242,8 @@ class LevelFamily:
     def dimension(self):
         return self.assignment.size
 
-    def type_coordinates(self, m):
-        """Indices of the coordinates assigned to type m."""
-        if self._type_cols is None:
-            self._type_cols = [
-                np.nonzero(self.assignment == k)[0] for k in range(self.num_types)
-            ]
-        return self._type_cols[m]
-
-    def level_starts(self):
-        """(starts, sizes): flat index of each type's level 0, and its level count."""
-        sizes = np.array([len(s) for s in self.sequences])
-        return np.cumsum(sizes) - sizes, sizes
-
-    def flat_levels(self):
-        """(values, coord_start, coord_size): one flat index for all (type, level) pairs.
-
-        ``values`` lists the levels of types 0 .. M-1 end to end.  Level j at
-        coordinate i has flat index ``coord_start[i] + j``, for 0 <= j <
-        ``coord_size[i]``.  Value, codeword and wire-bit tables share this
-        order, so mapping level indices to any of them is one gather.
-        """
-        if self._flat is None:
-            starts, sizes = self.level_starts()
-            values = np.concatenate([s.levels for s in self.sequences])
-            flat = (values, starts[self.assignment], sizes[self.assignment])
-            for arr in flat:
-                arr.setflags(write=False)
-            self._flat = flat
-        return self._flat
-
-    def signed_levels(self):
-        """Value (-1)^n ``flat_levels()[0][f]`` of wire index s = 2f + n; level 0's are +0.0."""
-        if self._signed is None:
-            values = self.flat_levels()[0]
-            # Adding +0.0 turns -0.0 into +0.0 and keeps every other value.
-            self._signed = np.stack((values, -values), axis=1).ravel() + 0.0
-            self._signed.setflags(write=False)
-        return self._signed
-
-    def interval_table(self):
-        """(edges, offsets, s, lo, hi, width, first, bucket_edges): every type's intervals.
-
-        ``edges`` is the sorted union of every type's levels.  For a
-        normalized magnitude u in [0, 1] at coordinate i, the entry
-        k = offsets[i] + searchsorted(edges, u, side="right") gives the
-        bracketing levels ``lo[k]`` <= u < ``hi[k]`` in u's type and the
-        wire index ``s[k]`` = 2 f of the lower level's flat index f; u = 1
-        falls in the last interval.  ``width[k]`` is ``hi[k] - lo[k]``, bit
-        for bit.  Every level of a type is an edge, so the levels of type m
-        that are <= u are exactly those <= the largest edge <= u: the lookup
-        makes the same comparisons as a per-type ``searchsorted``.
-
-        A bucket index gives the same count without a search.  With B + 1 =
-        ``first.size`` (B a power of two, so u * B is exact), u lies in
-        bucket j = floor(u * B), above the ``first[j]`` edges below j / B;
-        column j of ``bucket_edges`` lists the edges in [j / B, (j + 1) / B),
-        padded with 2, and those <= u complete the count.  B is the least
-        power of two with 1 / B at most the smallest gap between edges, so
-        that a bucket holds at most one edge, but no more than 4096: a family
-        with levels closer than 1/4096 pays one comparison per edge in its
-        most crowded bucket.
-        """
-        if self._interval_table is None:
-            values = self.flat_levels()[0]
-            # The sorted distinct levels.  np.unique gives the same array
-            # for finite levels, but it imports numpy.ma on first use.
-            edges = np.sort(values)
-            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-            width = edges.size + 1
-            tau = np.zeros((self.num_types, width), dtype=np.int32)
-            for m, s in enumerate(self.sequences):
-                below = np.searchsorted(s.levels, edges, side="right")
-                # Entry 0 (u below every edge) cannot occur for u >= 0.
-                tau[m, 1:] = np.minimum(below - 1, s.alpha)
-            flat = (self.level_starts()[0][:, None] + tau).ravel()
-            lo, hi = values[flat], values[flat + 1]
-            offsets = self.assignment * width
-            buckets = 1 << min(12, int(np.ceil(-np.log2(np.diff(edges).min()))))
-            bucket = (edges * buckets).astype(np.int64)
-            first = np.searchsorted(edges, np.arange(buckets + 1) / buckets)
-            rank = np.arange(edges.size) - first[bucket]
-            bucket_edges = np.full((rank.max() + 1, buckets + 1), 2.0)
-            bucket_edges[rank, bucket] = edges
-            table = (edges, offsets, 2 * flat, lo, hi, hi - lo, first, bucket_edges)
-            for arr in table:
-                arr.setflags(write=False)
-            self._interval_table = table
-        return self._interval_table
-
     def fingerprint(self):
         """Stable identifier of (sequences, assignment, q) for cross-checking."""
-        if self._fingerprint is None:
-            h = hashlib.sha1()
-            h.update(str(self.q).encode())
-            for seq in self.sequences:
-                h.update(seq.levels.tobytes())
-                h.update(b"|")
-            h.update(self.assignment.tobytes())
-            self._fingerprint = h.hexdigest()[:16]
         return self._fingerprint
 
     def __repr__(self):

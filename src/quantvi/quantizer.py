@@ -3,7 +3,7 @@
 A batch of vectors is represented by their q-norms and one wire index per
 coordinate, s = 2 (coord_start[i] + j) + (v_i < 0) for level j: the index of
 its wire string in the codec and of its value in
-``LevelFamily.signed_levels``.  Each normalized magnitude u_i = |v_i| /
+``LevelFamily.signed_values``.  Each normalized magnitude u_i = |v_i| /
 ||v||_q falls in some level interval [l_tau, l_tau+1) of its type's sequence
 and is rounded up with probability equal to its relative position xi in that
 interval, down otherwise.  Rounding up exactly compensates rounding down, so
@@ -44,23 +44,23 @@ _F32_TINY = 2.0**-149
 class QuantizedVector:
     """Compact representation (norm, signs, level indices) of a vector.
 
-    ``signs`` stores +1 for every coordinate at level 0, whose value is 0
-    whatever its sign.  ``from_wire`` and ``wire_indices`` convert from and
-    to one row of ``quantize_batch``'s wire indices.
+    ``signs`` stores +1 for every coordinate at level 0, whatever sign it is
+    given: its value is 0 either way, and no wire string carries the sign.
+    ``from_wire`` and ``wire_indices`` convert from and to one row of
+    ``quantize_batch``'s wire indices.
     """
 
     __slots__ = ("norm", "signs", "level_idx", "family_id")
 
     def __init__(self, norm, signs, level_idx, family_id):
         self.norm = float(norm)
-        self.signs = np.asarray(signs, dtype=np.int8)
         self.level_idx = np.asarray(level_idx, dtype=np.int32)
+        self.signs = np.where(self.level_idx == 0, 1, signs).astype(np.int8)
         self.family_id = family_id
 
     @classmethod
     def from_wire(cls, norm, s, coord_start, family_id):
-        level_idx = (s >> 1) - coord_start
-        return cls(norm, np.where(level_idx == 0, 1, 1 - 2 * (s & 1)), level_idx, family_id)
+        return cls(norm, 1 - 2 * (s & 1), (s >> 1) - coord_start, family_id)
 
     def wire_indices(self, coord_start):
         if self.dimension != coord_start.size:
@@ -129,18 +129,17 @@ def _check_batch(V, family):
 
 
 def _entries(U, family):
-    """Each magnitude's entry k in ``family.interval_table()``: its level interval.
+    """Each magnitude's entry k in ``family.intervals``: its level interval.
 
     The table's lo[k] and hi[k] bracket u, lo <= u < hi elementwise, except
     u = 1, which falls in its type's last interval (hi = 1).
     """
-    table = family.interval_table()
-    offsets, first, bucket_edges = table[1], table[-2], table[-1]
-    bucket = (U * (first.size - 1)).astype(np.intp)
-    k = first.take(bucket)
-    for row in bucket_edges:
+    table = family.intervals
+    bucket = (U * (table.first.size - 1)).astype(np.intp)
+    k = table.first.take(bucket)
+    for row in table.bucket_edges:
         k += row.take(bucket) <= U
-    k += offsets
+    k += table.offsets
     return k
 
 
@@ -158,7 +157,7 @@ def quantize_batch(V, family, rng=None, uniforms=None):
     The n norms are checked once, in Python: the zero-row fix-ups and the
     scans for NaN, infinity and float32 overflow run only when some norm is
     zero, not finite or outside float32's range.  Each magnitude's interval
-    and its lower level's s come from ``LevelFamily.interval_table``, and
+    and its lower level's s come from ``LevelFamily.intervals``, and
     its rounding probability is computed in the magnitudes' own array.
     """
     if rng is None and uniforms is None:
@@ -181,11 +180,11 @@ def quantize_batch(V, family, rng=None, uniforms=None):
 
     # Round up with probability (u - lo) / (hi - lo), computed in U's place;
     # one level up is two wire indices up.
-    _, _, lower, lo, _, width, _, _ = family.interval_table()
+    table = family.intervals
     k = _entries(U, family)
-    U -= lo.take(k)
-    U /= width.take(k)
-    s = lower.take(k)
+    U -= table.lo.take(k)
+    U /= table.width.take(k)
+    s = table.lower.take(k)
     up = uniforms < U
     s += up
     s += up
@@ -199,26 +198,25 @@ def quantize_vector(v, family, rng=None, uniforms=None):
         uniforms = np.asarray(uniforms, dtype=np.float64).reshape(1, -1)
     V = np.asarray(v, dtype=np.float64).reshape(1, -1)
     norms, s = quantize_batch(V, family, rng, uniforms)
-    return QuantizedVector.from_wire(norms[0], s[0], family.flat_levels()[1], family.fingerprint())
+    return QuantizedVector.from_wire(norms[0], s[0], family.coord_start, family.fingerprint())
 
 
 def dequantize_batch(norms, s, family):
     """Reconstruct a batch of vectors from quantize_batch output; s is range-checked."""
     s = np.atleast_2d(s)
-    _, coord_start, coord_size = family.flat_levels()
-    if s.shape[1] != coord_start.size:
-        raise DimensionMismatch(f"dimension {s.shape[1]}, not {coord_start.size}")
-    level_idx = (s >> 1) - coord_start
-    if level_idx.min() < 0 or (coord_size - level_idx).min() <= 0:
+    if s.shape[1] != family.dimension:
+        raise DimensionMismatch(f"dimension {s.shape[1]}, not {family.dimension}")
+    level_idx = (s >> 1) - family.coord_start
+    if level_idx.min() < 0 or (family.coord_size - level_idx).min() <= 0:
         raise IndexOutOfRange("level index outside its type's sequence")
-    return np.asarray(norms, dtype=np.float64)[:, None] * family.signed_levels().take(s)
+    return np.asarray(norms, dtype=np.float64)[:, None] * family.signed_values.take(s)
 
 
 def dequantize(qv, family):
     """Reconstruct the real vector represented by a QuantizedVector."""
     if qv.family_id is not None and qv.family_id != family.fingerprint():
         raise ValueError("QuantizedVector was produced under a different family")
-    return dequantize_batch([qv.norm], qv.wire_indices(family.flat_levels()[1]), family)[0]
+    return dequantize_batch([qv.norm], qv.wire_indices(family.coord_start), family)[0]
 
 
 def exact_quantization_variance(v, family):
@@ -234,5 +232,5 @@ def exact_quantization_variance(v, family):
     if norms[0] == 0.0:
         return 0.0
     k = _entries(U, family)
-    lo, hi = family.interval_table()[3:5]
-    return float(norms[0] ** 2 * np.sum((hi[k] - U) * (U - lo[k])))
+    table = family.intervals
+    return float(norms[0] ** 2 * np.sum((table.hi[k] - U) * (U - table.lo[k])))

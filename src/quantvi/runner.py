@@ -207,12 +207,14 @@ def config_from_dict(raw):
          for k in _SCHEMA}
 
     try:
-        vi.parse_kind(v["preset"])
+        base, _ = vi.parse_kind(v["preset"])
     except vi.UnknownKind:
         raise UnknownPreset(f"unknown problem preset {v['preset']!r}") from None
     except ValueError as exc:
         raise ParseError(f"[problem] preset: {exc}") from None
     M, d = v["M"], v["d"]
+    if base == "bilinear" and d % 2:
+        raise ParseError(f"[problem] d: bilinear problems need even dimension >= 2, got {d}")
     if v["levels"] and len(v["levels"]) != M:
         raise ParseError(f"[quantization] expected {M} level lists, got {len(v['levels'])}")
     if len(v["budgets"]) == 1:
@@ -379,18 +381,25 @@ def _csv_text(rows):
     return "\n".join(lines) + "\n"
 
 
+def _json_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path, text):
+    """Write ``text`` to ``path``, making its parent directory first."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def run_experiment(cfg):
     """Execute one config and write <out>.csv, <out>.json, <out>.ini."""
     metrics, slope = execute(cfg)
     summary = dict(metrics.summary, slope=slope)
-    parent = os.path.dirname(cfg.out)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(cfg.out + ".csv", "w") as fh:
-        fh.write(_csv_text(metrics.rows))
-    with open(cfg.out + ".json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(cfg.out + ".csv", _csv_text(metrics.rows))
+    _write(cfg.out + ".json", _json_text(summary))
     with open(cfg.out + ".ini", "w") as fh:
         config_to_ini(cfg).write(fh)
     return summary
@@ -553,16 +562,12 @@ def run_suite(name, out="suite", overrides=None):
                 raise ParseError(f"[{sec}] {key} differs between the runs of suite {name!r} "
                                  "and cannot be overridden")
     cfgs = build(overrides)
-    os.makedirs(out, exist_ok=True)
     if name == "rate-suite":
         result = {"slopes": {label: run_experiment(cfg)["slope"]
                              for label, cfg in zip(labels, cfgs)}}
     else:
         result = compare(cfgs, labels)
-    path = os.path.join(out, f"{name}.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(os.path.join(out, f"{name}.json"), _json_text(result))
     return result
 
 
@@ -592,30 +597,22 @@ def main(argv=None):
         prog="quantvi",
         description="quantized VI solver experiments (CSV + JSON output)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one config file or preset")
-    p_run.add_argument("config", help="path to an INI config, or a preset name")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--out", default=None)
-    p_run.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override a config key (repeatable)")
-
-    p_cmp = sub.add_parser("compare", help="run several configs and diff them")
-    p_cmp.add_argument("configs", nargs="+", help="two or more INI configs")
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--out", default="compare")
-    p_cmp.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE",
-                       help="override a config key in every compared config")
-
-    p_suite = sub.add_parser("suite", help="run a named preset collection")
-    p_suite.add_argument("name", help=f"one of {sorted(SUITES)}")
-    p_suite.add_argument("--seed", type=int, default=None)
-    p_suite.add_argument("--out", default="suite")
-    p_suite.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="SECTION.KEY=VALUE",
-                         help="override a config key in every suite run")
+    # (command, help, positional, its options, default --out, what --set overrides)
+    for command, text, arg, opts, out, scope in (
+        ("run", "run one config file or preset", "config",
+         {"help": "path to an INI config, or a preset name"}, None, " (repeatable)"),
+        ("compare", "run several configs and diff them", "configs",
+         {"nargs": "+", "help": "two or more INI configs"}, "compare",
+         " in every compared config"),
+        ("suite", "run a named preset collection", "name",
+         {"help": f"one of {sorted(SUITES)}"}, "suite", " in every suite run"),
+    ):
+        p = sub.add_parser(command, help=text)
+        p.add_argument(arg, **opts)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--out", default=out)
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="SECTION.KEY=VALUE", help=f"override a config key{scope}")
 
     args = parser.parse_args(argv)
     try:
@@ -626,21 +623,13 @@ def main(argv=None):
         overrides = _overlay(_override_dict(args.overrides),
                              {"run": {k: v for k, v in opts.items() if v is not None}})
         if args.command == "run":
-            summary = run_experiment(_load_run_arg(args.config, overrides))
-            print(json.dumps(summary, indent=2, sort_keys=True))
+            result = run_experiment(_load_run_arg(args.config, overrides))
         elif args.command == "compare":
-            cfgs = [load_config(p, overrides) for p in args.configs]
-            result = compare(cfgs)
-            parent = os.path.dirname(args.out)
-            if parent:
-                os.makedirs(parent, exist_ok=True)
-            with open(args.out + ".json", "w") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(json.dumps(result, indent=2, sort_keys=True))
+            result = compare([load_config(p, overrides) for p in args.configs])
+            _write(args.out + ".json", _json_text(result))
         else:
             result = run_suite(args.name, out=args.out, overrides=overrides)
-            print(json.dumps(result, indent=2, sort_keys=True))
+        sys.stdout.write(_json_text(result))
     except Exception as exc:  # CLI boundary: report and exit nonzero
         print(f"error: {exc}", file=sys.stderr)
         return 1

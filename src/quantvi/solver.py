@@ -26,7 +26,7 @@ use the last one, and the summary averages the bounds of all.
 Decoding a message reproduces its quantized vector exactly, so a broadcast
 takes Vhat and the bits without building the bit stream, each by one gather
 at the quantizer's wire indices s = 2 (flat level index) + sign bit: from
-``LevelFamily.signed_levels``, times the norms, and from the codebook's
+``LevelFamily.signed_values``, times the norms, and from the codebook's
 string lengths.  At checkpoint iterations every broadcast also encodes its
 messages on the real wire and raises ``codec.WireMismatch`` unless the
 messages hold exactly the counted bits and each coordinate's string, read
@@ -249,7 +249,7 @@ class _QuantPipeline:
         if state.at_checkpoint:
             codec.verify_wire(norms, s, seg.books, bits)
         state.bits += bits
-        return norms[:, None] * seg.family.signed_levels().take(s)
+        return norms[:, None] * seg.family.signed_values.take(s)
 
 
 class _IdentityPipeline:

@@ -76,7 +76,7 @@ def _analytic_rounding_se(v, fam, norm32, n_draws):
         return se
     for m in range(fam.num_types):
         seq = fam.sequences[m]
-        for i in fam.type_coordinates(m):
+        for i in fam.type_cols[m]:
             tau, xi = locate_level(abs(v[i]) / norm64, seq)
             gap = seq.levels[tau + 1] - seq.levels[tau] if xi > 0.0 else 0.0
             se[i] = norm32 * gap * math.sqrt(xi * (1.0 - xi))

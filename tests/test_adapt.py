@@ -169,7 +169,7 @@ def test_fit_truncated_normal_recovers_moments():
 def test_fit_truncated_normal_degenerate_falls_back():
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(4, dtype=np.int64))
     samples = np.full((2, 4), 0.5)  # all normalized magnitudes identical
-    with pytest.warns(DegenerateSample):
+    with pytest.warns(DegenerateSample, match="fewer than two distinct magnitudes"):
         (c,) = fit_truncated_normal(samples, fam)
     assert isinstance(c, StepCdf)
 
@@ -494,9 +494,10 @@ def test_fit_truncated_normal_falls_back_where_the_solver_raised():
     samples = np.random.default_rng(0).standard_normal((64, 20))
     samples[:, :10] *= 3e-4
     assert [type(c) for c in fit_truncated_normal(samples, fam)] == [TruncNormCdf] * 2
-    # Two points with mean 1e-3 and variance 2.99e-4: no truncated normal fits.
+    # Two points with mean 1e-3 and variance 3e-4: no truncated normal fits.
     pts, wts = np.array([0.0, 0.301]), np.array([1 - 1e-3 / 0.301, 1e-3 / 0.301])
     with mock.patch.object(adapt, "_type_points", return_value=(pts, wts)):
-        with pytest.warns(DegenerateSample):
+        with pytest.warns(DegenerateSample,
+                          match="no truncated normal matched mean 0.001, variance 0.0003;"):
             (c,) = fit_truncated_normal(samples[:, :1], LevelFamily([fam.sequences[0]], [0]))
     assert isinstance(c, StepCdf)

@@ -31,8 +31,9 @@ from quantvi.codec import (
     validate_histogram,
 )
 from quantvi.adapt import estimate_level_probs
-from quantvi.levels import LevelFamily, LevelSequence, assignment_from_layer_sizes
-from quantvi.quantizer import QuantizedVector, quantize_batch, quantize_vector
+from quantvi.levels import (
+    LevelFamily, LevelSequence, assignment_from_layer_sizes, sequence_from_spec)
+from quantvi.quantizer import QuantizedVector, dequantize, quantize_batch, quantize_vector
 import reference
 
 
@@ -241,6 +242,18 @@ def test_encode_rejects_a_norm_beyond_float32():
     assert decode(encode(qv, books), books) == qv
 
 
+def test_a_hand_built_negative_sign_at_level_0_roundtrips():
+    # The sign at level 0 was stored as given, but no wire string carries it
+    # and the decoder returns +1, so the roundtrip compared unequal.
+    fam = LevelFamily([sequence_from_spec("uniform:3")] * 2, assignment_from_layer_sizes([2, 2]))
+    books = build_codebook(fam, _hist_for(fam))
+    qv = QuantizedVector(1.0, [-1, 1, 1, -1], [0, 2, 0, 1], fam.fingerprint())
+    assert qv.signs.tolist() == [1, 1, 1, -1]
+    assert decode(encode(qv, books), books) == qv
+    v = dequantize(qv, fam)
+    assert v.tolist() == [0.0, 0.5, 0.0, -0.25] and not np.signbit(v[v == 0.0]).any()
+
+
 def test_roundtrip_random_vectors_all_modes():
     rng = np.random.default_rng(2024)
     fam = _fam_two(d=6)
@@ -260,14 +273,14 @@ def test_batch_encode_decode_match_single():
     V = rng.standard_normal((7, 5))
     norms, s = quantize_batch(V, fam, rng=rng)
     msgs = encode_batch(norms, s, books)
-    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
+    signs, idx = reference.level_indices(s, fam.coord_start)
     for k in range(7):
         qv = QuantizedVector(norms[k], signs[k], idx[k], fam.fingerprint())
         assert msgs[k].data == encode(qv, books).data
     dn, ds = decode_batch(msgs, books)
     assert np.array_equal(dn, norms)
     assert all(np.array_equal(a, b)
-               for a, b in zip(reference.level_indices(ds, fam.flat_levels()[1]), (signs, idx)))
+               for a, b in zip(reference.level_indices(ds, fam.coord_start), (signs, idx)))
 
 
 def _fam_scattered():
@@ -481,7 +494,7 @@ def test_kraft_sums_count_codewords_not_wire_strings(protocol, scheme):
     # strings, one bit longer, which add up to the codeword's Kraft term.
     fam = _fam_scattered()  # types of 3, 5 and 2 levels
     books = build_codebook(fam, _hist_for(fam), protocol, scheme)
-    starts, sizes = fam.level_starts()
+    starts, sizes = fam.type_start, fam.type_size
     kraft = [sum(2.0 ** -l for l, _ in books.words[a:a + n]) for a, n in zip(starts, sizes)]
     if protocol == "alternating":
         kraft = [sum(kraft)]
@@ -720,7 +733,7 @@ def _draw_book(data):
 def _random_rows(fam, rng):
     """Rows at every level of every type, with zero, tiny and huge norms."""
     K = int(rng.integers(1, 5))
-    size = fam.flat_levels()[2]
+    size = fam.coord_size
     idx = (rng.random((K, size.size)) * size).astype(np.int32)
     signs = np.where((idx > 0) & (rng.random(idx.shape) < 0.5), -1, 1).astype(np.int8)
     norms = rng.choice([0.0, 1e-45, 1.0, 3e38], K) * rng.random(K)

@@ -152,12 +152,12 @@ def test_from_layer_sizes_matches_manual_assignment():
 
 def test_type_coordinates():
     fam = _two_type_family()
-    assert fam.type_coordinates(0).tolist() == [0, 1, 2]
+    assert fam.type_cols[0].tolist() == [0, 1, 2]
     scattered = LevelFamily(
         [LevelSequence([0.0, 1.0]), LevelSequence([0.0, 1.0])],
         np.array([0, 1, 0, 1]),
     )
-    assert scattered.type_coordinates(0).tolist() == [0, 2]
+    assert scattered.type_cols[0].tolist() == [0, 2]
 
 
 def test_flat_levels_layout():
@@ -168,15 +168,17 @@ def test_flat_levels_layout():
          LevelSequence([0.0, 0.25, 0.75, 1.0])],
         np.array([2, 0, 2, 1, 0]),
     )
-    values, start, size = fam.flat_levels()
+    values, start, size = fam.values, fam.coord_start, fam.coord_size
     assert values.tolist() == [0.0, 0.5, 1.0, 0.0, 1.0, 0.0, 0.25, 0.75, 1.0]
     assert start.tolist() == [5, 0, 5, 3, 0]
     assert size.tolist() == [4, 3, 4, 2, 3]
     for i, m in enumerate(fam.assignment):
         levels = fam.sequences[m].levels
         assert values[start[i]: start[i] + size[i]].tolist() == levels.tolist()
-    assert fam.flat_levels() is fam.flat_levels()
-    assert not any(arr.flags.writeable for arr in (values, start, size))
+    assert fam.type_start.tolist() == [0, 3, 5] and fam.type_size.tolist() == [3, 2, 4]
+    arrays = (fam.assignment, fam.type_start, fam.type_size, values, start, size,
+              fam.signed_values, *fam.type_cols, *fam.intervals)
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_signed_levels_pair_each_flat_level_with_its_negative():
@@ -185,14 +187,14 @@ def test_signed_levels_pair_each_flat_level_with_its_negative():
         [LevelSequence([0.0, 0.5, 1.0]), LevelSequence([0.0, 0.25, 1.0])],
         np.array([1, 0, 1]),
     )
-    signed = fam.signed_levels()
+    signed = fam.signed_values
     assert signed.tolist() == [0.0, 0.0, 0.5, -0.5, 1.0, -1.0, 0.0, 0.0, 0.25, -0.25, 1.0, -1.0]
     assert not np.signbit(signed[signed == 0.0]).any()
-    assert fam.signed_levels() is signed and not signed.flags.writeable
+    assert not signed.flags.writeable
     # The interval table's s is the positive slot of each interval's lower level.
-    lower, lo = fam.interval_table()[2:4]
-    assert np.array_equal(signed[lower], lo)
-    assert not (lower % 2).any()
+    table = fam.intervals
+    assert np.array_equal(signed[table.lower], table.lo)
+    assert not (table.lower % 2).any()
 
 
 def test_interval_table_edges_are_the_distinct_sorted_levels():
@@ -206,8 +208,7 @@ def test_interval_table_edges_are_the_distinct_sorted_levels():
             for _ in range(M)
         ]
         fam = LevelFamily(seqs, rng.integers(0, M, size=10))
-        edges = fam.interval_table()[0]
-        assert np.array_equal(edges, np.unique(fam.flat_levels()[0]))
+        assert np.array_equal(fam.intervals.edges, np.unique(fam.values))
 
 
 def test_fingerprint_distinguishes_structure():

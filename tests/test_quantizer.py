@@ -140,7 +140,7 @@ def test_quantize_batch_matches_single_calls():
     V = rng.standard_normal((6, 5))
     U = rng.random((6, 5))
     norms, s = quantize_batch(V, fam, uniforms=U)
-    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
+    signs, idx = reference.level_indices(s, fam.coord_start)
     for k in range(6):
         qv = quantize_vector(V[k], fam, uniforms=U[k])
         assert qv.norm == norms[k]
@@ -154,7 +154,7 @@ def test_dequantize_batch_matches_single():
     V = rng.standard_normal((4, 3))
     norms, s = quantize_batch(V, fam, rng=rng)
     batch = dequantize_batch(norms, s, fam)
-    signs, idx = reference.level_indices(s, fam.flat_levels()[1])
+    signs, idx = reference.level_indices(s, fam.coord_start)
     for k in range(4):
         qv = QuantizedVector(norms[k], signs[k], idx[k], fam.fingerprint())
         assert np.array_equal(dequantize(qv, fam), batch[k])
@@ -180,7 +180,7 @@ def test_wire_indices_convert_to_signs_and_levels_and_back():
         [LevelSequence([0.0, 0.25, 1.0]), LevelSequence([0.0, 0.5, 0.75, 1.0])],
         np.array([1, 0, 1, 0]),
     )
-    start = fam.flat_levels()[1]
+    start = fam.coord_start
     assert start.tolist() == [3, 0, 3, 0]
     qv = QuantizedVector(2.0, [1, -1, -1, 1], [0, 2, 3, 1], "f")
     s = qv.wire_indices(start)
@@ -399,6 +399,6 @@ def test_quantize_matches_the_reference(data):
         assert s.dtype == np.int64
         # Every coordinate keeps its sign bit, level 0 included.
         assert np.array_equal(s & 1, V < 0)
-        got = (norms, *reference.level_indices(s, fam.flat_levels()[1]))
+        got = (norms, *reference.level_indices(s, fam.coord_start))
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -548,6 +548,26 @@ def test_problem_kind_defaults_and_numbers_resolve():
     assert vi.parse_kind("strongly_monotone:0.5") == ("strongly_monotone", (0.5,))
 
 
+@pytest.mark.parametrize("preset", ["bilinear-abs", "bilinear-alt"])
+def test_bilinear_presets_reject_an_odd_dimension_at_parse_time(preset):
+    with pytest.raises(ParseError, match=re.escape("[problem] d")):
+        preset_config(preset, {"problem": {"d": "21"}})
+
+
+def test_cli_suite_rejects_an_odd_bilinear_dimension_leaving_no_directory(tmp_path, capsys):
+    # The parser passed d = 21, and the suite made its directory before the
+    # problem's constructor rejected the dimension.
+    out = tmp_path / "s"
+    argv = ["suite", "halving", "--set", "problem.d=21", "--set", "run.T=10", "--out", str(out)]
+    assert main(argv) == 1
+    assert "[problem] d" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_odd_dimension_parses_for_a_problem_that_is_not_bilinear():
+    assert preset_config("cocoercive-rel", {"problem": {"d": "21"}}).d == 21
+
+
 @pytest.mark.parametrize("args, field", [
     (["--set", "problem.seed=-1"], "[problem] seed"),
     (["--set", "run.seed=-1"], "[run] seed"),

@@ -214,13 +214,13 @@ def test_broadcast_matches_the_checked_public_functions():
         v_hat = pipe.broadcast(V, state)
 
         norms, s = solver.quantize_batch(V, fam, uniforms=U)
-        signs, idx = reference.level_indices(s, fam.flat_levels()[1])
+        signs, idx = reference.level_indices(s, fam.coord_start)
         lone = int(np.flatnonzero(V[2])[0])
         assert norms[0] == norms[1] == 0.0
         assert idx[2, lone] == len(fam.sequences[fam.assignment[lone]]) - 1
         expected = dequantize_batch(norms, s, fam)
         assert v_hat.tobytes() == expected.tobytes()
-        values = fam.flat_levels()[0][idx + fam.flat_levels()[1]]
+        values = fam.values[idx + fam.coord_start]
         assert v_hat.tobytes() == (norms[:, None] * signs * values).tobytes()
         assert not np.signbit(v_hat[v_hat == 0.0]).any()
         negative_at_zero += int(((V < 0) & (idx == 0)).sum())
