@@ -32,8 +32,9 @@ Zero-padded to the longest length in its scope, the wire strings sort in the
 order of the disjoint ranges of windows they begin, so a search of the sorted
 strings on the window at a bit finds the one string that can start there
 (Moffat & Turpin 1997, "On the implementation of minimum redundancy prefix
-codes").  The search compares 57-bit integer digits, so no table grows with
-the codeword length beyond one digit per 57 bits.
+codes").  The table keeps each string's first digit, at most 57 bits, which
+alone decides every string no longer than a digit; a longer string's search
+ends on the stream's bits read as one Python integer.
 ``verify_wire`` makes that search at the bit where the encoder wrote each
 coordinate's string: the header's end plus the lengths of the strings sent
 before it.  If every string lies inside its message, the headers hold the
@@ -51,10 +52,11 @@ positive.  The last byte is padded with zero bits.
 """
 
 import heapq
+from bisect import bisect_right
 
 import numpy as np
 
-from .quantizer import QuantizedVector
+from .quantizer import _F32_HUGE, QuantizedVector
 
 PROTOCOL_MAIN = "main"
 PROTOCOL_ALTERNATING = "alternating"
@@ -187,15 +189,15 @@ class _WireStrings:
 
     ``wire[s]`` is the text of wire string s.  Flat index f has the strings
     2f and 2f + 1, which coincide at level 0 (``signed[f]`` false), where the
-    table keeps only 2f.  Zero-padded on the right to whole ``digit``-bit
-    digits, the strings of a prefix code sort in the order of the disjoint
+    table keeps only 2f.  Zero-padded on the right to the longest, ``total``
+    bits, the strings of a prefix code sort in the order of the disjoint
     ranges of windows they begin, so the only string that can begin a window
     of the stream is the last one whose padded value is <= the window
     (Moffat & Turpin 1997).  The table sorts by scope, then padded value, and
-    the first digit carries the scope in its bits above ``digit``, so one
-    search serves every scope.  String c has digit j ``digits[j, c]``, of which it
-    covers the bits ``masks[j, c]``, and its ``scope``, ``lengths`` and wire
-    index ``s``.
+    each key carries the scope above its bits, so one search serves every
+    scope.  String c has the key ``keys[c]``, a Python integer, and its first
+    ``digit`` bits in ``first[c]``, scope above them, of which it covers the
+    bits ``mask[c]``; and its ``scope``, ``lengths`` and wire index ``s``.
     """
 
     def __init__(self, scopes, wire, signed):
@@ -207,64 +209,44 @@ class _WireStrings:
         # At most 57 bits, the least an 8-byte load at any bit offset holds,
         # and room above them for the scope.
         self.digit = digit = min(57, 64 - (len(scopes) - 1).bit_length())
-        total = -(-max(t[1] for t in strings) // digit) * digit
+        self.total = total = max(t[1] for t in strings)
         strings.sort(key=lambda t: (t[0], t[2] << (total - t[1]), t[1]))
-        ones = (1 << digit) - 1
-        self.digits = np.array(
-            [[(v << (total - n)) >> (total - digit * (j + 1)) & ones for _, n, v, _ in strings]
-             for j in range(total // digit)],
-            dtype=np.uint64,
-        )
-        self.masks = np.array(
-            [[ones ^ (ones >> min(max(n - digit * j, 0), digit)) for _, n, _, _ in strings]
-             for j in range(total // digit)],
-            dtype=np.uint64,
-        )
+        self.keys = [sc << total | v << (total - n) for sc, n, v, _ in strings]
         self.scope = np.array([t[0] for t in strings])
-        self.digits[0] |= self.scope.astype(np.uint64) << np.uint64(digit)
-        self.masks[0] |= np.uint64(((1 << 64) - 1) ^ ones)
         self.lengths = np.array([t[1] for t in strings])
         self.s = np.array([t[3] for t in strings])
+        self.first = np.array([v << digit >> n for _, n, v, _ in strings], dtype=np.uint64)
+        self.first |= self.scope.astype(np.uint64) << np.uint64(digit)
+        ones = (1 << digit) - 1
+        self.mask = np.array([((1 << 64) - 1) ^ (ones >> min(t[1], digit)) for t in strings],
+                             dtype=np.uint64)
 
     def search(self, windows, bit, key):
         """Per bit position: (the one string that can start there, whether it does).
 
         ``windows[p]`` is the ``digit``-bit window of the stream at bit p and
         ``key`` the scope of each position, shifted above the digit.  The
-        candidate is found digit by digit; a later digit is read only where
-        several strings share every digit so far, which only strings longer
-        than one digit can.  A window below every string gets candidate -1,
-        which names the last, largest string: it cannot match then.
+        last string whose first digit is <= the window's is the candidate
+        when it is at most a digit long: strings sharing a first digit are
+        all longer.  Where a longer string is the candidate, the search ends
+        on the stream's next ``total`` bits as one integer, placed among the
+        full keys.  A window below every string gets candidate -1, which
+        names the last, largest string: it cannot match then.
         """
         w = windows[bit] | key
-        hi = self.digits[0].searchsorted(w, "right")
-        if self.digits.shape[0] > 1:
-            lo = self.digits[0].searchsorted(w, "left")
-            for j, keys in enumerate(self.digits[1:], 1):
-                tie = np.flatnonzero(hi - lo > 1)
-                if not tie.size:
-                    break
-                wj = windows[bit[tie] + self.digit * j]
-                lo[tie] = _insertion(keys, wj, lo[tie], hi[tie], right=False)
-                hi[tie] = _insertion(keys, wj, lo[tie], hi[tie], right=True)
-        cand = hi - 1
-        match = (w & self.masks[0][cand]) == self.digits[0][cand]
-        for j in range(1, self.digits.shape[0]):
-            wj = windows[bit + self.digit * j]
-            match &= (wj & self.masks[j][cand]) == self.digits[j][cand]
+        cand = self.first.searchsorted(w, "right") - 1
+        match = (w & self.mask[cand]) == self.first[cand]
+        if self.total <= self.digit:
+            return cand, match
+        digits = -(-self.total // self.digit)
+        for r in np.flatnonzero(self.lengths[cand] > self.digit).tolist():
+            x = int(w[r])
+            for j in range(1, digits):
+                x = x << self.digit | int(windows[bit[r] + self.digit * j])
+            x >>= digits * self.digit - self.total
+            c = cand[r] = bisect_right(self.keys, x) - 1
+            match[r] = (x ^ self.keys[c]) >> (self.total - int(self.lengths[c])) == 0
         return cand, match
-
-
-def _insertion(keys, x, lo, hi, right):
-    """Vectorized bisection: insertion points of ``x`` in ``keys[lo:hi]``, each range sorted."""
-    for _ in range(int((hi - lo).max()).bit_length()):
-        active = lo < hi
-        mid = (lo + hi) >> 1
-        k = keys[np.minimum(mid, keys.size - 1)]
-        below = active & ((k <= x) if right else (k < x))
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(active & ~below, mid, hi)
-    return lo
 
 
 class Codebook:
@@ -415,7 +397,7 @@ def encode_batch(norms, s, books):
     """
     s = books.wire_indices(norms, s)
     norms = np.asarray(norms, dtype=np.float64)
-    if (np.abs(norms[np.isfinite(norms)]) >= 2.0**128 - 2.0**103).any():
+    if (np.abs(norms[np.isfinite(norms)]) >= _F32_HUGE).any():
         raise OverflowError("norm is finite but rounds to infinity in the 32-bit header")
     K = s.shape[0]
     live = norms != 0.0

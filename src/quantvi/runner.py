@@ -7,7 +7,8 @@ check all derive from it.  Every key has a default, so a minimal file only
 names the problem preset.  ``run_experiment`` writes three files next to
 each other: ``<out>.csv`` (one row per checkpoint), ``<out>.json``
 (summary), and ``<out>.ini`` (the fully resolved config, which reloads to
-reproduce the run byte for byte).
+reproduce the run byte for byte).  A run that diverges writes them too:
+the rows it reached, and a JSON holding the error and its iteration.
 
 Example::
 
@@ -32,6 +33,7 @@ with t >= T/100.
 
 import argparse
 import configparser
+import io
 import json
 import os
 import sys
@@ -394,14 +396,28 @@ def _write(path, text):
         fh.write(text)
 
 
+def _write_run(cfg, rows, result):
+    """Write a run's rows to <out>.csv, ``result`` to <out>.json and its config to <out>.ini."""
+    ini = io.StringIO()
+    config_to_ini(cfg).write(ini)
+    _write(cfg.out + ".csv", _csv_text(rows))
+    _write(cfg.out + ".json", _json_text(result))
+    _write(cfg.out + ".ini", ini.getvalue())
+
+
 def run_experiment(cfg):
-    """Execute one config and write <out>.csv, <out>.json, <out>.ini."""
-    metrics, slope = execute(cfg)
+    """Execute one config and write <out>.csv, <out>.json, <out>.ini.
+
+    A run that diverges writes the rows it reached and a JSON naming the
+    error and its iteration, then re-raises ``solver.Diverged``.
+    """
+    try:
+        metrics, slope = execute(cfg)
+    except solver.Diverged as exc:
+        _write_run(cfg, exc.rows, {"error": str(exc), "status": "diverged", "t": exc.t})
+        raise
     summary = dict(metrics.summary, slope=slope)
-    _write(cfg.out + ".csv", _csv_text(metrics.rows))
-    _write(cfg.out + ".json", _json_text(summary))
-    with open(cfg.out + ".ini", "w") as fh:
-        config_to_ini(cfg).write(fh)
+    _write_run(cfg, metrics.rows, summary)
     return summary
 
 

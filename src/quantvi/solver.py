@@ -33,8 +33,8 @@ messages hold exactly the counted bits and each coordinate's string, read
 where the encoder wrote it, is the level and sign sent: exactly the
 decoder's roundtrip, without running the decoder (``codec.verify_wire``).
 A run that overflows, produces an invalid value or a norm the wire format
-cannot hold, or whose gap turns non-finite, raises ``RuntimeError`` naming
-the iteration.
+cannot hold, or whose gap turns non-finite, raises ``Diverged`` naming the
+iteration and carrying the rows written before it.
 
 Two adaptive learning-rate schedules are provided.  The general schedule
 sets gamma_t = eta_t from the accumulated squared differences of decoded
@@ -62,6 +62,15 @@ from .quantizer import NonFinite, quantize_batch
 
 class BadQHat(ValueError):
     """Alternative-schedule exponent outside (0, 1/4]."""
+
+
+class Diverged(RuntimeError):
+    """A run diverged at iteration ``t``; ``rows`` are its checkpoint rows before it."""
+
+    def __init__(self, message, t, rows):
+        super().__init__(message)
+        self.t = t
+        self.rows = rows
 
 
 METRIC_COLUMNS = ("t", "gap", "gamma", "eta", "bits", "oracle_calls", "eps_q")
@@ -334,11 +343,11 @@ def _drive(problem, T, quant, seed, step):
                 if state.at_checkpoint:
                     gap = problem.gap(state.x_half_sum / t)
                     if not np.isfinite(gap):
-                        raise RuntimeError(f"non-finite gap at iteration {t}")
+                        raise Diverged(f"non-finite gap at iteration {t}", t, rows)
                     rows.append((t, gap, state.gamma, state.eta, state.bits,
                                  state.oracle_calls, pipeline.segments[-1].eps_q))
     except (NonFinite, FloatingPointError) as exc:
-        raise RuntimeError(f"diverged at iteration {t}: {exc}") from exc
+        raise Diverged(f"diverged at iteration {t}: {exc}", t, rows) from exc
 
     eps_bar, eps_hat, n_bar = _segment_averages(pipeline.segments, T)
     summary = {

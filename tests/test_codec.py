@@ -1,16 +1,18 @@
 import hashlib
+import importlib.util
 import math
 import struct
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantvi import codec
+from quantvi import codec, runner
 from quantvi.codec import (
     Codebook,
     EmptyAlphabet,
@@ -862,3 +864,41 @@ def test_verify_wire_stays_small():
     codec.verify_wire(*rows, books, bits)
     _, peak = _traced_peak(lambda: codec.verify_wire(*rows, books, bits))
     assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("workload, T", [("refresh-d200", 501), ("eg-d1000", 2)])
+def test_a_workloads_books_are_searched_on_one_digit(monkeypatch, workload, T):
+    # The benchmark's books hold wire strings of 4 to 12 bits, so every
+    # search ends on its first digit: the integer search of longer strings,
+    # patched here to fail, never runs in the checkpoint check or the decoder.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    wl = workloads.WORKLOADS[workload]
+    cfg = runner.preset_config(wl.preset, wl.config_overrides(0, T))
+
+    def no_bisection(*args):
+        raise AssertionError("a wire string outgrew the search's first digit")
+
+    monkeypatch.setattr(codec, "bisect_right", no_bisection)
+    verify, books_seen = codec.verify_wire, set()
+
+    def verify_and_decode(norms, s, books, bits):
+        verify(norms, s, books, bits)
+        back_norms, back_s = decode_batch(encode_batch(norms, s, books), books)
+        assert np.array_equal(back_norms, norms)
+        assert np.array_equal(back_s, np.where((s >> 1) == books._coord_start, s & -2, s))
+        books_seen.add(books)
+
+    monkeypatch.setattr(codec, "verify_wire", verify_and_decode)
+    runner.execute(cfg)
+    # refresh-d200 checks its initial book and, at T, the one its refresh built.
+    assert len(books_seen) == (2 if workload == "refresh-d200" else 1)
+    # The patch is live: a 79-bit codeword does reach the integer search.
+    fam, hist = _halving_hist(80)
+    books = build_codebook(fam, hist)
+    msg = encode(QuantizedVector(1.0, np.ones(80), np.full(80, 79), fam.fingerprint()), books)
+    with pytest.raises(AssertionError, match="outgrew"):
+        decode(msg, books)

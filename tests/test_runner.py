@@ -362,6 +362,15 @@ def test_cli_run_divergence_names_its_iteration(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "diverged at iteration 21" in err
     assert "overflows the 32-bit wire format" in err
+    # The run still leaves its artifacts: the rows it reached, the config,
+    # and the error as the stderr line names it.
+    rows = (tmp_path / "div.csv").read_text().splitlines()
+    assert rows[0] == ",".join(solver.METRIC_COLUMNS)
+    assert [int(r.split(",")[0]) for r in rows[1:]] == [1, 2, 4, 8, 16]
+    result = json.loads((tmp_path / "div.json").read_text())
+    assert result == {"error": err.strip().removeprefix("error: "), "status": "diverged", "t": 21}
+    cfg = load_config(str(tmp_path / "div.ini"))
+    assert (cfg.schedule_kind, cfg.c, cfg.T) == ("constant", 50.0, 64)
 
 
 def test_cli_unquantized_divergence_names_its_first_overflow(tmp_path, capsys):
@@ -378,6 +387,12 @@ def test_cli_unquantized_divergence_names_its_first_overflow(tmp_path, capsys):
     err = capsys.readouterr().err
     match = re.search(r"diverged at iteration (\d+): overflow encountered", err)
     assert match and int(match.group(1)) < 128
+    t = int(match.group(1))
+    rows = (tmp_path / "div.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [p for p in (1, 2, 4, 8, 16, 32, 64) if p < t]
+    result = json.loads((tmp_path / "div.json").read_text())
+    assert result == {"error": err.strip().removeprefix("error: "), "status": "diverged", "t": t}
+    assert not load_config(str(tmp_path / "div.ini")).quant_enabled
 
 
 def test_cli_rejects_bad_input(tmp_path, capsys):

@@ -525,3 +525,22 @@ def test_overflow_in_one_node_factor_diverges_at_iteration_1(d):
         with pytest.raises(RuntimeError) as err:
             run_qoda(problem, GeneralRates(), T=1)
     assert str(err.value) == "diverged at iteration 1: overflow encountered in matmul"
+    assert isinstance(err.value, solver.Diverged) and (err.value.t, err.value.rows) == (1, [])
+
+
+def test_a_non_finite_gap_diverges_with_the_rows_before_it(monkeypatch):
+    # The gap at checkpoint 8 turns NaN: the run stops there, carrying the
+    # rows of checkpoints 1, 2 and 4.
+    problem = make_problem("bilinear", d=6, K=2, seed=1, noise=AbsoluteNoise(0.1))
+    gap = problem.gap
+    calls = []
+
+    def nan_at_8(x_hat):
+        calls.append(x_hat)
+        return gap(x_hat) if len(calls) < 4 else float("nan")
+
+    monkeypatch.setattr(problem, "gap", nan_at_8)
+    with pytest.raises(solver.Diverged, match="^non-finite gap at iteration 8$") as err:
+        run_qoda(problem, GeneralRates(), T=20)
+    assert err.value.t == 8
+    assert [row[0] for row in err.value.rows] == [1, 2, 4]
