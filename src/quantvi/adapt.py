@@ -4,7 +4,10 @@ Dual vectors observed during a run are summarized, per type, by a weighted
 distribution of their normalized coordinate magnitudes on [0, 1].  Each
 sample vector is weighted by its squared q-norm relative to the batch, so
 large-magnitude vectors dominate the estimate in proportion to their
-contribution to the quantization variance.
+contribution to the quantization variance.  ``weighted_cdf`` turns a window
+of samples into one step CDF per type; the truncated-normal option
+(``fit_truncated_normal``) reads only those step CDFs and replaces each by
+the [0, 1]-truncated normal of the same mean and variance.
 
 Level sequences are then re-placed to minimize the expected rounding
 variance  integral(sigma_Q^2(u; l) dF(u))  by an exact dynamic program over
@@ -78,13 +81,9 @@ class StepCdf:
             raise ValueError("negative weight")
         if np.any(points < -1e-12) or np.any(points > 1 + 1e-12):
             raise ValueError("support must lie in [0, 1]")
-        points = np.clip(points, 0.0, 1.0)
-        order = np.argsort(points, kind="stable")
-        points, weights = points[order], weights[order]
-        # Merge duplicate support points.
-        uniq, inverse = np.unique(points, return_inverse=True)
-        merged = np.zeros_like(uniq)
-        np.add.at(merged, inverse, weights)
+        # Merge tied points: bincount sums each group from 0.0 in input order.
+        uniq, inverse = np.unique(np.clip(points, 0.0, 1.0), return_inverse=True)
+        merged = np.bincount(inverse, weights=weights)
         total = merged.sum()
         if total <= 0:
             raise ValueError("total weight must be positive")
@@ -196,55 +195,41 @@ def weighted_cdf(samples, family):
     return cdfs
 
 
-def _fit_one_truncnorm(mean, var):
-    """Method-of-moments parameters of a [0,1]-truncated normal, or None."""
-    from scipy import optimize  # see the module docstring
+def fit_truncated_normal(cdfs):
+    """Truncated normals of the means and variances of ``weighted_cdf``'s step CDFs.
 
-    def residual(theta):
-        m, v = TruncNormCdf(theta[0], np.exp(theta[1])).mean_var()
-        return [m - mean, v - var]
-
-    lo, hi = [-10.0, np.log(1e-4)], [11.0, np.log(50.0)]
-    theta0 = np.clip([mean, 0.5 * np.log(max(var, 1e-8))], lo, hi)
-    try:
-        sol = optimize.least_squares(residual, theta0, bounds=(lo, hi), xtol=1e-14, ftol=1e-14)
-    except ValueError:  # a candidate whose truncation interval carries no mass
-        return None
-    if not sol.success or np.linalg.norm(sol.fun) > 1e-6:
-        return None
-    return float(sol.x[0]), float(np.exp(sol.x[1]))
-
-
-def fit_truncated_normal(samples, family):
-    """Per-type truncated normals fit by weighted mean and variance, as a list.
-
-    Types are weighted and skipped (None) as in ``weighted_cdf``.  Types
-    whose samples are degenerate (fewer than two distinct values) or whose
-    moments no truncated normal can reproduce fall back to the step CDF,
-    announced with a DegenerateSample warning.
+    A None entry (a type without coordinates) stays None.  A CDF with fewer
+    than two support points or variance at most 1e-12, or whose moments no
+    truncated normal reproduces, is kept, announced by a DegenerateSample warning.
     """
-    samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    norms, lam = _sample_weights(samples, family)
-    cdfs = []
-    for m in range(family.num_types):
-        pts, wts = _type_points(samples, norms, lam, family, m)
-        if pts is None:
-            cdfs.append(None)
-            continue
-        mean = float(np.sum(wts * pts))
-        var = float(np.sum(wts * pts**2) - mean**2)
-        fitted = None
-        if np.unique(pts).size >= 2 and var > 1e-12:
-            fitted = _fit_one_truncnorm(mean, var)
-            cause = f"no truncated normal matched mean {mean:.6g}, variance {var:.6g}"
-        else:
-            cause = "fewer than two distinct magnitudes, or variance <= 1e-12"
-        if fitted is None:
-            warnings.warn(f"type {m}: {cause}; using the step CDF", DegenerateSample)
-            cdfs.append(StepCdf(pts, wts))
-        else:
-            cdfs.append(TruncNormCdf(*fitted))
-    return cdfs
+    return [None if c is None else _fit_one_truncnorm(m, c) for m, c in enumerate(cdfs)]
+
+
+def _fit_one_truncnorm(m, cdf):
+    """Type m's [0,1]-truncated normal by the method of moments, or ``cdf`` itself."""
+    _, m1, m2 = cdf.moments_below(1.0)
+    mean, var = float(m1), float(m2 - m1**2)
+    if cdf.points.size < 2 or var <= 1e-12:
+        cause = "fewer than two distinct magnitudes, or variance <= 1e-12"
+    else:
+        from scipy import optimize  # see the module docstring
+
+        def residual(theta):
+            got_mean, got_var = TruncNormCdf(theta[0], np.exp(theta[1])).mean_var()
+            return [got_mean - mean, got_var - var]
+
+        lo, hi = [-10.0, np.log(1e-4)], [11.0, np.log(50.0)]
+        theta0 = np.clip([mean, 0.5 * np.log(max(var, 1e-8))], lo, hi)
+        try:
+            sol = optimize.least_squares(residual, theta0, bounds=(lo, hi), xtol=1e-14,
+                                         ftol=1e-14)
+        except ValueError:  # a candidate whose truncation interval carries no mass
+            sol = None
+        if sol is not None and sol.success and np.linalg.norm(sol.fun) <= 1e-6:
+            return TruncNormCdf(float(sol.x[0]), float(np.exp(sol.x[1])))
+        cause = f"no truncated normal matched mean {mean:.6g}, variance {var:.6g}"
+    warnings.warn(f"type {m}: {cause}; using the step CDF", DegenerateSample)
+    return cdf
 
 
 def quantization_cost(cdf, seq):

@@ -53,6 +53,7 @@ positive.  The last byte is padded with zero bits.
 
 import heapq
 from bisect import bisect_right
+from collections import namedtuple
 
 import numpy as np
 
@@ -367,17 +368,8 @@ def build_codebook(family, hist=None, protocol=PROTOCOL_MAIN, scheme=SCHEME_HUFF
     return Codebook(words, [range(order.size)], family)
 
 
-class EncodedMessage:
-    """A finished bit stream: packed bytes plus its exact bit length."""
-
-    __slots__ = ("data", "nbits")
-
-    def __init__(self, data, nbits):
-        self.data = data
-        self.nbits = nbits
-
-    def __repr__(self):
-        return f"EncodedMessage(nbits={self.nbits})"
+# A finished bit stream: packed bytes plus its exact bit length.
+EncodedMessage = namedtuple("EncodedMessage", "data nbits")
 
 
 def encode(qv, books):

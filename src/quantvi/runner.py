@@ -405,17 +405,22 @@ def _write_run(cfg, rows, result):
     _write(cfg.out + ".ini", ini.getvalue())
 
 
-def run_experiment(cfg):
-    """Execute one config and write <out>.csv, <out>.json, <out>.ini.
+def _execute_recording_divergence(cfg):
+    """``execute(cfg)``; a run that diverges leaves its files, then re-raises.
 
-    A run that diverges writes the rows it reached and a JSON naming the
-    error and its iteration, then re-raises ``solver.Diverged``.
+    Those are the rows it reached in <out>.csv, its config in <out>.ini and
+    a JSON naming the error and its iteration in <out>.json.
     """
     try:
-        metrics, slope = execute(cfg)
+        return execute(cfg)
     except solver.Diverged as exc:
         _write_run(cfg, exc.rows, {"error": str(exc), "status": "diverged", "t": exc.t})
         raise
+
+
+def run_experiment(cfg):
+    """Execute one config and write <out>.csv, <out>.json, <out>.ini."""
+    metrics, slope = _execute_recording_divergence(cfg)
     summary = dict(metrics.summary, slope=slope)
     _write_run(cfg, metrics.rows, summary)
     return summary
@@ -439,8 +444,7 @@ def mqv_study(cfg, probes=16):
     samples = np.concatenate([node_values(x) for x in xs])
 
     family = build_family(cfg)
-    cdfs = adapt.weighted_cdf(samples, family)
-    layer_family = adapt.place_levels(family, cdfs, cfg.grid)
+    layer_family, cdfs = solver.refresh_levels(samples, family, cfg.grid, "empirical")
     layer_val = adapt.mqv_objective(layer_family, cdfs)
 
     pooled = adapt.pooled_cdf(cdfs, family)
@@ -454,7 +458,8 @@ def compare(cfgs, labels=None):
     """Run several configs that differ only in keys the schema lets vary.
 
     Returns a dict with per-run summaries and deltas against the first
-    config; raises IncomparableConfigs when the fixed axes differ.
+    config; raises IncomparableConfigs when the fixed axes differ.  A config
+    that diverges writes its files as ``run_experiment`` does.
     """
     if len(cfgs) < 2:
         raise IncomparableConfigs("need at least two configs to compare")
@@ -476,7 +481,7 @@ def compare(cfgs, labels=None):
     summaries = {}
     rows_by_label = {}
     for label, cfg in zip(labels, cfgs):
-        metrics, slope = execute(cfg)
+        metrics, slope = _execute_recording_divergence(cfg)
         summaries[label] = dict(metrics.summary, slope=slope)
         rows_by_label[label] = metrics.rows
 

@@ -178,20 +178,17 @@ class QuantizationConfig:
     samples_per_node: int = 16
 
 
-def refresh_levels(samples, family, grid, estimator, protocol, scheme):
-    """Re-estimate CDFs, re-place levels, and rebuild codebooks from samples.
+def refresh_levels(samples, family, grid, estimator):
+    """Re-place the levels on per-type CDFs of a sample window; returns (new_family, cdfs).
 
-    Returns (new_family, books, hist).  Raises adapt.AllZeroSamples when
-    the samples carry no information (callers keep the old family).
+    The window becomes one step CDF per type (``adapt.weighted_cdf``), which
+    the truncated-normal estimator then fits.  Raises adapt.AllZeroSamples
+    when the samples carry no information (callers keep the old family).
     """
+    cdfs = adapt.weighted_cdf(samples, family)
     if estimator == "truncated-normal":
-        cdfs = adapt.fit_truncated_normal(samples, family)
-    else:
-        cdfs = adapt.weighted_cdf(samples, family)
-    new_family = adapt.place_levels(family, cdfs, grid)
-    hist = adapt.level_histogram(new_family, cdfs)
-    books = build_codebook(new_family, hist, protocol, scheme)
-    return new_family, books, hist
+        cdfs = adapt.fit_truncated_normal(cdfs)
+    return adapt.place_levels(family, cdfs, grid), cdfs
 
 
 # From iteration t on: a level family, its books, their histogram and bounds.
@@ -208,16 +205,19 @@ class _QuantPipeline:
         self.d = d
         self.K = K
         self.segments = []
-        hist = adapt.level_histogram(cfg.family, [None] * cfg.family.num_types)
-        self._start_segment(
-            1, cfg.family, build_codebook(cfg.family, hist, cfg.protocol, cfg.scheme), hist
-        )
+        self._start_segment(1, cfg.family, [None] * cfg.family.num_types)
         # The latest broadcast blocks V (K, d); nothing writes to them later.
         self.recent = deque(maxlen=cfg.samples_per_node)
         self.rng = default_rng(SeedSequence(entropy=seed, spawn_key=(2,)))
 
-    def _start_segment(self, t, family, books, hist):
-        """Quantize with ``family`` and ``books`` from iteration t on."""
+    def _start_segment(self, t, family, cdfs):
+        """Quantize with ``family`` from iteration t on; every segment is made here.
+
+        Builds the level histogram under ``cdfs`` (uniform where None), the
+        books from it, and the bounds eps_q and n_q.
+        """
+        hist = adapt.level_histogram(family, cdfs)
+        books = build_codebook(family, hist, self.cfg.protocol, self.cfg.scheme)
         self.segments.append(Segment(
             t, family, books, hist, variance_bound_eps(family, self.d),
             code_length_bound(hist, family, self.cfg.protocol),
@@ -231,10 +231,8 @@ class _QuantPipeline:
         # Node by node, oldest first.
         samples = np.stack(self.recent, axis=1).reshape(-1, self.d)
         try:
-            refreshed = refresh_levels(
-                samples, self.segments[-1].family, self.cfg.grid,
-                self.cfg.estimator, self.cfg.protocol, self.cfg.scheme,
-            )
+            refreshed = refresh_levels(samples, self.segments[-1].family, self.cfg.grid,
+                                       self.cfg.estimator)
         except adapt.AllZeroSamples:
             return
         self._start_segment(t, *refreshed)

@@ -201,6 +201,21 @@ def decode_message(data, books):
     return norm, idx, signs
 
 
+def merge_ties(points, weights):
+    """(support, normalized weights) as ``adapt.StepCdf`` merged ties by sorting.
+
+    A stable sort keeps the input order within ties, and ``np.add.at`` sums
+    each group of ties from 0.0 in that order.
+    """
+    points = np.clip(np.asarray(points, dtype=np.float64), 0.0, 1.0)
+    order = np.argsort(points, kind="stable")
+    points, weights = points[order], np.asarray(weights, dtype=np.float64)[order]
+    uniq, inverse = np.unique(points, return_inverse=True)
+    merged = np.zeros_like(uniq)
+    np.add.at(merged, inverse, weights)
+    return uniq, merged / merged.sum()
+
+
 def optimize_levels(cdf, alpha, grid):
     """The levels ``adapt.optimize_levels`` placed when it ran all alpha + 1 DP layers.
 

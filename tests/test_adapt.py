@@ -58,6 +58,21 @@ def test_step_cdf_merges_duplicates_and_normalizes():
     assert np.allclose(c.moments_below(0.81), c.moments_below(1.0))
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_step_cdf_merges_ties_like_the_sorting_reference(data):
+    # Points on a coarse grid, so most of them tie, in random order and
+    # with random weights: each group of ties must sum in input order.
+    coarse = data.draw(st.sampled_from([1, 2, 3, 7, 10]))
+    n = data.draw(st.integers(1, 40))
+    pts = np.array(data.draw(st.lists(st.integers(0, coarse), min_size=n, max_size=n))) / coarse
+    wts = data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n).filter(any))
+    c = StepCdf(pts, wts)
+    points, weights = reference.merge_ties(pts, wts)
+    assert c.points.tobytes() == points.tobytes()
+    assert c.weights.tobytes() == weights.tobytes()
+
+
 def test_step_cdf_counts_an_atom_at_one_from_one_on():
     # The quantizer puts u = 1 in the last level interval, so the atom at 1
     # is below x = 1 but not below any smaller x.
@@ -151,14 +166,14 @@ def test_fit_truncated_normal_dimension_check():
     rng = np.random.default_rng(3)
     for cols in (9, 4):
         with pytest.raises(ValueError, match="sample dimension does not match"):
-            fit_truncated_normal(np.abs(rng.standard_normal((5, cols))), fam)
+            fit_truncated_normal(weighted_cdf(np.abs(rng.standard_normal((5, cols))), fam))
 
 
 def test_fit_truncated_normal_recovers_moments():
     rng = np.random.default_rng(8)
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(400, dtype=np.int64))
     samples = np.abs(rng.normal(0.04, 0.015, size=(1, 400)))
-    (c,) = fit_truncated_normal(samples, fam)
+    (c,) = fit_truncated_normal(weighted_cdf(samples, fam))
     assert isinstance(c, TruncNormCdf)
     mean, var = c.mean_var()
     u = np.abs(samples[0]) / np.linalg.norm(samples[0])
@@ -169,9 +184,10 @@ def test_fit_truncated_normal_recovers_moments():
 def test_fit_truncated_normal_degenerate_falls_back():
     fam = LevelFamily([LevelSequence([0.0, 1.0])], np.zeros(4, dtype=np.int64))
     samples = np.full((2, 4), 0.5)  # all normalized magnitudes identical
+    cdfs = weighted_cdf(samples, fam)
     with pytest.warns(DegenerateSample, match="fewer than two distinct magnitudes"):
-        (c,) = fit_truncated_normal(samples, fam)
-    assert isinstance(c, StepCdf)
+        (c,) = fit_truncated_normal(cdfs)
+    assert isinstance(c, StepCdf) and c is cdfs[0]
 
 
 def test_quantization_cost_uniform_frozen():
@@ -493,11 +509,13 @@ def test_fit_truncated_normal_falls_back_where_the_solver_raised():
     fam = LevelFamily([sequence_from_spec("uniform:3")] * 2, assignment_from_layer_sizes([10, 10]))
     samples = np.random.default_rng(0).standard_normal((64, 20))
     samples[:, :10] *= 3e-4
-    assert [type(c) for c in fit_truncated_normal(samples, fam)] == [TruncNormCdf] * 2
+    fits = fit_truncated_normal(weighted_cdf(samples, fam))
+    assert [type(c) for c in fits] == [TruncNormCdf] * 2
     # Two points with mean 1e-3 and variance 3e-4: no truncated normal fits.
     pts, wts = np.array([0.0, 0.301]), np.array([1 - 1e-3 / 0.301, 1e-3 / 0.301])
     with mock.patch.object(adapt, "_type_points", return_value=(pts, wts)):
         with pytest.warns(DegenerateSample,
                           match="no truncated normal matched mean 0.001, variance 0.0003;"):
-            (c,) = fit_truncated_normal(samples[:, :1], LevelFamily([fam.sequences[0]], [0]))
+            (c,) = fit_truncated_normal(
+                weighted_cdf(samples[:, :1], LevelFamily([fam.sequences[0]], [0])))
     assert isinstance(c, StepCdf)

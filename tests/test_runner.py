@@ -395,6 +395,38 @@ def test_cli_unquantized_divergence_names_its_first_overflow(tmp_path, capsys):
     assert not load_config(str(tmp_path / "div.ini")).quant_enabled
 
 
+def _assert_diverged_files(out, err):
+    """``out``'s rows through t = 16, its config and the error the stderr line names."""
+    assert err == "error: diverged at iteration 21: vector norm overflows the 32-bit wire format\n"
+    rows = Path(f"{out}.csv").read_text().splitlines()[1:]
+    assert [int(r.split(",")[0]) for r in rows] == [1, 2, 4, 8, 16]
+    result = json.loads(Path(f"{out}.json").read_text())
+    assert result == {"error": err.strip().removeprefix("error: "), "status": "diverged", "t": 21}
+    cfg = load_config(f"{out}.ini")
+    assert (cfg.schedule_kind, cfg.c) == ("constant", 50.0)
+
+
+def test_cli_compare_divergence_leaves_the_diverging_config_files(tmp_path, monkeypatch,
+                                                                 capsys):
+    # A compare stopped at its first diverging config and left no file.
+    monkeypatch.chdir(tmp_path)
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.ini").write_text(
+            "[problem]\npreset = bilinear\nd = 6\n\n[schedule]\nkind = constant\nc = 50\n\n"
+            f"[run]\nT = 200\nout = C/{name}\n")
+    assert main(["compare", "a.ini", "b.ini", "--out", "C/cmp"]) == 1
+    _assert_diverged_files(tmp_path / "C" / "a", capsys.readouterr().err)
+    assert sorted(p.name for p in (tmp_path / "C").iterdir()) == ["a.csv", "a.ini", "a.json"]
+
+
+def test_cli_suite_divergence_leaves_the_diverging_config_files(tmp_path, capsys):
+    out = tmp_path / "S"
+    assert main(["suite", "k-sweep", "--out", str(out), "--set", "schedule.kind=constant",
+                 "--set", "schedule.c=50"]) == 1
+    _assert_diverged_files(out / "K1", capsys.readouterr().err)
+    assert sorted(p.name for p in out.iterdir()) == ["K1.csv", "K1.ini", "K1.json"]
+
+
 def test_cli_rejects_bad_input(tmp_path, capsys):
     assert main(["run", "nope"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -88,15 +88,21 @@ def test_refresh_levels_places_levels_and_books():
     rng = np.random.default_rng(0)
     fam = _fam(8, alpha=2)
     samples = np.abs(rng.standard_normal((12, 8)))
-    new_fam, books, hist = refresh_levels(
-        samples, fam, 64, "empirical", "main", "huffman"
-    )
+    new_fam, cdfs = refresh_levels(samples, fam, 64, "empirical")
     assert new_fam.sequences[0].alpha == 2
     assert new_fam.fingerprint() != fam.fingerprint()
-    assert books.family_id == new_fam.fingerprint()
-    codec.validate_histogram(hist, new_fam)
+    assert [type(c) for c in cdfs] == [adapt.StepCdf]
+    # A pipeline segment builds the books and histogram of the refreshed levels.
+    pipe = solver._QuantPipeline(QuantizationConfig(family=fam, grid=64), 8, 1, seed=0)
+    assert pipe.segments[0].books.family_id == fam.fingerprint()
+    pipe._start_segment(2, new_fam, cdfs)
+    seg = pipe.segments[-1]
+    assert (seg.t, seg.family) == (2, new_fam)
+    assert seg.books.family_id == new_fam.fingerprint()
+    codec.validate_histogram(seg.hist, new_fam)
+    assert seg.n_q == code_length_bound(seg.hist, new_fam, "main")
     with pytest.raises(adapt.AllZeroSamples):
-        refresh_levels(np.zeros((3, 8)), fam, 64, "empirical", "main", "huffman")
+        refresh_levels(np.zeros((3, 8)), fam, 64, "empirical")
 
 
 def test_run_qoda_row_schema_and_counts():
@@ -241,9 +247,9 @@ def test_refresh_keeps_the_levels_of_a_type_without_coordinates(monkeypatch, pro
     refreshed = []
     start = solver._QuantPipeline._start_segment
 
-    def recording_start(self, t, family, books, hist):
+    def recording_start(self, t, family, cdfs):
         refreshed.append((t, family))
-        start(self, t, family, books, hist)
+        start(self, t, family, cdfs)
 
     monkeypatch.setattr(solver._QuantPipeline, "_start_segment", recording_start)
     with warnings.catch_warnings():
@@ -319,7 +325,7 @@ def test_wire_mismatch_raises_before_the_row_is_written(monkeypatch, algorithm):
         msgs = encode(*args)
         calls.append(1)
         if len(calls) > 3 * per_checkpoint:
-            msgs[0].nbits += 1
+            msgs[0] = msgs[0]._replace(nbits=msgs[0].nbits + 1)
         return msgs
 
     monkeypatch.setattr(codec, "encode_batch", one_bit_long)
